@@ -11,7 +11,8 @@ import time
 
 import numpy as np
 
-from dualqp import WorkingSet, add_index, factorize, remove_index
+from dualqp import WorkingSet
+from dualqp.kernel import add_index, factorize, remove_index
 
 
 def run(n=400, ops=120, seed=0):

@@ -15,8 +15,9 @@ plus the per-eigenvalue contraction factors that explain the speed.
 
 import numpy as np
 
-from dualqp import (OutcomeKind, RefineConfig, WorkingSet, contraction_rate,
-                    factorize, refine_solve)
+from dualqp import RefineConfig, WorkingSet
+from dualqp.kernel import factorize
+from dualqp.refine import OutcomeKind, contraction_rate, refine_solve
 
 
 def run(n=12, nullity=2, seed=4):

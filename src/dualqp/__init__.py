@@ -4,19 +4,14 @@ The pipeline: transform a strictly convex primal QP into its dual bound-
 constrained QP (build_dual), run the dual active-set method with masked
 Cholesky updates and proximal-point refinement (solve_dual), and map the
 multipliers back to the primal point (recover_primal).  solve() chains
-the three.
+the three.  The masked-factor kernel and the refinement loop are
+internals, importable from dualqp.kernel and dualqp.refine.
 """
 
-from .kernel import (CholeskyDowndateError, MaskedFactor, WorkingSet,
-                     add_index, build_masked, factorize,
-                     lambda_from_direction, mask_vector, remove_index,
-                     solve_with_factor)
-from .refine import (OutcomeKind, RefineConfig, RefineOutcome,
-                     RefinementError, contraction_rate, project_null,
-                     refine_solve)
-from .active_set import (DualQP, IterateState, SolveReport, SolveStatus,
-                         SolverConfig, UnboundedDualError, smartstart,
-                         solve_dual, step_length, subproblem_direction)
+from .kernel import WorkingSet
+from .refine import RefineConfig
+from .active_set import (DualQP, SolveReport, SolveStatus, SolverConfig,
+                         UnboundedDualError, smartstart, solve_dual)
 from .transform import (InvalidProblemError, PFactor, PrimalQP,
                         PrimalSolution, build_dual, recover_primal)
 from .oracle import (InfeasibleProblemError, OracleResult, enumerate_solve,
@@ -41,18 +36,11 @@ def solve(primal, cfg=None, w0=None):
 
 
 __all__ = [
-    "CholeskyDowndateError", "MaskedFactor", "WorkingSet", "add_index",
-    "build_masked", "factorize", "lambda_from_direction", "mask_vector",
-    "remove_index", "solve_with_factor",
-    "OutcomeKind", "RefineConfig", "RefineOutcome", "RefinementError",
-    "contraction_rate", "project_null", "refine_solve",
-    "DualQP", "IterateState", "SolveReport", "SolveStatus", "SolverConfig",
-    "UnboundedDualError", "smartstart", "solve_dual", "step_length",
-    "subproblem_direction",
-    "InvalidProblemError", "PFactor", "PrimalQP", "PrimalSolution",
-    "build_dual", "recover_primal",
-    "InfeasibleProblemError", "OracleResult", "enumerate_solve", "random_qp",
+    "solve", "PrimalQP", "PrimalSolution", "PFactor", "build_dual",
+    "recover_primal", "DualQP", "WorkingSet", "smartstart", "solve_dual",
+    "SolverConfig", "RefineConfig", "SolveReport", "SolveStatus",
+    "UnboundedDualError", "InvalidProblemError",
+    "enumerate_solve", "random_qp", "OracleResult", "InfeasibleProblemError",
     "MpcSpec", "PolytopeSpec", "afti16_spec", "build_mpc", "build_polytope",
-    "ProblemFormatError", "load_problem", "save_problem",
-    "solve",
+    "load_problem", "save_problem", "ProblemFormatError",
 ]

@@ -28,9 +28,9 @@ from enum import Enum
 
 import numpy as np
 
-from .kernel import (CholeskyDowndateError, MaskedFactor, WorkingSet,
-                     add_index, factorize, lambda_from_direction,
-                     mask_vector, remove_index)
+from .kernel import (CholeskyDowndateError, WorkingSet, add_index,
+                     factorize, lambda_from_direction, mask_vector,
+                     remove_index)
 from .refine import (OutcomeKind, RefineConfig, RefineOutcome,
                      RefinementError, refine_solve)
 
@@ -98,17 +98,22 @@ class SolverConfig:
     flat_tol: float = 1e-12           # certified-flat curvature, times 1+max|G|
     max_outer_iters: int | None = None  # default 10 * (m_eq + m_in)
     smartstart: bool = True
-    debug: bool = False               # consistency spot checks every 50 iters
     collect_trace: bool = False       # record the objective per iteration
 
+    def validate(self):
+        """Raise ValueError for a setting the solver cannot run with.
 
-@dataclass
-class IterateState:
-    """One snapshot of the outer loop (exposed for composition/tests)."""
-    mu: np.ndarray
-    W: WorkingSet
-    factor: MaskedFactor
-    k: int
+        solve_dual calls this once on entry; nothing downstream
+        re-checks the config."""
+        self.refine.validate()
+        for name in ("lambda_tol", "stationarity_tol", "zero_step_tol",
+                     "shift_floor", "flat_tol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if not 0 < self.shift_shrink < 1:
+            raise ValueError("shift_shrink must lie in (0, 1)")
+        if self.max_outer_iters is not None and not self.max_outer_iters >= 1:
+            raise ValueError("max_outer_iters must be None or at least 1")
 
 
 @dataclass
@@ -155,16 +160,15 @@ def step_length(mu, p, inequality_indices, W, bounded):
     """
     mu = np.asarray(mu, dtype=float)
     p = np.asarray(p, dtype=float)
-    member = W.member
-    cand = [i for i in np.asarray(inequality_indices, dtype=int)
-            if not member[i] and p[i] < 0.0]
-    if not cand:
+    ineq = np.asarray(inequality_indices, dtype=int)
+    cand = ineq[(p[ineq] < 0.0) & ~W.member[ineq]]
+    if not cand.size:
         if bounded:
             return 1.0, None
         raise UnboundedDualError(
             "unbounded descent direction with no blocking bound: "
             "the primal problem is infeasible")
-    ratios = np.array([-mu[i] / p[i] for i in cand])
+    ratios = -mu[cand] / p[cand]
     j = int(np.argmin(ratios))  # first minimum = smallest index
     alpha = float(ratios[j])
     if bounded and alpha > 1.0:
@@ -172,16 +176,9 @@ def step_length(mu, p, inequality_indices, W, bounded):
     return alpha, int(cand[j])
 
 
-def subproblem_direction(state, qp, cfg=None):
-    """Refinement outcome for the subproblem pinned at state.W."""
-    c = qp.G @ state.mu + qp.h
-    c_bar = mask_vector(c, state.W)
-    return refine_solve(state.factor, c_bar, cfg or RefineConfig())
-
-
-def _sharper(qp, W, f, cfg):
-    return factorize(qp.G, W, max(f.epsilon * cfg.shift_shrink,
-                                  cfg.shift_floor))
+def _sharper(qp, f, cfg):
+    return factorize(qp.G, f.mask, max(f.epsilon * cfg.shift_shrink,
+                                       cfg.shift_floor))
 
 
 def _salvage(err, c_bar):
@@ -209,7 +206,7 @@ def _salvage(err, c_bar):
     return RefineOutcome(OutcomeKind.DESCENT_DIRECTION, p, iters, res)
 
 
-def _directed_step(qp, W, f, c_bar, mu, cfg, g_scale):
+def _directed_step(qp, f, c_bar, mu, cfg, g_scale):
     """Classify the pinned subproblem and settle the step along the result.
 
     Returns (outcome, alpha, blocking, f, retries).  The factor comes
@@ -235,7 +232,7 @@ def _directed_step(qp, W, f, c_bar, mu, cfg, g_scale):
             outcome = refine_solve(f, c_bar, cfg.refine)
         except RefinementError as err:
             if f.epsilon > cfg.shift_floor:
-                f = _sharper(qp, W, f, cfg)
+                f = _sharper(qp, f, cfg)
                 retries += 1
                 continue
             outcome = _salvage(err, c_bar)
@@ -243,7 +240,8 @@ def _directed_step(qp, W, f, c_bar, mu, cfg, g_scale):
         break
 
     if outcome.is_solution:
-        alpha, blocking = step_length(mu, outcome.p, ineq, W, bounded=True)
+        alpha, blocking = step_length(mu, outcome.p, ineq, f.mask,
+                                      bounded=True)
         return outcome, alpha, blocking, f, retries
 
     p = outcome.p
@@ -251,7 +249,7 @@ def _directed_step(qp, W, f, c_bar, mu, cfg, g_scale):
     flat = curv <= cfg.flat_tol * g_scale * float(p @ p)
     alpha_min = math.inf if flat else -float(c_bar @ p) / curv
     try:
-        alpha, blocking = step_length(mu, p, ineq, W, bounded=False)
+        alpha, blocking = step_length(mu, p, ineq, f.mask, bounded=False)
     except UnboundedDualError:
         if flat and not salvaged:
             raise  # certified: the dual objective is a descending ray
@@ -286,20 +284,6 @@ def _kkt_summary(qp, mu, W):
     return stat, min_mult, comp, kkt
 
 
-def _debug_check(qp, mu, W, f):
-    rebuilt = factorize(qp.G, W, f.epsilon)
-    scale = 1.0 + np.linalg.norm(qp.G)
-    drift = np.linalg.norm(f.factor @ f.factor.T
-                           - rebuilt.factor @ rebuilt.factor.T)
-    if drift > 1e-9 * scale:
-        raise RuntimeError(f"incremental factor drifted: {drift:.3e}")
-    ineq = qp.inequality_indices
-    if ineq.size and np.min(mu[ineq]) < 0.0:
-        raise RuntimeError("dual feasibility violated")
-    if np.any(mu[W.indices] != 0.0):
-        raise RuntimeError("working-set coordinates are not exactly zero")
-
-
 def solve_dual(qp, W0=None, cfg=None):
     """Run the dual active-set method from mu = 0.
 
@@ -309,7 +293,10 @@ def solve_dual(qp, W0=None, cfg=None):
     W0 : optional WorkingSet of bounds to pin initially (any subset of
         the inequality block is valid at mu = 0).  Defaults to
         smartstart(qp) when cfg.smartstart, else the empty set.
-    cfg : SolverConfig
+    cfg : SolverConfig, validated here before any work.
+
+    The working set lives in the factor: f.mask is the only copy, and
+    add_index/remove_index move it together with the factor.
 
     Returns
     -------
@@ -319,17 +306,16 @@ def solve_dual(qp, W0=None, cfg=None):
 
     Raises
     ------
+    ValueError for an invalid cfg or a W0 of other dimensions than qp.
     UnboundedDualError when a zero-curvature descent direction meets no
     blocking bound (primal infeasible).
     """
     cfg = cfg or SolverConfig()
-    cfg.refine.validate()
+    cfg.validate()
     if W0 is None:
-        W = smartstart(qp) if cfg.smartstart else WorkingSet(qp.m_eq, qp.m_in)
-    else:
-        if (W0.m_eq, W0.m_in) != (qp.m_eq, qp.m_in):
-            raise ValueError("W0 dimensions do not match the dual problem")
-        W = W0
+        W0 = smartstart(qp) if cfg.smartstart else WorkingSet(qp.m_eq, qp.m_in)
+    elif (W0.m_eq, W0.m_in) != (qp.m_eq, qp.m_in):
+        raise ValueError("W0 dimensions do not match the dual problem")
     m = qp.m
     eps = cfg.refine.epsilon
     max_outer = cfg.max_outer_iters or max(10 * m, 1)
@@ -337,7 +323,7 @@ def solve_dual(qp, W0=None, cfg=None):
     ineq = qp.inequality_indices
 
     mu = np.zeros(m)
-    f = factorize(qp.G, W, eps)
+    f = factorize(qp.G, W0, eps)
     g_scale = 1.0 + (float(np.max(np.abs(qp.G))) if qp.G.size else 0.0)
     refine_iters = []
     descent_count = 0
@@ -355,7 +341,7 @@ def solve_dual(qp, W0=None, cfg=None):
         if trace is not None:
             trace.append(obj)
 
-        key = W.as_tuple()
+        key = f.mask.as_tuple()
         seen = visited.setdefault(key, set())
         if obj in seen:
             message = (f"cycle detected: working set {key} revisited at "
@@ -363,7 +349,7 @@ def solve_dual(qp, W0=None, cfg=None):
             break
         seen.add(obj)
 
-        c_bar = mask_vector(c, W)
+        c_bar = mask_vector(c, f.mask)
         outcome = None
         p_zero = None
         if _inf_norm(c_bar) <= cfg.stationarity_tol * h_scale:
@@ -371,7 +357,7 @@ def solve_dual(qp, W0=None, cfg=None):
         else:
             try:
                 outcome, alpha, blocking, f, retries = _directed_step(
-                    qp, W, f, c_bar, mu, cfg, g_scale)
+                    qp, f, c_bar, mu, cfg, g_scale)
             except RefinementError as err:
                 status = SolveStatus.NUMERICAL_FAILURE
                 message = f"refinement failed at iteration {k}: {err}"
@@ -384,18 +370,17 @@ def solve_dual(qp, W0=None, cfg=None):
                 p_zero = outcome.p
 
         if p_zero is not None:
-            lam = lambda_from_direction(qp.G, p_zero, c, W)
+            lam = lambda_from_direction(qp.G, p_zero, c, f.mask)
             sigma = -lam  # bound multipliers: gradient on the working set
             if sigma.size == 0 or np.min(sigma) >= -cfg.lambda_tol * h_scale:
                 status = SolveStatus.OPTIMAL
                 message = ""
                 break
-            j = int(W.indices[int(np.argmin(sigma))])
-            W = W.remove(j)
+            j = int(f.mask.indices[int(np.argmin(sigma))])
             try:
                 f = remove_index(f, j)
             except CholeskyDowndateError:
-                f = factorize(qp.G, W, f.epsilon)
+                f = factorize(qp.G, f.mask.remove(j), f.epsilon)
             continue
 
         if not outcome.is_solution:
@@ -405,14 +390,11 @@ def solve_dual(qp, W0=None, cfg=None):
             np.maximum(mu[qp.m_eq:], 0.0, out=mu[qp.m_eq:])
         if blocking is not None:
             mu[blocking] = 0.0
-            W = W.add(blocking)
             f = add_index(f, blocking)
-        if cfg.debug and k % 50 == 0:
-            _debug_check(qp, mu, W, f)
     else:
         k = max_outer
 
-    stat, min_mult, comp, kkt = _kkt_summary(qp, mu, W)
+    stat, min_mult, comp, kkt = _kkt_summary(qp, mu, f.mask)
     n_ref = len(refine_iters)
     return SolveReport(
         mu_star=mu,

@@ -195,13 +195,13 @@ def _write_report(path, doc):
 def _solver_config(args):
     cfg = SolverConfig(smartstart=args.smartstart == "on")
     if getattr(args, "epsilon", None) is not None:
-        if not args.epsilon > 0:
-            raise ProblemFormatError("--epsilon must be positive")
         cfg.refine.epsilon = args.epsilon
     if getattr(args, "max_iters", None) is not None:
-        if args.max_iters < 1:
-            raise ProblemFormatError("--max-iters must be at least 1")
         cfg.max_outer_iters = args.max_iters
+    try:
+        cfg.validate()
+    except ValueError as err:
+        raise ProblemFormatError(str(err))
     return cfg
 
 

@@ -52,14 +52,7 @@ class WorkingSet:
         self.m_in = int(m_in)
         self._member = np.zeros(self.m_eq + self.m_in, dtype=bool)
         for i in indices:
-            i = int(i)
-            if not self.m_eq <= i < self.m_eq + self.m_in:
-                raise ValueError(
-                    f"index {i} outside the inequality block "
-                    f"[{self.m_eq}, {self.m_eq + self.m_in})")
-            if self._member[i]:
-                raise ValueError(f"duplicate working-set index {i}")
-            self._member[i] = True
+            self._member[self._pinnable(i)] = True
 
     @property
     def m(self):
@@ -102,34 +95,39 @@ class WorkingSet:
     def __hash__(self):
         return hash((self.m_eq, self.m_in, self.as_tuple()))
 
-    def add(self, i):
-        if i in self:
+    def _pinnable(self, i):
+        # i as an int, if it is a free index of the inequality block.
+        i = int(i)
+        if not self.m_eq <= i < self.m:
+            raise ValueError(
+                f"index {i} outside the inequality block "
+                f"[{self.m_eq}, {self.m})")
+        if self._member[i]:
             raise ValueError(f"index {i} already in the working set")
-        return WorkingSet(self.m_eq, self.m_in, self.indices.tolist() + [int(i)])
+        return i
+
+    def add(self, i):
+        return self._with(self._pinnable(i), True)
 
     def remove(self, i):
+        i = int(i)
         if i not in self:
             raise ValueError(f"index {i} not in the working set")
-        keep = [j for j in self.indices.tolist() if j != int(i)]
-        return WorkingSet(self.m_eq, self.m_in, keep)
+        return self._with(i, False)
 
-
-def _check_matrix(G, W):
-    G = np.asarray(G, dtype=float)
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {G.shape}")
-    if G.shape[0] != W.m:
-        raise ValueError(
-            f"matrix of order {G.shape[0]} does not match working set "
-            f"dimension {W.m}")
-    return G
+    def _with(self, i, member):
+        # Copy with one membership entry set; add/remove checked i.
+        out = object.__new__(WorkingSet)
+        out.m_eq, out.m_in = self.m_eq, self.m_in
+        out._member = self._member.copy()
+        out._member[i] = member
+        return out
 
 
 def build_masked(G, W):
     """Masked copy of G: unit diagonal at working-set indices, zeros on
     their rows/columns, everything else untouched."""
-    G = _check_matrix(G, W)
-    out = G.copy()
+    out = np.array(G, dtype=float)
     idx = W.indices
     out[idx, :] = 0.0
     out[:, idx] = 0.0
@@ -139,10 +137,7 @@ def build_masked(G, W):
 
 def mask_vector(c, W):
     """Copy of c with working-set entries zeroed."""
-    c = np.asarray(c, dtype=float)
-    if c.shape != (W.m,):
-        raise ValueError(f"expected a vector of length {W.m}, got {c.shape}")
-    out = c.copy()
+    out = np.array(c, dtype=float)
     out[W.indices] = 0.0
     return out
 
@@ -192,23 +187,18 @@ def factorize(G, W, epsilon):
 
     Parameters
     ----------
-    G : (m, m) array, symmetric positive semidefinite.
-    W : WorkingSet
+    G : (m, m) float array, finite, symmetric positive semidefinite.
+    W : WorkingSet of dimension m.
     epsilon : float, > 0.  Regularization added after masking, so masked
         diagonal entries hold 1 + epsilon.
+
+    The arguments are trusted: DualQP and SolverConfig.validate check
+    them once at the public boundary.
 
     Returns
     -------
     MaskedFactor
     """
-    G = _check_matrix(G, W)
-    if not np.isfinite(G).all():
-        raise ValueError("matrix entries must be finite")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    scale = np.max(np.abs(G)) if G.size else 0.0
-    if not np.allclose(G, G.T, rtol=0.0, atol=1e-8 * (1.0 + scale)):
-        raise ValueError("matrix must be symmetric")
     M = build_masked(G, W)
     M[np.diag_indices_from(M)] += epsilon
     L = np.linalg.cholesky(M) if M.size else M
@@ -264,9 +254,7 @@ def add_index(f, i):
     absorbs the removed column piece through a rank-1 update.  O(n^2).
     Returns f (mutated).
     """
-    if i in f.mask:
-        raise ValueError(f"index {i} already masked")
-    new_mask = f.mask.add(i)  # validates the inequality range
+    new_mask = f.mask.add(i)  # raises ValueError unless i may be pinned
     L = f.factor
     w = L[i + 1:, i].copy()
     L[i, :i] = 0.0
@@ -288,9 +276,7 @@ def remove_index(f, i):
     Raises CholeskyDowndateError when a pivot collapses; the factor is
     then invalid and must be rebuilt with factorize().
     """
-    if i not in f.mask:
-        raise ValueError(f"index {i} not masked")
-    new_mask = f.mask.remove(i)
+    new_mask = f.mask.remove(i)  # raises ValueError unless i is pinned
     L = f.factor
     pivot_floor = _PIVOT_FLOOR * (1.0 + f.epsilon * f.n)
 
@@ -321,9 +307,6 @@ def remove_index(f, i):
 
 def solve_with_factor(f, rhs):
     """Solve (masked(base) + eps*I) x = rhs with the retained factor."""
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (f.n,):
-        raise ValueError(f"rhs must have shape ({f.n},), got {rhs.shape}")
     if f.n == 0:
         return rhs.copy()
     return cho_solve((f.factor, True), rhs, check_finite=False)
@@ -335,9 +318,4 @@ def lambda_from_direction(G, p, c, W):
     Entry j is (-G p - c) evaluated at the j-th working-set index, in
     ascending index order.  With p = 0 this reduces to -c on the set.
     """
-    G = _check_matrix(G, W)
-    p = np.asarray(p, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if p.shape != (W.m,) or c.shape != (W.m,):
-        raise ValueError("p and c must match the working-set dimension")
     return -(G @ p + c)[W.indices]

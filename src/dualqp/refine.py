@@ -19,7 +19,7 @@ collapsing step means a solution; settled second differences with a
 step that stays large relative to ||x_k|| mean a descent direction.
 The returned direction is normalized, sign-checked against c_bar (the
 slope must be negative; the sign of the raw limit is not trusted), and
-by default polished by one null-space contraction pass.
+polished by one null-space contraction pass.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ class RefineConfig:
     stagnation_tol: float = 1e-3  # step ratio separating the two regimes
     dd_tol: float = 1e-7        # on ||second difference|| / ||x||
     null_tol: float = 1e-8      # project_null stop: ||masked(G) x|| <= tol*||x0||
-    polish: bool = True         # contract the extracted direction once
 
     def validate(self):
         if not 0 < self.epsilon:
@@ -86,26 +85,17 @@ class RefineOutcome:
         return self.kind is OutcomeKind.SOLUTION
 
 
-def _check_masked_rhs(f, c_bar):
-    c_bar = np.asarray(c_bar, dtype=float)
-    if c_bar.shape != (f.n,):
-        raise ValueError(f"c_bar must have shape ({f.n},), got {c_bar.shape}")
-    idx = f.mask.indices
-    if idx.size and np.any(c_bar[idx] != 0.0):
-        raise ValueError("c_bar must be masked (zero on the working set)")
-    return c_bar
-
-
-def refine_solve(f, c_bar, cfg=None, trace=None):
+def refine_solve(f, c_bar, cfg=None):
     """Solve or refute masked(G) x = -c_bar through the shifted factor.
 
     Parameters
     ----------
     f : MaskedFactor of (masked(G) + eps*I).
-    c_bar : masked right-hand side (zero on the working set).
-    cfg : RefineConfig.  The shift is always read off the factor; the
-        config's epsilon only seeds fresh factorizations upstream.
-    trace : optional list; iterates are appended (diagnostics).
+    c_bar : masked right-hand side (zero on the working set), float
+        vector of length f.n.
+    cfg : validated RefineConfig.  The shift is always read off the
+        factor; the config's epsilon only seeds fresh factorizations
+        upstream.
 
     Returns
     -------
@@ -119,8 +109,6 @@ def refine_solve(f, c_bar, cfg=None, trace=None):
     descent direction fails its runtime checks.
     """
     cfg = cfg or RefineConfig()
-    cfg.validate()
-    c_bar = _check_masked_rhs(f, c_bar)
     G, W = f.base, f.mask
 
     c_norm = np.linalg.norm(c_bar)
@@ -131,8 +119,6 @@ def refine_solve(f, c_bar, cfg=None, trace=None):
     for k in range(1, cfg.max_iters + 1):
         step = solve_with_factor(f, r)
         x = x + step
-        if trace is not None:
-            trace.append(x.copy())
         r = -c_bar - matvec_masked(G, W, x)
         res = np.linalg.norm(r)
         x_norm = np.linalg.norm(x)
@@ -162,20 +148,19 @@ def refine_solve(f, c_bar, cfg=None, trace=None):
 
 
 def _extract_direction(f, c_bar, step, cfg, stats):
-    # Normalize, orient downhill, optionally strip the range-space tail.
+    # Normalize, orient downhill, strip the range-space tail.
     p = step / np.linalg.norm(step)
     if c_bar @ p > 0:
         p = -p
-    if cfg.polish:
-        try:
-            q, _ = _null_contract(f, p, cfg)
-            q_norm = np.linalg.norm(q)
-            if q_norm > 0:
-                p = q / q_norm
-                if c_bar @ p > 0:
-                    p = -p
-        except RefinementError:
-            pass  # keep the unpolished step; the checks below decide
+    try:
+        q, _ = _null_contract(f, p, cfg)
+        q_norm = np.linalg.norm(q)
+        if q_norm > 0:
+            p = q / q_norm
+            if c_bar @ p > 0:
+                p = -p
+    except RefinementError:
+        pass  # keep the unpolished step; the checks below decide
 
     curvature = np.linalg.norm(matvec_masked(f.base, f.mask, p))
     slope = c_bar @ p
@@ -210,10 +195,8 @@ def project_null(f, c_bar, cfg=None):
     ||masked(G) x|| <= null_tol * ||x0||.  For nonsingular masked(G) the
     result is (numerically) zero; for masked(G) = 0 it is -c_bar itself.
     """
-    cfg = cfg or RefineConfig()
-    cfg.validate()
-    c_bar = _check_masked_rhs(f, c_bar)
-    x, _ = _null_contract(f, -c_bar, cfg)
+    x, _ = _null_contract(f, -np.asarray(c_bar, dtype=float),
+                          cfg or RefineConfig())
     return x
 
 

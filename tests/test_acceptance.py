@@ -10,12 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from dualqp import (OutcomeKind, PrimalQP, RefineConfig, SolverConfig,
-                    SolveStatus, UnboundedDualError, WorkingSet, afti16_spec,
-                    build_dual, build_mpc, build_polytope, enumerate_solve,
-                    factorize, random_qp, recover_primal, refine_solve, solve,
-                    solve_dual, PolytopeSpec)
-from dualqp.kernel import add_index, build_masked, remove_index
+from dualqp import (PrimalQP, RefineConfig, SolverConfig, SolveStatus,
+                    UnboundedDualError, WorkingSet, afti16_spec, build_dual,
+                    build_mpc, build_polytope, enumerate_solve, random_qp,
+                    recover_primal, solve, solve_dual, PolytopeSpec)
+from dualqp.kernel import add_index, build_masked, factorize, remove_index
+from dualqp.refine import OutcomeKind, refine_solve
 
 
 def kkt_max(sol):

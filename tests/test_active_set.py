@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dualqp import (DualQP, SolveStatus, SolverConfig, UnboundedDualError,
-                    WorkingSet, build_dual, enumerate_solve, random_qp,
-                    recover_primal, smartstart, solve_dual, step_length)
+import dualqp.active_set as active_set
+from dualqp import (DualQP, RefineConfig, SolveStatus, SolverConfig,
+                    UnboundedDualError, WorkingSet, build_dual,
+                    enumerate_solve, random_qp, recover_primal, smartstart,
+                    solve_dual)
+from dualqp.active_set import step_length
 from dualqp.transform import PrimalQP
 
 
@@ -78,6 +81,35 @@ class TestStepLength:
         alpha, blocking = step_length(mu, p, np.arange(2), WorkingSet(0, 2),
                                       bounded=True)
         assert alpha == 1.0 and blocking == 0
+
+    def test_matches_loop_reference(self):
+        # the scalar loop that step_length vectorizes; same arithmetic,
+        # so results must agree exactly, ties included
+        def loop(mu, p, ineq, W, bounded):
+            member = W.member
+            cand = [i for i in ineq if not member[i] and p[i] < 0.0]
+            if not cand:
+                return 1.0, None
+            ratios = np.array([-mu[i] / p[i] for i in cand])
+            j = int(np.argmin(ratios))
+            if bounded and ratios[j] > 1.0:
+                return 1.0, None
+            return float(ratios[j]), int(cand[j])
+
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            m_eq, m_in = int(rng.integers(0, 3)), int(rng.integers(1, 10))
+            m = m_eq + m_in
+            mu = rng.integers(0, 3, m) * rng.choice([0.5, 1.0 / 3.0])
+            p = rng.choice([-2.0, -1.0, -0.3, 0.0, 1.0], m)
+            pins = [i for i in range(m_eq, m) if rng.random() < 0.3]
+            W = WorkingSet(m_eq, m_in, pins)
+            ineq = np.arange(m_eq, m)
+            for bounded in (True, False):
+                want = loop(mu, p, ineq, W, bounded)
+                if not bounded and want[1] is None:
+                    continue  # the unbounded case raises; tested above
+                assert step_length(mu, p, ineq, W, bounded) == want, trial
 
 
 class TestScalarDuals:
@@ -196,3 +228,58 @@ class TestReporting:
         assert rep.final_shift == pytest.approx(1e-7)
         assert rep.stationarity_residual <= 1e-8
         assert rep.kkt_residual >= 0.0
+
+
+class TestBoundary:
+    """DualQP and solve_dual own the checks on the dual data."""
+
+    def test_dualqp_rejects_asymmetric_g(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            DualQP(G=np.arange(9.0).reshape(3, 3), h=np.zeros(3),
+                   m_eq=0, m_in=3)
+
+    def test_dualqp_rejects_non_finite_g(self):
+        G = np.eye(2)
+        G[0, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            DualQP(G=G, h=np.zeros(2), m_eq=0, m_in=2)
+
+    def test_dualqp_rejects_misshaped_data(self):
+        with pytest.raises(ValueError, match="h must"):
+            DualQP(G=np.eye(3), h=np.zeros(2), m_eq=0, m_in=3)
+        with pytest.raises(ValueError, match="G must"):
+            DualQP(G=np.eye(3), h=np.zeros(4), m_eq=1, m_in=3)
+
+    def test_solve_dual_rejects_w0_of_other_dimensions(self):
+        qp = DualQP(G=np.eye(3), h=-np.ones(3), m_eq=1, m_in=2)
+        for W0 in (WorkingSet(0, 4), WorkingSet(0, 3), WorkingSet(2, 1)):
+            with pytest.raises(ValueError, match="W0"):
+                solve_dual(qp, W0=W0)
+
+
+class TestSolverConfig:
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("shift_floor", 0.0, "shift_floor"),
+        ("shift_floor", -1e-12, "shift_floor"),
+        ("shift_shrink", 0.0, "shift_shrink"),
+        ("shift_shrink", 1.0, "shift_shrink"),
+        ("shift_shrink", 2.0, "shift_shrink"),
+        ("lambda_tol", -1.0, "lambda_tol"),
+        ("stationarity_tol", 0.0, "stationarity_tol"),
+        ("zero_step_tol", 0.0, "zero_step_tol"),
+        ("flat_tol", -1e-12, "flat_tol"),
+        ("max_outer_iters", 0, "max_outer_iters"),
+        ("max_outer_iters", -3, "max_outer_iters"),
+        ("refine", RefineConfig(epsilon=0.0), "epsilon"),
+        ("refine", RefineConfig(max_iters=0), "max_iters"),
+    ])
+    def test_bad_value_raises_before_any_factorization(
+            self, monkeypatch, field, value, match):
+        def unreachable(*args):
+            raise AssertionError("factorized under an invalid config")
+
+        monkeypatch.setattr(active_set, "factorize", unreachable)
+        qp = DualQP(G=np.eye(2), h=-np.ones(2), m_eq=0, m_in=2)
+        with pytest.raises(ValueError, match=match):
+            solve_dual(qp, cfg=SolverConfig(**{field: value}))

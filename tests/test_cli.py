@@ -159,6 +159,11 @@ class TestSolveCommand:
         assert main(["solve", prob, "--epsilon", "1e-9"]) == 0
         assert main(["solve", prob, "--epsilon", "-1"]) == 2
 
+    def test_max_iters_flag(self, tmp_path):
+        prob = write_json(tmp_path / "p.json", projection_doc())
+        assert main(["solve", prob, "--max-iters", "5"]) == 0
+        assert main(["solve", prob, "--max-iters", "0"]) == 2
+
 
 class TestBenchCommands:
 

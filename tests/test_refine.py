@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dualqp import (OutcomeKind, RefineConfig, RefinementError, WorkingSet,
-                    contraction_rate, factorize, project_null, refine_solve)
+from dualqp import RefineConfig, WorkingSet
+from dualqp.kernel import factorize
+from dualqp.refine import (OutcomeKind, RefinementError, contraction_rate,
+                           project_null, refine_solve)
 
 
 def diag_factor(diag, masked=(), epsilon=1e-7):
