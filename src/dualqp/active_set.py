@@ -46,6 +46,16 @@ class SolveStatus(Enum):
     NUMERICAL_FAILURE = "numerical_failure"
 
 
+def check_symmetric(name, M):
+    """Raise ValueError unless the finite square matrix M is symmetric
+    to rounding: max |M - M'| <= 1e-12 (1 + max |M|).
+
+    Callers check finiteness first; a NaN would pass this test."""
+    scale = 1.0 + np.max(np.abs(M), initial=0.0)
+    if np.max(np.abs(M - M.T), initial=0.0) > 1e-12 * scale:
+        raise ValueError(f"{name} must be symmetric")
+
+
 @dataclass
 class DualQP:
     """Lower QP data: quadratic term G, linear term h, and the split of
@@ -69,10 +79,7 @@ class DualQP:
             raise ValueError(f"h must have shape ({m},), got {self.h.shape}")
         if not (np.isfinite(self.G).all() and np.isfinite(self.h).all()):
             raise ValueError("G and h must be finite")
-        scale = np.max(np.abs(self.G)) if self.G.size else 0.0
-        if not np.allclose(self.G, self.G.T, rtol=0.0,
-                           atol=1e-12 * (1.0 + scale)):
-            raise ValueError("G must be symmetric")
+        check_symmetric("G", self.G)
 
     @property
     def m(self):
@@ -98,7 +105,6 @@ class SolverConfig:
     flat_tol: float = 1e-12           # certified-flat curvature, times 1+max|G|
     max_outer_iters: int | None = None  # default 10 * (m_eq + m_in)
     smartstart: bool = True
-    collect_trace: bool = False       # record the objective per iteration
 
     def validate(self):
         """Raise ValueError for a setting the solver cannot run with.
@@ -134,7 +140,7 @@ class SolveReport:
     complementarity_residual: float
     kkt_residual: float
     message: str = ""
-    objective_trace: list | None = None
+    objective_trace: list = field(default_factory=list)
 
 
 def smartstart(qp):
@@ -146,7 +152,7 @@ def smartstart(qp):
     unconstrained step pushes into the interior, so the coordinate
     stays free.  On problems where few bounds end up inactive this
     leaves a small first subproblem and the loop mostly drops pins."""
-    idx = [int(i) for i in qp.inequality_indices if qp.h[i] >= 0.0]
+    idx = qp.inequality_indices[qp.h[qp.m_eq:] >= 0.0]
     return WorkingSet(qp.m_eq, qp.m_in, idx)
 
 
@@ -328,7 +334,7 @@ def solve_dual(qp, W0=None, cfg=None):
     refine_iters = []
     descent_count = 0
     shift_retries = 0
-    trace = [] if cfg.collect_trace else None
+    trace = []
     visited = {}
     status = SolveStatus.ITERATION_LIMIT
     message = "outer iteration cap reached"
@@ -338,8 +344,7 @@ def solve_dual(qp, W0=None, cfg=None):
         g = qp.G @ mu
         c = g + qp.h
         obj = 0.5 * (mu @ g) + qp.h @ mu
-        if trace is not None:
-            trace.append(obj)
+        trace.append(obj)
 
         key = f.mask.as_tuple()
         seen = visited.setdefault(key, set())

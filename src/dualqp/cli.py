@@ -12,8 +12,9 @@ Three commands:
 Problem files are JSON: ``schema_version`` (currently "1"), the cost
 ``P`` (row-major nested arrays; may be omitted when ``identity_P`` is
 true) and ``q``, optional equality pair ``A``/``b``, optional
-inequality pair ``C``/``d``.  Reports are JSON with solver status,
-iterate statistics, wall-clock timings, and KKT residuals.
+inequality pair ``C``/``d``.  Reports are JSON with one set of keys
+for every outcome: solver status, iterate statistics, wall-clock
+timings, and KKT residuals.
 
 Exit codes: 0 optimal, 2 parse error, 3 numerical failure or an
 infeasible primal, 4 iteration limit.
@@ -176,106 +177,101 @@ def save_problem(primal, path):
     if primal.m_in:
         doc["C"] = primal.C.tolist()
         doc["d"] = primal.d.tolist()
+    _write_json(path, doc)
+
+
+def _write_json(path, doc, indent=None):
     with open(path, "w") as fp:
-        json.dump(doc, fp)
+        json.dump(doc, fp, indent=indent)
         fp.write("\n")
 
 
-def _refine_stats(rep):
-    return {"min": rep.refine_iters_min, "max": rep.refine_iters_max,
-            "mean": rep.refine_iters_mean}
-
-
-def _write_report(path, doc):
-    with open(path, "w") as fp:
-        json.dump(doc, fp, indent=2)
-        fp.write("\n")
-
-
-def _solver_config(args):
-    cfg = SolverConfig(smartstart=args.smartstart == "on")
-    if getattr(args, "epsilon", None) is not None:
-        cfg.refine.epsilon = args.epsilon
-    if getattr(args, "max_iters", None) is not None:
-        cfg.max_outer_iters = args.max_iters
-    try:
-        cfg.validate()
-    except ValueError as err:
-        raise ProblemFormatError(str(err))
-    return cfg
+_REPORT_KEYS = ("status", "objective", "x", "mu_eq", "mu_in", "outer_iters",
+                "refine_iter_stats", "descent_steps", "shift_retries",
+                "dual_objective", "timings", "kkt_residuals", "message")
+_STAGES = ("build_dual", "solve_dual", "recover_primal")
+_KKT_KEYS = ("stationarity", "primal_feasibility", "complementarity")
 
 
 def _run_once(primal, cfg, dual_only):
     """One timed pipeline pass: build, solve, optionally recover.
 
-    Returns (report dict, exit code).
+    Returns (report dict, exit code).  The only code that maps
+    SolveReport and PrimalSolution fields to report keys: every outcome
+    gets the same keys, None where a stage did not run.  With
+    `dual_only` the objective and residuals are the dual's; primal
+    feasibility is read off the dual gradient g = G mu + h, which
+    equals [b; d] - [A; C] x at the recovered x.
     """
-    t0 = time.perf_counter()
-    try:
-        dual, pf = build_dual(primal)
-    except InvalidProblemError as err:
-        return {"status": "numerical_failure", "message": str(err)}, \
-            EXIT_NUMERICAL
-    t_build = time.perf_counter() - t0
+    doc = dict.fromkeys(_REPORT_KEYS)
+    timings = doc["timings"] = dict.fromkeys(_STAGES)
+    doc["kkt_residuals"] = dict.fromkeys(_KKT_KEYS)
 
-    t0 = time.perf_counter()
-    try:
-        rep = solve_dual(dual, cfg=cfg)
-    except UnboundedDualError as err:
-        doc = {"status": "primal_infeasible", "message": str(err),
-               "timings": {"build_dual": t_build, "solve_dual": None,
-                           "recover_primal": None}}
-        return doc, EXIT_NUMERICAL
-    t_solve = time.perf_counter() - t0
-
-    doc = {
-        "status": rep.status.value,
-        "objective": None,
-        "x": None,
-        "mu_eq": rep.mu_star[:primal.m_eq].tolist(),
-        "mu_in": rep.mu_star[primal.m_eq:].tolist(),
-        "outer_iters": rep.outer_iters,
-        "refine_iter_stats": _refine_stats(rep),
-        "descent_steps": rep.descent_count,
-        "shift_retries": rep.shift_retries,
-        "dual_objective": rep.objective,
-        "timings": {"build_dual": t_build, "solve_dual": t_solve,
-                    "recover_primal": None},
-        "kkt_residuals": {
-            "stationarity": rep.stationarity_residual,
-            "primal_feasibility": 0.0,
-            "complementarity": rep.complementarity_residual,
-        },
-    }
-    if rep.message:
-        doc["message"] = rep.message
-
-    if not dual_only:
+    def timed(stage, fn, *args, **kwargs):
         t0 = time.perf_counter()
-        sol = recover_primal(primal, pf, rep.mu_star)
-        doc["timings"]["recover_primal"] = time.perf_counter() - t0
-        doc["objective"] = float(primal.objective(sol.x))
-        doc["x"] = sol.x.tolist()
-        doc["kkt_residuals"] = {
-            "stationarity": sol.stationarity_residual,
-            "primal_feasibility": max(sol.eq_violation, sol.ineq_violation),
-            "complementarity": sol.complementarity_residual,
-        }
-    else:
-        doc["objective"] = rep.objective
+        out = fn(*args, **kwargs)
+        timings[stage] = time.perf_counter() - t0
+        return out
 
+    try:
+        dual, pf = timed("build_dual", build_dual, primal)
+        rep = timed("solve_dual", solve_dual, dual, cfg=cfg)
+    except InvalidProblemError as err:  # from build_dual: P not PD
+        doc.update(status="numerical_failure", message=str(err))
+        return doc, EXIT_NUMERICAL
+    except UnboundedDualError as err:
+        doc.update(status="primal_infeasible", message=str(err))
+        return doc, EXIT_NUMERICAL
+
+    doc.update(
+        status=rep.status.value,
+        message=rep.message,
+        objective=rep.objective,
+        mu_eq=rep.mu_star[:dual.m_eq].tolist(),
+        mu_in=rep.mu_star[dual.m_eq:].tolist(),
+        outer_iters=rep.outer_iters,
+        refine_iter_stats={"min": rep.refine_iters_min,
+                           "max": rep.refine_iters_max,
+                           "mean": rep.refine_iters_mean},
+        descent_steps=rep.descent_count,
+        shift_retries=rep.shift_retries,
+        dual_objective=rep.objective)
+    if dual_only:
+        g = dual.G @ rep.mu_star + dual.h
+        kkt = (rep.stationarity_residual,
+               float(max(np.max(np.abs(g[:dual.m_eq]), initial=0.0),
+                         -np.min(g[dual.m_eq:], initial=0.0))),
+               rep.complementarity_residual)
+    else:
+        sol = timed("recover_primal", recover_primal, primal, pf, rep.mu_star)
+        doc.update(objective=float(primal.objective(sol.x)), x=sol.x.tolist())
+        kkt = (sol.stationarity_residual,
+               max(sol.eq_violation, sol.ineq_violation),
+               sol.complementarity_residual)
+    doc["kkt_residuals"] = dict(zip(_KKT_KEYS, kkt))
     return doc, _STATUS_EXIT[rep.status]
+
+
+def _ms(seconds):
+    return "-" if seconds is None else f"{1e3 * seconds:.1f} ms"
 
 
 def cmd_solve(args):
     primal = load_problem(args.problem)
-    cfg = _solver_config(args)
+    cfg = SolverConfig(smartstart=args.smartstart == "on")
+    if args.epsilon is not None:
+        cfg.refine.epsilon = args.epsilon
+    if args.max_iters is not None:
+        cfg.max_outer_iters = args.max_iters
+    try:
+        cfg.validate()
+    except ValueError as err:
+        raise ProblemFormatError(str(err))
     doc, code = _run_once(primal, cfg, args.dual_only)
 
     print(f"status         {doc['status']}")
-    if doc.get("objective") is not None:
+    if doc["outer_iters"] is not None:
         print(f"objective      {doc['objective']:.12e}")
-    if "outer_iters" in doc:
         st = doc["refine_iter_stats"]
         print(f"outer iters    {doc['outer_iters']}"
               f"  (refine {st['min']}-{st['max']}, mean {st['mean']:.1f})")
@@ -284,66 +280,58 @@ def cmd_solve(args):
               f"  feasibility {kkt['primal_feasibility']:.2e}"
               f"  complementarity {kkt['complementarity']:.2e}")
         t = doc["timings"]
-        parts = [f"build {1e3 * t['build_dual']:.1f} ms",
-                 f"solve {1e3 * t['solve_dual']:.1f} ms"]
-        if t["recover_primal"] is not None:
-            parts.append(f"recover {1e3 * t['recover_primal']:.1f} ms")
+        parts = [f"{label} {_ms(t[key])}" for label, key in
+                 zip(("build", "solve", "recover"), _STAGES)
+                 if t[key] is not None]
         print(f"time           {'  '.join(parts)}")
-    if "message" in doc:
+    if doc["message"]:
         print(f"message        {doc['message']}")
     if args.report:
-        _write_report(args.report, doc)
+        _write_json(args.report, doc, indent=2)
     return code
 
 
-def _median_timings(docs):
-    keys = ("build_dual", "solve_dual", "recover_primal")
-    out = {}
-    for key in keys:
-        vals = [d["timings"][key] for d in docs
-                if d.get("timings", {}).get(key) is not None]
-        out[key] = statistics.median(vals) if vals else None
-    return out
-
-
-def _bench_rows(primal, configs, repeat, dual_only=False):
-    """Run each named config `repeat` times; median the timings."""
+def _bench(args, primal, title, dual_twins=False):
+    """Run the smartstart and cold configurations (and, with
+    `dual_twins`, each again without primal recovery) `args.repeat`
+    times; print the table of median timings and write the report."""
+    if args.repeat < 1:
+        raise ProblemFormatError("--repeat must be at least 1")
+    configs = [(name, SolverConfig(smartstart=name == "smartstart"), False)
+               for name in ("smartstart", "cold")]
+    if dual_twins:
+        configs += [(f"{name} (dual)", cfg, True) for name, cfg, _ in configs]
     rows = []
     code = EXIT_OPTIMAL
-    for name, cfg in configs:
-        docs = []
-        for _ in range(repeat):
-            doc, c = _run_once(primal, cfg, dual_only)
-            docs.append(doc)
-            code = max(code, c)
-        doc = docs[-1]
+    for name, cfg, dual_only in configs:
+        runs = [_run_once(primal, cfg, dual_only) for _ in range(args.repeat)]
+        code = max([code] + [c for _, c in runs])
+        doc = runs[-1][0]
         doc["configuration"] = name
-        doc["timings"] = _median_timings(docs)
+        for key in _STAGES:
+            times = [d["timings"][key] for d, _ in runs]
+            doc["timings"][key] = (None if None in times
+                                   else statistics.median(times))
         rows.append(doc)
-    return rows, code
 
-
-def _print_bench_table(rows):
+    print(title)
     print(f"{'configuration':<18} {'status':<18} {'outer':>6} "
           f"{'refine':>9} {'descent':>8} {'build':>9} {'solve':>9} "
           f"{'recover':>9} {'kkt':>9}")
     for doc in rows:
-        st = doc.get("refine_iter_stats", {})
-        refine = (f"{st['min']}-{st['max']}" if st else "-")
-        t = doc.get("timings", {})
-
-        def ms(key):
-            v = t.get(key)
-            return f"{1e3 * v:.1f} ms" if v is not None else "-"
-
-        kkt = doc.get("kkt_residuals")
-        kcol = f"{max(kkt.values()):.1e}" if kkt else "-"
-        print(f"{doc.get('configuration', '?'):<18} "
-              f"{doc.get('status', '?'):<18} "
-              f"{doc.get('outer_iters', '-'):>6} {refine:>9} "
-              f"{doc.get('descent_steps', '-'):>8} {ms('build_dual'):>9} "
-              f"{ms('solve_dual'):>9} {ms('recover_primal'):>9} "
-              f"{kcol:>9}")
+        solved = doc["outer_iters"] is not None
+        st, t = doc["refine_iter_stats"], doc["timings"]
+        refine = f"{st['min']}-{st['max']}" if solved else "-"
+        kcol = (f"{max(doc['kkt_residuals'].values()):.1e}" if solved
+                else "-")
+        print(f"{doc['configuration']:<18} {doc['status']:<18} "
+              f"{doc['outer_iters'] if solved else '-':>6} {refine:>9} "
+              f"{doc['descent_steps'] if solved else '-':>8} "
+              f"{_ms(t['build_dual']):>9} {_ms(t['solve_dual']):>9} "
+              f"{_ms(t['recover_primal']):>9} {kcol:>9}")
+    if args.report:
+        _write_json(args.report, rows, indent=2)
+    return code
 
 
 def cmd_bench_mpc(args):
@@ -362,15 +350,8 @@ def cmd_bench_mpc(args):
     except InvalidProblemError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    configs = [("smartstart", SolverConfig(smartstart=True)),
-               ("cold", SolverConfig(smartstart=False))]
-    rows, code = _bench_rows(primal, configs, args.repeat)
-    print(f"mpc benchmark: horizon {args.horizon}, "
-          f"{primal.n} inputs, {primal.m_in} state bounds")
-    _print_bench_table(rows)
-    if args.report:
-        _write_report(args.report, rows)
-    return code
+    return _bench(args, primal, f"mpc benchmark: horizon {args.horizon}, "
+                  f"{primal.n} inputs, {primal.m_in} state bounds")
 
 
 def cmd_bench_polytope(args):
@@ -378,20 +359,9 @@ def cmd_bench_polytope(args):
         spec = PolytopeSpec(n=args.n, m=args.m, seed=args.seed)
     except ValueError as err:
         raise ProblemFormatError(str(err))
-    primal = build_polytope(spec)
-    configs = [("smartstart", SolverConfig(smartstart=True)),
-               ("cold", SolverConfig(smartstart=False))]
-    rows, code = _bench_rows(primal, configs, args.repeat)
-    dual_rows, dual_code = _bench_rows(
-        primal, [(f"{name} (dual)", cfg) for name, cfg in configs],
-        args.repeat, dual_only=True)
-    code = max(code, dual_code)
-    rows += dual_rows
-    print(f"polytope benchmark: n={args.n}, m={args.m}, seed={args.seed}")
-    _print_bench_table(rows)
-    if args.report:
-        _write_report(args.report, rows)
-    return code
+    return _bench(args, build_polytope(spec),
+                  f"polytope benchmark: n={args.n}, m={args.m}, "
+                  f"seed={args.seed}", dual_twins=True)
 
 
 def _build_parser():
@@ -427,19 +397,19 @@ def _build_parser():
     p_mpc.add_argument("--horizon", type=int, default=30)
     p_mpc.add_argument("--x0", metavar="V,V,V,V",
                        help="initial state (comma separated)")
-    p_mpc.add_argument("--repeat", type=int, default=1,
-                       help="timing repetitions (median reported)")
-    common(p_mpc)
     p_mpc.set_defaults(func=cmd_bench_mpc)
 
     p_poly = bench_sub.add_parser("polytope", help="projection benchmark")
     p_poly.add_argument("--n", type=int, default=1000)
     p_poly.add_argument("--m", type=int, default=50)
     p_poly.add_argument("--seed", type=int, default=1)
-    p_poly.add_argument("--repeat", type=int, default=1,
-                        help="timing repetitions (median reported)")
-    common(p_poly)
     p_poly.set_defaults(func=cmd_bench_polytope)
+
+    for p in (p_mpc, p_poly):
+        p.add_argument("--repeat", type=int, default=1,
+                       help="timing repetitions, at least 1 "
+                            "(median reported)")
+        common(p)
 
     return parser
 

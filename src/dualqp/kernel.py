@@ -50,9 +50,17 @@ class WorkingSet:
             raise ValueError("m_eq and m_in must be nonnegative")
         self.m_eq = int(m_eq)
         self.m_in = int(m_in)
-        self._member = np.zeros(self.m_eq + self.m_in, dtype=bool)
-        for i in indices:
-            self._member[self._pinnable(i)] = True
+        idx = np.asarray(indices, dtype=np.intp).reshape(-1)
+        self._member = np.zeros(self.m, dtype=bool)
+        # On bad input, _pinnable raises the error naming the first
+        # offending index: one outside the block, else one listed twice.
+        outside = idx[(idx < self.m_eq) | (idx >= self.m)]
+        if outside.size:
+            self._pinnable(outside[0])
+        self._member[idx] = True
+        if np.count_nonzero(self._member) != idx.size:
+            s = np.sort(idx)
+            self._pinnable(s[1:][s[1:] == s[:-1]][0])
 
     @property
     def m(self):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .active_set import DualQP
+from .active_set import DualQP, check_symmetric
 
 
 class InvalidProblemError(ValueError):
@@ -67,12 +67,6 @@ class PrimalQP:
             if self.P.shape != (n, n):
                 raise ValueError(
                     f"P must have shape ({n}, {n}), got {self.P.shape}")
-            scale = 1.0 + np.max(np.abs(self.P)) if self.P.size else 1.0
-            if not np.allclose(self.P, self.P.T, rtol=0.0,
-                               atol=1e-12 * scale):
-                raise ValueError("P must be symmetric")
-            if self.identity_p and not np.array_equal(self.P, np.eye(n)):
-                raise ValueError("identity_p=True but P is not the identity")
         self.A = _as_2d("A", self.A, n)
         self.C = _as_2d("C", self.C, n)
         if self.A.shape[1] != n or self.C.shape[1] != n:
@@ -91,6 +85,10 @@ class PrimalQP:
             v = getattr(self, name)
             if v is not None and not np.isfinite(v).all():
                 raise ValueError(f"{name} contains non-finite entries")
+        if self.P is not None:
+            check_symmetric("P", self.P)
+            if self.identity_p and not np.array_equal(self.P, np.eye(n)):
+                raise ValueError("identity_p=True but P is not the identity")
 
     @property
     def n(self):

@@ -209,8 +209,7 @@ class TestReporting:
     def test_trace_is_monotone(self):
         primal = random_qp(31, n=6, m_eq=1, m_in=6)
         dual, _ = build_dual(primal)
-        rep = solve_dual(dual, cfg=SolverConfig(smartstart=False,
-                                                collect_trace=True))
+        rep = solve_dual(dual, cfg=SolverConfig(smartstart=False))
         trace = np.array(rep.objective_trace)
         assert len(trace) == rep.outer_iters
         drops = np.diff(trace)
@@ -249,6 +248,27 @@ class TestBoundary:
             DualQP(G=np.eye(3), h=np.zeros(2), m_eq=0, m_in=3)
         with pytest.raises(ValueError, match="G must"):
             DualQP(G=np.eye(3), h=np.zeros(4), m_eq=1, m_in=3)
+
+    def test_symmetry_check_matches_allclose_reference(self):
+        rng = np.random.default_rng(8)
+        for trial in range(200):
+            n = int(rng.integers(0, 6))
+            M = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 4)
+            M = M + M.T
+            if n:
+                # asymmetry around the tolerance 1e-12 (1 + max |M|)
+                atol = 1e-12 * (1.0 + np.max(np.abs(M)))
+                i, j = rng.integers(0, n, 2)
+                M[i, j] += atol * rng.choice([0.5, 0.999, 1.001, 2.0])
+            scale = np.max(np.abs(M)) if M.size else 0.0
+            expect = np.allclose(M, M.T, rtol=0.0,
+                                 atol=1e-12 * (1.0 + scale))
+            try:
+                active_set.check_symmetric("M", M)
+                got = True
+            except ValueError:
+                got = False
+            assert got == expect
 
     def test_solve_dual_rejects_w0_of_other_dimensions(self):
         qp = DualQP(G=np.eye(3), h=-np.ones(3), m_eq=1, m_in=2)

@@ -1,0 +1,43 @@
+"""What the benchmark in perfbench/ needs from the program.
+
+perfbench/ hooks solver functions by name and reads SolveReport fields;
+a rename in src/ breaks it without failing any other test.  These
+checks read perfbench/ and change nothing there.
+"""
+
+import dataclasses
+import importlib.util
+import os
+import re
+
+from dualqp import SolveReport
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"_perfbench_{name}", os.path.join(BENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_hooked_name_exists():
+    tracing = load("tracing")
+    with tracing.Tracer().hooked():  # HookError when a name is missing
+        pass
+
+
+def test_workloads_import():
+    assert set(load("workloads").WORKLOADS) == {
+        "mpc_loop", "polytope_cold", "mpc_cold"}
+
+
+def test_report_has_every_field_the_runner_reads():
+    with open(os.path.join(BENCH, "run.py")) as fh:
+        read = set(re.findall(r"\brep\.(\w+)", fh.read()))
+    assert {"outer_iters", "mu_star", "status"} <= read
+    fields = {f.name for f in dataclasses.fields(SolveReport)}
+    assert read <= fields, read - fields

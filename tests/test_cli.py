@@ -18,6 +18,22 @@ def projection_doc():
             "C": [[1.0, 0.0]], "d": [1.0]}
 
 
+def infeasible_doc():
+    # x <= -1 and x >= 0
+    return {"schema_version": "1", "identity_P": True, "q": [0.0],
+            "C": [[1.0], [-1.0]], "d": [-1.0, 0.0]}
+
+
+def iteration_limit_doc():
+    # needs more than one outer iteration from a cold start
+    rng = np.random.default_rng(16)
+    C = rng.standard_normal((6, 4))
+    C /= np.linalg.norm(C, axis=1, keepdims=True)
+    return {"schema_version": "1", "identity_P": True,
+            "q": (-10 * np.ones(4)).tolist(),
+            "C": C.tolist(), "d": np.full(6, 0.1).tolist()}
+
+
 class TestProblemFiles:
 
     def test_load_projection(self, tmp_path):
@@ -120,9 +136,7 @@ class TestSolveCommand:
         assert "field 'd'" in capsys.readouterr().err
 
     def test_infeasible_exit(self, tmp_path, capsys):
-        doc = {"schema_version": "1", "identity_P": True, "q": [0.0],
-               "C": [[1.0], [-1.0]], "d": [-1.0, 0.0]}
-        prob = write_json(tmp_path / "p.json", doc)
+        prob = write_json(tmp_path / "p.json", infeasible_doc())
         report = tmp_path / "r.json"
         assert main(["solve", prob, "--report", str(report)]) == 3
         assert json.loads(report.read_text())["status"] == "primal_infeasible"
@@ -134,15 +148,60 @@ class TestSolveCommand:
         assert main(["solve", prob]) == 3
 
     def test_iteration_limit_exit(self, tmp_path):
-        rng = np.random.default_rng(16)
-        C = rng.standard_normal((6, 4))
-        C /= np.linalg.norm(C, axis=1, keepdims=True)
-        doc = {"schema_version": "1", "identity_P": True,
-               "q": (-10 * np.ones(4)).tolist(),
-               "C": C.tolist(), "d": np.full(6, 0.1).tolist()}
-        prob = write_json(tmp_path / "p.json", doc)
+        prob = write_json(tmp_path / "p.json", iteration_limit_doc())
         code = main(["solve", prob, "--max-iters", "1", "--smartstart", "off"])
         assert code == 4
+
+    def test_every_outcome_has_one_report_shape(self, tmp_path):
+        cases = [
+            ("optimal", projection_doc(), [], 0),
+            ("numerical_failure", {"schema_version": "1", "q": [0.0, 0.0],
+                                   "P": [[1.0, 2.0], [2.0, 1.0]]}, [], 3),
+            ("primal_infeasible", infeasible_doc(), [], 3),
+            ("iteration_limit", iteration_limit_doc(),
+             ["--max-iters", "1", "--smartstart", "off"], 4),
+            ("optimal", projection_doc(), ["--dual-only"], 0),
+        ]
+        shapes = set()
+        for i, (status, doc, flags, code) in enumerate(cases):
+            prob = write_json(tmp_path / f"p{i}.json", doc)
+            report = tmp_path / f"r{i}.json"
+            assert main(["solve", prob, "--report", str(report)]
+                        + flags) == code
+            rep = json.loads(report.read_text())
+            assert rep["status"] == status
+            assert isinstance(rep["message"], str)
+            assert (rep["message"] == "") == (status == "optimal")
+            shapes.add((frozenset(rep), frozenset(rep["timings"]),
+                        frozenset(rep["kkt_residuals"])))
+        assert len(shapes) == 1
+
+    def test_stages_not_reached_are_none(self, tmp_path):
+        prob = write_json(tmp_path / "p.json", infeasible_doc())
+        report = tmp_path / "r.json"
+        assert main(["solve", prob, "--report", str(report)]) == 3
+        rep = json.loads(report.read_text())
+        assert rep["timings"]["build_dual"] >= 0
+        assert rep["timings"]["solve_dual"] is None
+        assert rep["timings"]["recover_primal"] is None
+        assert set(rep["kkt_residuals"].values()) == {None}
+        for key in ("objective", "x", "mu_eq", "mu_in", "outer_iters",
+                    "refine_iter_stats", "descent_steps", "shift_retries",
+                    "dual_objective"):
+            assert rep[key] is None
+
+    def test_dual_only_feasibility_matches_full_report(self, tmp_path):
+        prob = write_json(tmp_path / "p.json", iteration_limit_doc())
+        flags = ["--max-iters", "1", "--smartstart", "off"]
+        feas = []
+        for i, extra in enumerate(([], ["--dual-only"])):
+            report = tmp_path / f"r{i}.json"
+            assert main(["solve", prob, "--report", str(report)]
+                        + flags + extra) == 4
+            rep = json.loads(report.read_text())
+            feas.append(rep["kkt_residuals"]["primal_feasibility"])
+        assert feas[1] > 0
+        assert feas[1] == pytest.approx(feas[0], rel=1e-9, abs=0)
 
     def test_dual_only_skips_recovery(self, tmp_path):
         prob = write_json(tmp_path / "p.json", projection_doc())
@@ -202,3 +261,10 @@ class TestBenchCommands:
 
     def test_polytope_bad_shape(self, capsys):
         assert main(["bench", "polytope", "--n", "5", "--m", "5"]) == 2
+
+    @pytest.mark.parametrize("family", [
+        ["mpc", "--horizon", "4"], ["polytope", "--n", "40", "--m", "8"]])
+    @pytest.mark.parametrize("repeat", ["0", "-1"])
+    def test_repeat_below_one_is_a_parse_error(self, capsys, family, repeat):
+        assert main(["bench", *family, "--repeat", repeat]) == 2
+        assert "--repeat" in capsys.readouterr().err

@@ -35,6 +35,26 @@ class TestWorkingSet:
         with pytest.raises(ValueError):
             WorkingSet(0, 4, [2, 2])
 
+    def test_list_and_array_inputs_agree(self):
+        pins = [7, 3, 5]
+        W = WorkingSet(2, 8, pins)
+        assert W == WorkingSet(2, 8, np.array(pins))
+        assert W == WorkingSet(2, 8, np.array(pins, dtype=np.int32))
+        assert W == WorkingSet(2, 8, tuple(pins))
+        assert_array_equal(W.indices, [3, 5, 7])
+        assert WorkingSet(2, 8, np.array([], dtype=int)) == WorkingSet(2, 8)
+
+    @pytest.mark.parametrize("pins, message", [
+        ([3, 1, 9], "index 1 outside"),
+        (np.array([3, 10]), "index 10 outside"),
+        ([-1], "index -1 outside"),
+        ([4, 6, 4], "index 4 already"),
+        (np.array([5, 2, 5, 2]), "index [25] already"),
+    ])
+    def test_error_names_the_bad_index(self, pins, message):
+        with pytest.raises(ValueError, match=message):
+            WorkingSet(2, 8, pins)
+
     def test_add_remove_are_persistent(self):
         W = WorkingSet(0, 3, [0])
         W2 = W.add(2)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -50,6 +52,15 @@ class TestPrimalQP:
         P = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ValueError):
             PrimalQP(P=P, q=np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_p_is_reported_as_such(self, bad):
+        P = np.eye(3)
+        P[0, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="P contains non-finite"):
+                PrimalQP(P=P, q=np.zeros(3))
 
 
 class TestBuildDual:
