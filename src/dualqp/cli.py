@@ -371,16 +371,16 @@ def _build_parser():
                     "iteratively refined subproblems).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--smartstart", choices=("on", "off"), default="on",
-                       help="seed the working set from the dual gradient "
-                            "(default on)")
+    def add_report(p):
         p.add_argument("--report", metavar="PATH",
                        help="write a JSON report here")
 
     p_solve = sub.add_parser("solve", help="solve a problem file")
     p_solve.add_argument("problem", help="path to a JSON problem file")
-    common(p_solve)
+    p_solve.add_argument("--smartstart", choices=("on", "off"), default="on",
+                         help="seed the working set from the dual gradient "
+                              "(default on)")
+    add_report(p_solve)
     p_solve.add_argument("--epsilon", type=float, metavar="EPS",
                          help="proximal shift for the refinement solves")
     p_solve.add_argument("--max-iters", type=int, metavar="N",
@@ -409,7 +409,7 @@ def _build_parser():
         p.add_argument("--repeat", type=int, default=1,
                        help="timing repetitions, at least 1 "
                             "(median reported)")
-        common(p)
+        add_report(p)
 
     return parser
 

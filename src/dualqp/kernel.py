@@ -8,6 +8,14 @@ This module owns that masked matrix, the Cholesky factorization of
 (masked G + eps*I), and the rank-1 update/downdate pair that tracks
 single-index working-set changes in O(n^2) instead of refactorizing.
 
+The factor is stored column-major (Fortran order), so LAPACK and BLAS
+work on it in place: potrf builds it, every column a rank-1 step
+touches is contiguous, and cho_solve reads it without a copy.  The
+layout is a correctness invariant, not a speed hint: f2py silently
+copies a non-contiguous argument, so an in-place BLAS step on a
+C-ordered factor would leave it unchanged.  Only factorize and
+MaskedFactor.copy create factors, and both return Fortran order.
+
 Masking preserves positive definiteness: reordering so the masked block
 comes first gives blockdiag(I, G_ff) with G_ff a principal submatrix of
 G, so every pivot stays positive.  The eps shift is applied after
@@ -16,10 +24,13 @@ masking, hence masked diagonal entries store 1 + eps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.blas import daxpy, drot, dscal
+from scipy.linalg.lapack import dpotrf
 
 # Downdated pivots at or below _PIVOT_FLOOR * (1 + eps*n) abort the
 # incremental path; the caller refactorizes from scratch.
@@ -167,7 +178,8 @@ class MaskedFactor:
 
     `base` is the unmasked symmetric matrix and is never modified; the
     mask and the factor move together through add_index/remove_index.
-    Single-writer semantics: updates mutate `factor` in place.
+    Single-writer semantics: updates mutate `factor` in place, which
+    requires it to be Fortran-ordered (see the module docstring).
     """
 
     base: np.ndarray
@@ -187,7 +199,7 @@ class MaskedFactor:
 
     def copy(self):
         return MaskedFactor(self.base, self.mask, self.epsilon,
-                            self.factor.copy())
+                            self.factor.copy(order="F"))
 
 
 def factorize(G, W, epsilon):
@@ -205,53 +217,65 @@ def factorize(G, W, epsilon):
 
     Returns
     -------
-    MaskedFactor
+    MaskedFactor, its factor in Fortran order.
+
+    Raises
+    ------
+    np.linalg.LinAlgError when the shifted masked matrix is not
+    positive definite.
     """
     M = build_masked(G, W)
     M[np.diag_indices_from(M)] += epsilon
-    L = np.linalg.cholesky(M) if M.size else M
-    return MaskedFactor(base=G, mask=W, epsilon=float(epsilon), factor=L)
+    if M.size:
+        # M is symmetric, so M.T is the same matrix already in Fortran
+        # order: potrf factors it in place, with no copy.
+        M, info = dpotrf(M.T, lower=1, clean=1, overwrite_a=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"masked matrix is not positive definite (leading minor "
+                f"{info})")
+    return MaskedFactor(base=G, mask=W, epsilon=float(epsilon), factor=M)
 
 
 def _rank1_update(L, v):
-    # L <- chol(L L^T + v v^T) in place; v is consumed.
+    # L <- chol(L L^T + v v^T) in place; v is consumed.  Step k is one
+    # Givens rotation of the contiguous column L[k+1:, k] against v.
     n = L.shape[0]
     for k in range(n):
-        lkk = L[k, k]
-        vk = v[k]
-        r = np.hypot(lkk, vk)
-        c = r / lkk
-        s = vk / lkk
+        lkk = L.item(k, k)
+        vk = v.item(k)
+        r = math.hypot(lkk, vk)
         L[k, k] = r
         if k + 1 < n:
-            col = L[k + 1:, k]
-            col += s * v[k + 1:]
-            col /= c
-            v[k + 1:] = c * v[k + 1:] - s * col
+            drot(L[k + 1:, k], v[k + 1:], lkk / r, vk / r,
+                 overwrite_x=1, overwrite_y=1)
 
 
 def _rank1_downdate(L, v, pivot_floor):
     # L <- chol(L L^T - v v^T) in place; v is consumed.  Raises when a
-    # pivot falls to or below pivot_floor.
+    # pivot falls to or below pivot_floor.  Mixed form: the column is
+    # updated first and v is rotated with the new column, which keeps
+    # the hyperbolic step stable.
     n = L.shape[0]
     floor2 = pivot_floor * pivot_floor
     for k in range(n):
-        lkk = L[k, k]
-        vk = v[k]
+        lkk = L.item(k, k)
+        vk = v.item(k)
         r2 = (lkk - vk) * (lkk + vk)
         if not r2 > floor2:
             raise CholeskyDowndateError(
                 f"downdate pivot {r2:.3e} at position {k} fell below "
                 f"{floor2:.3e}; refactorize")
-        r = np.sqrt(r2)
-        c = r / lkk
+        r = math.sqrt(r2)
         s = vk / lkk
         L[k, k] = r
         if k + 1 < n:
             col = L[k + 1:, k]
-            col -= s * v[k + 1:]
-            col /= c
-            v[k + 1:] = c * v[k + 1:] - s * col
+            rest = v[k + 1:]
+            daxpy(rest, col, a=-s)   # col <- (col - s v) / c,  c = r/lkk
+            dscal(lkk / r, col)
+            dscal(r / lkk, rest)     # v <- c v - s col, with the new col
+            daxpy(col, rest, a=-s)
 
 
 def add_index(f, i):
@@ -288,7 +312,7 @@ def remove_index(f, i):
     L = f.factor
     pivot_floor = _PIVOT_FLOOR * (1.0 + f.epsilon * f.n)
 
-    col = f.base[:, i].astype(float).copy()
+    col = f.base[:, i].copy()
     col[new_mask.indices] = 0.0  # other masked rows keep zero coupling
     diag = f.base[i, i] + f.epsilon
 

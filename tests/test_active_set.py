@@ -8,6 +8,7 @@ from dualqp import (DualQP, RefineConfig, SolveStatus, SolverConfig,
                     enumerate_solve, random_qp, recover_primal, smartstart,
                     solve_dual)
 from dualqp.active_set import step_length
+from dualqp.kernel import CholeskyDowndateError
 from dualqp.transform import PrimalQP
 
 
@@ -227,6 +228,40 @@ class TestReporting:
         assert rep.final_shift == pytest.approx(1e-7)
         assert rep.stationarity_residual <= 1e-8
         assert rep.kkt_residual >= 0.0
+
+
+class TestDowndateFallback:
+
+    def test_collapsed_downdate_refactorizes(self, monkeypatch):
+        # Every inequality starts pinned, so the solve must unpin; the
+        # first unpin raises as a collapsed downdate pivot would, and
+        # solve_dual refactorizes from scratch and carries on.
+        primal = random_qp(0, n=6, m_eq=1, m_in=8)
+        dual, _ = build_dual(primal)
+        W0 = WorkingSet(1, 8, range(1, 9))
+        want = solve_dual(dual, W0=W0)
+
+        calls = {"remove": 0, "factorize": 0}
+        remove, factorize = active_set.remove_index, active_set.factorize
+
+        def collapse_once(f, i):
+            calls["remove"] += 1
+            if calls["remove"] == 1:
+                raise CholeskyDowndateError("forced")
+            return remove(f, i)
+
+        def counting_factorize(*args):
+            calls["factorize"] += 1
+            return factorize(*args)
+
+        monkeypatch.setattr(active_set, "remove_index", collapse_once)
+        monkeypatch.setattr(active_set, "factorize", counting_factorize)
+        got = solve_dual(dual, W0=W0)
+        assert calls["remove"] > 1
+        assert calls["factorize"] == 2  # the start and the fallback
+        assert got.status is SolveStatus.OPTIMAL
+        assert got.outer_iters == want.outer_iters
+        assert_allclose(got.mu_star, want.mu_star, rtol=0, atol=1e-10)
 
 
 class TestBoundary:

@@ -259,6 +259,15 @@ class TestBenchCommands:
         for r in rows[2:]:
             assert r["timings"]["recover_primal"] is None
 
+    @pytest.mark.parametrize("family", [
+        ["mpc", "--horizon", "4"], ["polytope", "--n", "40", "--m", "8"]])
+    def test_smartstart_is_a_parse_error(self, capsys, family):
+        # bench always runs both configurations; it takes no such flag
+        with pytest.raises(SystemExit) as err:
+            main(["bench", *family, "--smartstart", "off"])
+        assert err.value.code == 2
+        assert "--smartstart" in capsys.readouterr().err
+
     def test_polytope_bad_shape(self, capsys):
         assert main(["bench", "polytope", "--n", "5", "--m", "5"]) == 2
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import dualqp.kernel as kernel
 from dualqp import WorkingSet
 from dualqp.kernel import (CholeskyDowndateError, add_index, build_masked,
                            factorize, lambda_from_direction, mask_vector,
@@ -11,6 +12,50 @@ from dualqp.kernel import (CholeskyDowndateError, add_index, build_masked,
 def random_psd(rng, n, rank=None):
     M = rng.standard_normal((n, rank or n))
     return M @ M.T
+
+
+def rank1_update_loop(L, v):
+    # Reference: the numpy loop the BLAS Givens update replaced.
+    n = L.shape[0]
+    for k in range(n):
+        lkk = L[k, k]
+        vk = v[k]
+        r = np.hypot(lkk, vk)
+        c = r / lkk
+        s = vk / lkk
+        L[k, k] = r
+        if k + 1 < n:
+            col = L[k + 1:, k]
+            col += s * v[k + 1:]
+            col /= c
+            v[k + 1:] = c * v[k + 1:] - s * col
+
+
+def rank1_downdate_loop(L, v, pivot_floor):
+    # Reference: the numpy loop the BLAS downdate replaced.
+    n = L.shape[0]
+    floor2 = pivot_floor * pivot_floor
+    for k in range(n):
+        lkk = L[k, k]
+        vk = v[k]
+        r2 = (lkk - vk) * (lkk + vk)
+        if not r2 > floor2:
+            raise CholeskyDowndateError(
+                f"downdate pivot {r2:.3e} at position {k} fell below "
+                f"{floor2:.3e}; refactorize")
+        r = np.sqrt(r2)
+        c = r / lkk
+        s = vk / lkk
+        L[k, k] = r
+        if k + 1 < n:
+            col = L[k + 1:, k]
+            col -= s * v[k + 1:]
+            col /= c
+            v[k + 1:] = c * v[k + 1:] - s * col
+
+
+def rel_diff(A, B):
+    return np.abs(A - B).max() / np.abs(B).max()
 
 
 class TestWorkingSet:
@@ -136,6 +181,11 @@ class TestFactorize:
         f = factorize(np.zeros((0, 0)), WorkingSet(0, 0), 1e-8)
         assert solve_with_factor(f, np.zeros(0)).shape == (0,)
 
+    def test_indefinite_matrix_raises(self):
+        G = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            factorize(G, WorkingSet(0, 2), 1e-10)
+
 
 class TestRankOneUpdates:
 
@@ -191,6 +241,91 @@ class TestRankOneUpdates:
         g = f.copy()
         add_index(g, 1)
         assert 1 not in f.mask and 1 in g.mask
+
+        # pins and unpins on a copy update the copy's own factor, and
+        # leave the original's bytes alone
+        rng = np.random.default_rng(7)
+        G = random_psd(rng, 8) + np.eye(8)
+        f = factorize(G, WorkingSet(0, 8, [2, 5]), 1e-8)
+        before = f.factor.tobytes()
+        g = f.copy()
+        for step in (lambda: add_index(g, 3), lambda: remove_index(g, 5),
+                     lambda: add_index(g, 0), lambda: remove_index(g, 2)):
+            step()
+            fresh = factorize(G, g.mask, 1e-8).factor
+            assert rel_diff(g.factor, fresh) <= 1e-12
+        assert g.mask == WorkingSet(0, 8, [0, 3])
+        assert f.mask == WorkingSet(0, 8, [2, 5])
+        assert f.factor.tobytes() == before
+
+
+class TestBlasKernels:
+    """The BLAS rank-1 kernels against the numpy loops they replaced."""
+
+    @staticmethod
+    def factor(rng, n):
+        G = random_psd(rng, n) + n * np.eye(n)
+        return factorize(G, WorkingSet(0, n), 1e-8).factor
+
+    @pytest.mark.parametrize("n", [1, 2, 60, 500])
+    def test_update_matches_loop(self, n):
+        rng = np.random.default_rng(n)
+        L = self.factor(rng, n)
+        v = rng.standard_normal(n)
+        for i in sorted({-1, n // 3} - {n - 1}):
+            got = L.copy(order="F")
+            want = got.copy()
+            view = got[i + 1:, i + 1:]  # the whole factor when i = -1
+            kernel._rank1_update(view, v[i + 1:].copy())
+            rank1_update_loop(want[i + 1:, i + 1:], v[i + 1:].copy())
+            assert rel_diff(got, want) <= 1e-13
+            assert_array_equal(got[:, :i + 1], L[:, :i + 1])
+
+    @pytest.mark.parametrize("n", [1, 2, 60, 500])
+    def test_downdate_matches_loop(self, n):
+        rng = np.random.default_rng(100 + n)
+        L = self.factor(rng, n)
+        for i in sorted({-1, n // 3} - {n - 1}):
+            # v = L w with |w| = 1/2 keeps L L' - v v' positive definite
+            w = rng.standard_normal(n - i - 1)
+            v = L[i + 1:, i + 1:] @ (0.5 * w / np.linalg.norm(w))
+            got = L.copy(order="F")
+            want = got.copy()
+            kernel._rank1_downdate(got[i + 1:, i + 1:], v.copy(), 1e-12)
+            rank1_downdate_loop(want[i + 1:, i + 1:], v.copy(), 1e-12)
+            assert rel_diff(got, want) <= 1e-13
+            assert_array_equal(got[:, :i + 1], L[:, :i + 1])
+
+    def test_factor_stays_fortran_ordered(self):
+        rng = np.random.default_rng(8)
+        G = random_psd(rng, 10) + np.eye(10)
+        f = factorize(G, WorkingSet(0, 10, [4]), 1e-8)
+        assert f.factor.flags.f_contiguous
+        add_index(f, 7)
+        assert f.factor.flags.f_contiguous
+        remove_index(f, 4)
+        assert f.factor.flags.f_contiguous
+        assert f.copy().factor.flags.f_contiguous
+
+    def test_pivot_floor_inside_downdate(self):
+        # Unmasking index 0 passes the diagonal check in remove_index
+        # (it has no free predecessors), but its coupling to index 3
+        # makes the free block indefinite: the trailing downdate pivot
+        # collapses at position 2 of the block L[1:, 1:].
+        G = np.eye(4)
+        G[0, 3] = G[3, 0] = 2.0
+        f = factorize(G, WorkingSet(0, 4, [0]), 1e-10)
+
+        def message(downdate):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernel, "_rank1_downdate", downdate)
+                with pytest.raises(CholeskyDowndateError) as err:
+                    remove_index(f.copy(), 0)
+            return str(err.value)
+
+        got = message(kernel._rank1_downdate)
+        assert "at position 2 " in got
+        assert got == message(rank1_downdate_loop)
 
 
 def test_lambda_from_direction():
