@@ -5,7 +5,7 @@ over 60 inputs with 240 inequality rows, so the dual quadratic is
 rank-deficient by construction.  Started cold, the active-set loop
 spends hundreds of iterations pinning bounds one at a time; seeding the
 working set from the sign of the dual gradient removes almost all of
-that work.  The CLI exposes the same comparison as `dualqp bench mpc`.
+that work.
 """
 
 import time

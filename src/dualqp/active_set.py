@@ -136,9 +136,7 @@ class SolveReport:
     shift_retries: int               # escalations to a sharper shift
     final_shift: float               # shift in effect at termination
     stationarity_residual: float     # ||(G mu + h)_free||_inf / (1 + ||h||_inf)
-    min_working_multiplier: float    # min (G mu + h) over the working set
     complementarity_residual: float
-    kkt_residual: float
     message: str = ""
     objective_trace: list = field(default_factory=list)
 
@@ -278,16 +276,13 @@ def _kkt_summary(qp, mu, W):
     h_scale = 1.0 + _inf_norm(qp.h)
     free = np.setdiff1d(np.arange(qp.m), W.indices, assume_unique=True)
     stat = _inf_norm(g[free]) / h_scale
-    wk = W.indices
-    min_mult = float(np.min(g[wk])) if wk.size else math.inf
     ineq = qp.inequality_indices
     if ineq.size:
         comp = _inf_norm(mu[ineq] * g[ineq])
         comp /= h_scale * (1.0 + _inf_norm(mu[ineq]))
     else:
         comp = 0.0
-    kkt = max(stat, comp, max(0.0, -min_mult) / h_scale if wk.size else 0.0)
-    return stat, min_mult, comp, kkt
+    return stat, comp
 
 
 def solve_dual(qp, W0=None, cfg=None):
@@ -350,7 +345,7 @@ def solve_dual(qp, W0=None, cfg=None):
         seen = visited.setdefault(key, set())
         if obj in seen:
             message = (f"cycle detected: working set {key} revisited at "
-                       f"objective {obj!r}")
+                       f"objective {float(obj)!r}")
             break
         seen.add(obj)
 
@@ -399,7 +394,7 @@ def solve_dual(qp, W0=None, cfg=None):
     else:
         k = max_outer
 
-    stat, min_mult, comp, kkt = _kkt_summary(qp, mu, f.mask)
+    stat, comp = _kkt_summary(qp, mu, f.mask)
     n_ref = len(refine_iters)
     return SolveReport(
         mu_star=mu,
@@ -414,9 +409,7 @@ def solve_dual(qp, W0=None, cfg=None):
         shift_retries=shift_retries,
         final_shift=f.epsilon,
         stationarity_residual=stat,
-        min_working_multiplier=min_mult,
         complementarity_residual=comp,
-        kkt_residual=kkt,
         message=message,
         objective_trace=trace,
     )

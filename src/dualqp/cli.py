@@ -1,13 +1,9 @@
 """Command-line front end.
 
-Three commands:
-
-* ``dualqp solve problem.json``: load a serialized QP, solve it, print
-  a short summary, optionally write a structured report.
-* ``dualqp bench mpc``: the receding-horizon flight-control benchmark,
-  solved warm (smartstart) and cold.
-* ``dualqp bench polytope``: projection onto random half-space
-  constraints at configurable scale, with and without primal recovery.
+``dualqp solve problem.json`` loads a serialized QP, solves it, prints
+a short summary and optionally writes a structured report.  Measured
+benchmark runs live in ``perfbench/``; the scripts in ``demos/`` walk
+through the warm-vs-cold and scale comparisons.
 
 Problem files are JSON: ``schema_version`` (currently "1"), the cost
 ``P`` (row-major nested arrays; may be omitted when ``identity_P`` is
@@ -24,14 +20,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
 import time
 
 import numpy as np
 
 from .active_set import SolverConfig, SolveStatus, UnboundedDualError, solve_dual
-from .generators import PolytopeSpec, afti16_spec, build_mpc, build_polytope
 from .transform import InvalidProblemError, PrimalQP, build_dual, recover_primal
 
 EXIT_OPTIMAL = 0
@@ -252,10 +246,6 @@ def _run_once(primal, cfg, dual_only):
     return doc, _STATUS_EXIT[rep.status]
 
 
-def _ms(seconds):
-    return "-" if seconds is None else f"{1e3 * seconds:.1f} ms"
-
-
 def cmd_solve(args):
     primal = load_problem(args.problem)
     cfg = SolverConfig(smartstart=args.smartstart == "on")
@@ -280,7 +270,7 @@ def cmd_solve(args):
               f"  feasibility {kkt['primal_feasibility']:.2e}"
               f"  complementarity {kkt['complementarity']:.2e}")
         t = doc["timings"]
-        parts = [f"{label} {_ms(t[key])}" for label, key in
+        parts = [f"{label} {1e3 * t[key]:.1f} ms" for label, key in
                  zip(("build", "solve", "recover"), _STAGES)
                  if t[key] is not None]
         print(f"time           {'  '.join(parts)}")
@@ -291,79 +281,6 @@ def cmd_solve(args):
     return code
 
 
-def _bench(args, primal, title, dual_twins=False):
-    """Run the smartstart and cold configurations (and, with
-    `dual_twins`, each again without primal recovery) `args.repeat`
-    times; print the table of median timings and write the report."""
-    if args.repeat < 1:
-        raise ProblemFormatError("--repeat must be at least 1")
-    configs = [(name, SolverConfig(smartstart=name == "smartstart"), False)
-               for name in ("smartstart", "cold")]
-    if dual_twins:
-        configs += [(f"{name} (dual)", cfg, True) for name, cfg, _ in configs]
-    rows = []
-    code = EXIT_OPTIMAL
-    for name, cfg, dual_only in configs:
-        runs = [_run_once(primal, cfg, dual_only) for _ in range(args.repeat)]
-        code = max([code] + [c for _, c in runs])
-        doc = runs[-1][0]
-        doc["configuration"] = name
-        for key in _STAGES:
-            times = [d["timings"][key] for d, _ in runs]
-            doc["timings"][key] = (None if None in times
-                                   else statistics.median(times))
-        rows.append(doc)
-
-    print(title)
-    print(f"{'configuration':<18} {'status':<18} {'outer':>6} "
-          f"{'refine':>9} {'descent':>8} {'build':>9} {'solve':>9} "
-          f"{'recover':>9} {'kkt':>9}")
-    for doc in rows:
-        solved = doc["outer_iters"] is not None
-        st, t = doc["refine_iter_stats"], doc["timings"]
-        refine = f"{st['min']}-{st['max']}" if solved else "-"
-        kcol = (f"{max(doc['kkt_residuals'].values()):.1e}" if solved
-                else "-")
-        print(f"{doc['configuration']:<18} {doc['status']:<18} "
-              f"{doc['outer_iters'] if solved else '-':>6} {refine:>9} "
-              f"{doc['descent_steps'] if solved else '-':>8} "
-              f"{_ms(t['build_dual']):>9} {_ms(t['solve_dual']):>9} "
-              f"{_ms(t['recover_primal']):>9} {kcol:>9}")
-    if args.report:
-        _write_json(args.report, rows, indent=2)
-    return code
-
-
-def cmd_bench_mpc(args):
-    x0 = None
-    if args.x0 is not None:
-        try:
-            x0 = [float(v) for v in args.x0.split(",")]
-        except ValueError:
-            raise ProblemFormatError("--x0 expects comma-separated numbers")
-    try:
-        spec = afti16_spec(horizon=args.horizon, x0=x0)
-    except ValueError as err:
-        raise ProblemFormatError(str(err))
-    try:
-        primal = build_mpc(spec)
-    except InvalidProblemError as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return _bench(args, primal, f"mpc benchmark: horizon {args.horizon}, "
-                  f"{primal.n} inputs, {primal.m_in} state bounds")
-
-
-def cmd_bench_polytope(args):
-    try:
-        spec = PolytopeSpec(n=args.n, m=args.m, seed=args.seed)
-    except ValueError as err:
-        raise ProblemFormatError(str(err))
-    return _bench(args, build_polytope(spec),
-                  f"polytope benchmark: n={args.n}, m={args.m}, "
-                  f"seed={args.seed}", dual_twins=True)
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="dualqp",
@@ -371,16 +288,13 @@ def _build_parser():
                     "iteratively refined subproblems).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_report(p):
-        p.add_argument("--report", metavar="PATH",
-                       help="write a JSON report here")
-
     p_solve = sub.add_parser("solve", help="solve a problem file")
     p_solve.add_argument("problem", help="path to a JSON problem file")
     p_solve.add_argument("--smartstart", choices=("on", "off"), default="on",
                          help="seed the working set from the dual gradient "
                               "(default on)")
-    add_report(p_solve)
+    p_solve.add_argument("--report", metavar="PATH",
+                         help="write a JSON report here")
     p_solve.add_argument("--epsilon", type=float, metavar="EPS",
                          help="proximal shift for the refinement solves")
     p_solve.add_argument("--max-iters", type=int, metavar="N",
@@ -389,27 +303,6 @@ def _build_parser():
                          help="skip primal recovery; objective and "
                               "residuals then refer to the dual")
     p_solve.set_defaults(func=cmd_solve)
-
-    p_bench = sub.add_parser("bench", help="run a benchmark family")
-    bench_sub = p_bench.add_subparsers(dest="benchmark", required=True)
-
-    p_mpc = bench_sub.add_parser("mpc", help="receding-horizon benchmark")
-    p_mpc.add_argument("--horizon", type=int, default=30)
-    p_mpc.add_argument("--x0", metavar="V,V,V,V",
-                       help="initial state (comma separated)")
-    p_mpc.set_defaults(func=cmd_bench_mpc)
-
-    p_poly = bench_sub.add_parser("polytope", help="projection benchmark")
-    p_poly.add_argument("--n", type=int, default=1000)
-    p_poly.add_argument("--m", type=int, default=50)
-    p_poly.add_argument("--seed", type=int, default=1)
-    p_poly.set_defaults(func=cmd_bench_polytope)
-
-    for p in (p_mpc, p_poly):
-        p.add_argument("--repeat", type=int, default=1,
-                       help="timing repetitions, at least 1 "
-                            "(median reported)")
-        add_report(p)
 
     return parser
 

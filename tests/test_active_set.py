@@ -9,6 +9,7 @@ from dualqp import (DualQP, RefineConfig, SolveStatus, SolverConfig,
                     solve_dual)
 from dualqp.active_set import step_length
 from dualqp.kernel import CholeskyDowndateError
+from dualqp.refine import OutcomeKind, RefineOutcome, RefinementError
 from dualqp.transform import PrimalQP
 
 
@@ -227,7 +228,7 @@ class TestReporting:
         assert rep.shift_retries == 0
         assert rep.final_shift == pytest.approx(1e-7)
         assert rep.stationarity_residual <= 1e-8
-        assert rep.kkt_residual >= 0.0
+        assert rep.complementarity_residual <= 1e-8
 
 
 class TestDowndateFallback:
@@ -262,6 +263,62 @@ class TestDowndateFallback:
         assert got.status is SolveStatus.OPTIMAL
         assert got.outer_iters == want.outer_iters
         assert_allclose(got.mu_star, want.mu_star, rtol=0, atol=1e-10)
+
+
+def projection_dual():
+    # project (2, 0) onto x1 <= 1: one dual coordinate, h = [-1]
+    primal = PrimalQP(P=None, q=np.array([-2.0, 0.0]), identity_p=True,
+                      C=np.array([[1.0, 0.0]]), d=np.array([1.0]))
+    return build_dual(primal)[0]
+
+
+class TestSalvageRejections:
+    """Refinement fails at the shift floor and the iterate it leaves
+    cannot be salvaged: the solve stops with NUMERICAL_FAILURE."""
+
+    @pytest.mark.parametrize("diagnostics", [
+        lambda c_bar: {},
+        lambda c_bar: {"iterate": np.zeros_like(c_bar)},
+        lambda c_bar: {"iterate": c_bar.copy()},  # uphill
+    ], ids=["no_iterate", "zero_iterate", "uphill_iterate"])
+    def test_unsalvageable_iterate_is_a_numerical_failure(
+            self, monkeypatch, diagnostics):
+        calls = []
+
+        def fail(f, c_bar, cfg):
+            calls.append(f.epsilon)
+            raise RefinementError("forced", diagnostics(c_bar))
+
+        monkeypatch.setattr(active_set, "refine_solve", fail)
+        # the floor equals the starting shift, so nothing escalates
+        rep = solve_dual(projection_dual(),
+                         cfg=SolverConfig(shift_floor=1e-7))
+        assert calls == [1e-7]
+        assert rep.status is SolveStatus.NUMERICAL_FAILURE
+        assert rep.shift_retries == 0
+        assert rep.outer_iters == 1
+        assert rep.message.startswith("refinement failed at iteration 1")
+
+
+class TestCycleDetection:
+
+    def test_revisited_working_set_stops_the_solve(self, monkeypatch):
+        # Every direction pins the smallest free bound at step 0: the
+        # loop pins {0, 1}, unpins 0 at the subspace minimizer, pins 0
+        # again and meets {0, 1} at the same objective.
+        def pin_smallest_free(qp, f, c_bar, mu, cfg, g_scale):
+            free = [i for i in qp.inequality_indices if i not in f.mask]
+            outcome = RefineOutcome(OutcomeKind.DESCENT_DIRECTION, -c_bar,
+                                    1, 0.0)
+            return outcome, 0.0, free[0], f, 0
+
+        monkeypatch.setattr(active_set, "_directed_step", pin_smallest_free)
+        qp = DualQP(G=np.eye(2), h=np.array([-1.0, -1.0]), m_eq=0, m_in=2)
+        rep = solve_dual(qp, cfg=SolverConfig(smartstart=False))
+        assert rep.status is SolveStatus.ITERATION_LIMIT
+        assert rep.outer_iters == 5
+        assert rep.message == ("cycle detected: working set (0, 1) "
+                               "revisited at objective 0.0")
 
 
 class TestBoundary:

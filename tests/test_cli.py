@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import dualqp.active_set as active_set
 from dualqp import PrimalQP, load_problem, save_problem
 from dualqp.cli import ProblemFormatError, main
+from dualqp.refine import RefinementError
 
 
 def write_json(path, doc):
@@ -22,6 +24,11 @@ def infeasible_doc():
     # x <= -1 and x >= 0
     return {"schema_version": "1", "identity_P": True, "q": [0.0],
             "C": [[1.0], [-1.0]], "d": [-1.0, 0.0]}
+
+
+def report_shape(rep):
+    return (frozenset(rep), frozenset(rep["timings"]),
+            frozenset(rep["kkt_residuals"]))
 
 
 def iteration_limit_doc():
@@ -172,9 +179,25 @@ class TestSolveCommand:
             assert rep["status"] == status
             assert isinstance(rep["message"], str)
             assert (rep["message"] == "") == (status == "optimal")
-            shapes.add((frozenset(rep), frozenset(rep["timings"]),
-                        frozenset(rep["kkt_residuals"])))
+            shapes.add(report_shape(rep))
         assert len(shapes) == 1
+
+    def test_numerical_failure_exit(self, tmp_path, monkeypatch):
+        # refinement fails at every shift and leaves nothing to salvage
+        def fail(f, c_bar, cfg):
+            raise RefinementError("forced", {})
+
+        prob = write_json(tmp_path / "p.json", projection_doc())
+        optimal = tmp_path / "optimal.json"
+        assert main(["solve", prob, "--report", str(optimal)]) == 0
+        monkeypatch.setattr(active_set, "refine_solve", fail)
+        report = tmp_path / "r.json"
+        assert main(["solve", prob, "--report", str(report)]) == 3
+        rep = json.loads(report.read_text())
+        assert rep["status"] == "numerical_failure"
+        assert rep["message"].startswith("refinement failed at iteration 1")
+        assert report_shape(rep) == report_shape(
+            json.loads(optimal.read_text()))
 
     def test_stages_not_reached_are_none(self, tmp_path):
         prob = write_json(tmp_path / "p.json", infeasible_doc())
@@ -224,56 +247,11 @@ class TestSolveCommand:
         assert main(["solve", prob, "--max-iters", "0"]) == 2
 
 
-class TestBenchCommands:
+class TestCommands:
 
-    def test_mpc_small_horizon(self, tmp_path, capsys):
-        report = tmp_path / "bench.json"
-        code = main(["bench", "mpc", "--horizon", "4",
-                     "--report", str(report)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "smartstart" in out and "cold" in out
-        rows = json.loads(report.read_text())
-        assert [r["configuration"] for r in rows] == ["smartstart", "cold"]
-        assert all(r["status"] == "optimal" for r in rows)
-
-    def test_mpc_infeasible_x0(self, capsys):
-        code = main(["bench", "mpc", "--horizon", "4", "--x0", "0,0.3,0,0"])
-        assert code == 3
-        assert "primal_infeasible" in capsys.readouterr().out
-
-    def test_mpc_bad_x0(self, capsys):
-        assert main(["bench", "mpc", "--x0", "a,b"]) == 2
-
-    def test_polytope_rows(self, tmp_path, capsys):
-        report = tmp_path / "bench.json"
-        code = main(["bench", "polytope", "--n", "40", "--m", "8",
-                     "--seed", "2", "--repeat", "2", "--report", str(report)])
-        assert code == 0
-        rows = json.loads(report.read_text())
-        names = [r["configuration"] for r in rows]
-        assert names == ["smartstart", "cold",
-                         "smartstart (dual)", "cold (dual)"]
-        for r in rows[:2]:
-            assert r["timings"]["recover_primal"] is not None
-        for r in rows[2:]:
-            assert r["timings"]["recover_primal"] is None
-
-    @pytest.mark.parametrize("family", [
-        ["mpc", "--horizon", "4"], ["polytope", "--n", "40", "--m", "8"]])
-    def test_smartstart_is_a_parse_error(self, capsys, family):
-        # bench always runs both configurations; it takes no such flag
+    def test_bench_is_a_parse_error(self, capsys):
+        # measured runs live in perfbench/, not in the CLI
         with pytest.raises(SystemExit) as err:
-            main(["bench", *family, "--smartstart", "off"])
+            main(["bench", "mpc"])
         assert err.value.code == 2
-        assert "--smartstart" in capsys.readouterr().err
-
-    def test_polytope_bad_shape(self, capsys):
-        assert main(["bench", "polytope", "--n", "5", "--m", "5"]) == 2
-
-    @pytest.mark.parametrize("family", [
-        ["mpc", "--horizon", "4"], ["polytope", "--n", "40", "--m", "8"]])
-    @pytest.mark.parametrize("repeat", ["0", "-1"])
-    def test_repeat_below_one_is_a_parse_error(self, capsys, family, repeat):
-        assert main(["bench", *family, "--repeat", repeat]) == 2
-        assert "--repeat" in capsys.readouterr().err
+        assert "invalid choice: 'bench'" in capsys.readouterr().err

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dualqp import (MpcSpec, PolytopeSpec, afti16_spec, build_dual, build_mpc,
+from dualqp import (InvalidProblemError, MpcSpec, PolytopeSpec,
+                    UnboundedDualError, afti16_spec, build_dual, build_mpc,
                     build_polytope, solve)
 from dualqp.generators import prediction_matrices
 
@@ -39,6 +40,39 @@ class TestPredictionMatrices:
             xs.append(x.copy())
         assert_allclose(Phi @ spec.x0 + Gamma @ u, np.concatenate(xs),
                         rtol=0, atol=1e-12)
+
+
+class TestMpcSpec:
+    """MpcSpec owns the checks on the MPC description."""
+
+    @pytest.mark.parametrize("change, message", [
+        ({"a_dyn": [[1.0, 0.0]]}, "a_dyn must be square"),
+        ({"b_dyn": [[1.0], [1.0]]}, "b_dyn must have one row per state"),
+        ({"horizon": 0}, "horizon must be at least 1"),
+        ({"r_weight": np.eye(2)}, "weight shapes must match the dynamics"),
+        ({"q_weight": [[-1.0]]}, "q_weight must be positive semidefinite"),
+        ({"x0": [1.0, 2.0]}, "x0 must have length 1"),
+        ({"state_bound": 0.0}, "state_bound must be positive"),
+    ], ids=["a_dyn", "b_dyn", "horizon", "weight_shape", "indefinite_weight",
+            "x0_length", "state_bound"])
+    def test_rejects_invalid_description(self, change, message):
+        fields = dict(a_dyn=[[2.0]], b_dyn=[[1.0]], horizon=3,
+                      q_weight=[[1.0]], r_weight=[[1.0]], x0=[1.0],
+                      state_bound=1.0)
+        fields.update(change)
+        with pytest.raises(ValueError, match=message):
+            MpcSpec(**fields)
+
+    def test_afti16_rejects_short_x0(self):
+        with pytest.raises(ValueError, match="x0 must have length 4"):
+            afti16_spec(horizon=4, x0=[0.1, 0.0])
+
+    def test_asymmetric_weight(self):
+        q = np.array([[1.0, 0.5], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="q_weight must be symmetric"):
+            MpcSpec(a_dyn=np.eye(2), b_dyn=np.ones((2, 1)), horizon=2,
+                    q_weight=q, r_weight=[[1.0]], x0=np.zeros(2),
+                    state_bound=1.0)
 
 
 class TestBuildMpc:
@@ -88,6 +122,21 @@ class TestBuildMpc:
         spec = afti16_spec(horizon=5, x0=[0.1, 0.0, 0.0, 0.0])
         assert_allclose(spec.x0, [0.1, 0.0, 0.0, 0.0], rtol=0, atol=0)
         assert build_mpc(spec).n == 10
+
+    def test_infeasible_x0_is_detected(self):
+        # no input sequence keeps the predicted states within the
+        # bounds from this initial state
+        primal = build_mpc(afti16_spec(horizon=4, x0=[0, 0.3, 0, 0]))
+        with pytest.raises(UnboundedDualError):
+            solve(primal)
+
+    def test_singular_condensed_hessian_is_rejected(self):
+        # no input moves the state and inputs cost nothing: F = 0
+        spec = MpcSpec(a_dyn=[[1.0]], b_dyn=[[0.0]], horizon=2,
+                       q_weight=[[1.0]], r_weight=[[0.0]], x0=[1.0],
+                       state_bound=1.0)
+        with pytest.raises(InvalidProblemError, match="not positive definite"):
+            build_mpc(spec)
 
     def test_singular_dual_quadratic(self):
         # twice as many constraint rows as inputs: G cannot be full rank
