@@ -17,7 +17,7 @@ cutoff: eigenvalues far below it act as zeros, far above it as regular
 curvature, and eigenvalues near it are ambiguous.  When a subproblem
 lands in that band (refinement cannot classify, or a "flat" direction
 turns out to carry curvature), the loop refactorizes with a sharper
-shift and retries, down to a configured floor.
+shift and retries, down to a fixed floor.
 """
 
 from __future__ import annotations
@@ -33,6 +33,13 @@ from .kernel import (CholeskyDowndateError, WorkingSet, add_index,
                      remove_index)
 from .refine import (OutcomeKind, RefineConfig, RefineOutcome,
                      RefinementError, refine_solve)
+
+_LAMBDA_TOL = 1e-8        # bound-multiplier slack, times 1+||h||
+_STATIONARITY_TOL = 1e-8  # subspace-minimizer test, same scaling
+_ZERO_STEP_TOL = 1e-12    # a returned step this small counts as zero
+_FLAT_TOL = 1e-12         # certified-flat curvature, times 1+max|G|
+_SHIFT_SHRINK = 1e-2      # shift reduction per escalation
+_SHIFT_FLOOR = 1e-12      # smallest shift worth factorizing with
 
 
 class UnboundedDualError(RuntimeError):
@@ -97,12 +104,6 @@ class DualQP:
 @dataclass
 class SolverConfig:
     refine: RefineConfig = field(default_factory=RefineConfig)
-    lambda_tol: float = 1e-8          # bound-multiplier slack, scaled by 1+||h||
-    stationarity_tol: float = 1e-8    # subspace-minimizer test, same scaling
-    zero_step_tol: float = 1e-12      # treat a returned step this small as zero
-    shift_shrink: float = 1e-2        # shift reduction per escalation
-    shift_floor: float = 1e-12        # smallest shift worth factorizing with
-    flat_tol: float = 1e-12           # certified-flat curvature, times 1+max|G|
     max_outer_iters: int | None = None  # default 10 * (m_eq + m_in)
     smartstart: bool = True
 
@@ -112,12 +113,6 @@ class SolverConfig:
         solve_dual calls this once on entry; nothing downstream
         re-checks the config."""
         self.refine.validate()
-        for name in ("lambda_tol", "stationarity_tol", "zero_step_tol",
-                     "shift_floor", "flat_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0 < self.shift_shrink < 1:
-            raise ValueError("shift_shrink must lie in (0, 1)")
         if self.max_outer_iters is not None and not self.max_outer_iters >= 1:
             raise ValueError("max_outer_iters must be None or at least 1")
 
@@ -180,9 +175,17 @@ def step_length(mu, p, inequality_indices, W, bounded):
     return alpha, int(cand[j])
 
 
-def _sharper(qp, f, cfg):
-    return factorize(qp.G, f.mask, max(f.epsilon * cfg.shift_shrink,
-                                       cfg.shift_floor))
+def _sharper(qp, f):
+    # The factor at the next shift down.  None at the floor, or when the
+    # absolute shift falls below the rounding of a G with large entries,
+    # so that a rank-deficient block factors as indefinite.
+    if f.epsilon > _SHIFT_FLOOR:
+        try:
+            return factorize(qp.G, f.mask, max(f.epsilon * _SHIFT_SHRINK,
+                                               _SHIFT_FLOOR))
+        except np.linalg.LinAlgError:
+            pass
+    return None
 
 
 def _salvage(err, c_bar):
@@ -224,9 +227,10 @@ def _directed_step(qp, f, c_bar, mu, cfg, g_scale):
     throwaway (alpha, blocking); the caller tests them for the
     multiplier branch before stepping.
 
-    Raises RefinementError when even salvage fails, and
-    UnboundedDualError only for a classified direction whose curvature
-    is zero at machine level while no bound blocks it.
+    Raises RefinementError when even salvage fails, with the factor and
+    retries in its diagnostics, and UnboundedDualError only for a
+    classified direction whose curvature is zero at machine level while
+    no bound blocks it.
     """
     ineq = qp.inequality_indices
     retries = 0
@@ -235,10 +239,12 @@ def _directed_step(qp, f, c_bar, mu, cfg, g_scale):
         try:
             outcome = refine_solve(f, c_bar, cfg.refine)
         except RefinementError as err:
-            if f.epsilon > cfg.shift_floor:
-                f = _sharper(qp, f, cfg)
+            sharper = _sharper(qp, f)
+            if sharper is not None:
+                f = sharper
                 retries += 1
                 continue
+            err.diagnostics.update(factor=f, retries=retries)
             outcome = _salvage(err, c_bar)
             salvaged = True
         break
@@ -250,7 +256,7 @@ def _directed_step(qp, f, c_bar, mu, cfg, g_scale):
 
     p = outcome.p
     curv = float(p @ (qp.G @ p))
-    flat = curv <= cfg.flat_tol * g_scale * float(p @ p)
+    flat = curv <= _FLAT_TOL * g_scale * float(p @ p)
     alpha_min = math.inf if flat else -float(c_bar @ p) / curv
     try:
         alpha, blocking = step_length(mu, p, ineq, f.mask, bounded=False)
@@ -260,7 +266,8 @@ def _directed_step(qp, f, c_bar, mu, cfg, g_scale):
         if math.isinf(alpha_min):
             raise RefinementError(
                 "flat uncertified direction with no blocking bound",
-                diagnostics={"salvaged": salvaged, "curvature": curv})
+                diagnostics={"salvaged": salvaged, "curvature": curv,
+                             "factor": f, "retries": retries})
         return outcome, alpha_min, None, f, retries
     if alpha_min < alpha:
         return outcome, alpha_min, None, f, retries
@@ -324,7 +331,17 @@ def solve_dual(qp, W0=None, cfg=None):
     ineq = qp.inequality_indices
 
     mu = np.zeros(m)
-    f = factorize(qp.G, W0, eps)
+    try:
+        f = factorize(qp.G, W0, eps)
+    except np.linalg.LinAlgError as err:
+        stat, comp = _kkt_summary(qp, mu, W0)
+        return SolveReport(
+            mu_star=mu, status=SolveStatus.NUMERICAL_FAILURE, objective=0.0,
+            outer_iters=0, refine_calls=0, refine_iters_min=0,
+            refine_iters_max=0, refine_iters_mean=0.0, descent_count=0,
+            shift_retries=0, final_shift=eps, stationarity_residual=stat,
+            complementarity_residual=comp,
+            message=f"start factorization failed at shift {eps:g}: {err}")
     g_scale = 1.0 + (float(np.max(np.abs(qp.G))) if qp.G.size else 0.0)
     refine_iters = []
     descent_count = 0
@@ -333,7 +350,6 @@ def solve_dual(qp, W0=None, cfg=None):
     visited = {}
     status = SolveStatus.ITERATION_LIMIT
     message = "outer iteration cap reached"
-    k = 0
 
     for k in range(1, max_outer + 1):
         g = qp.G @ mu
@@ -352,13 +368,15 @@ def solve_dual(qp, W0=None, cfg=None):
         c_bar = mask_vector(c, f.mask)
         outcome = None
         p_zero = None
-        if _inf_norm(c_bar) <= cfg.stationarity_tol * h_scale:
+        if _inf_norm(c_bar) <= _STATIONARITY_TOL * h_scale:
             p_zero = np.zeros(m)  # already at this subspace's minimizer
         else:
             try:
                 outcome, alpha, blocking, f, retries = _directed_step(
                     qp, f, c_bar, mu, cfg, g_scale)
             except RefinementError as err:
+                f = err.diagnostics["factor"]
+                shift_retries += err.diagnostics["retries"]
                 status = SolveStatus.NUMERICAL_FAILURE
                 message = f"refinement failed at iteration {k}: {err}"
                 break
@@ -366,13 +384,13 @@ def solve_dual(qp, W0=None, cfg=None):
             refine_iters.append(outcome.iters)
             if (outcome.is_solution
                     and _inf_norm(outcome.p)
-                    <= cfg.zero_step_tol * (1.0 + _inf_norm(mu))):
+                    <= _ZERO_STEP_TOL * (1.0 + _inf_norm(mu))):
                 p_zero = outcome.p
 
         if p_zero is not None:
             lam = lambda_from_direction(qp.G, p_zero, c, f.mask)
             sigma = -lam  # bound multipliers: gradient on the working set
-            if sigma.size == 0 or np.min(sigma) >= -cfg.lambda_tol * h_scale:
+            if sigma.size == 0 or np.min(sigma) >= -_LAMBDA_TOL * h_scale:
                 status = SolveStatus.OPTIMAL
                 message = ""
                 break
@@ -380,7 +398,13 @@ def solve_dual(qp, W0=None, cfg=None):
             try:
                 f = remove_index(f, j)
             except CholeskyDowndateError:
-                f = factorize(qp.G, f.mask.remove(j), f.epsilon)
+                try:
+                    f = factorize(qp.G, f.mask.remove(j), f.epsilon)
+                except np.linalg.LinAlgError as err:
+                    status = SolveStatus.NUMERICAL_FAILURE
+                    message = (f"refactorization failed at iteration {k}, "
+                               f"shift {f.epsilon:g}: {err}")
+                    break
             continue
 
         if not outcome.is_solution:
@@ -391,8 +415,6 @@ def solve_dual(qp, W0=None, cfg=None):
         if blocking is not None:
             mu[blocking] = 0.0
             f = add_index(f, blocking)
-    else:
-        k = max_outer
 
     stat, comp = _kkt_summary(qp, mu, f.mask)
     n_ref = len(refine_iters)

@@ -31,8 +31,11 @@ import numpy as np
 
 from .kernel import matvec_masked, solve_with_factor
 
-# Runtime guarantee on returned descent directions.
-_CURVATURE_TOL = 1e-6
+_CURVATURE_TOL = 1e-6   # runtime guarantee on returned descent directions
+_RES_TOL = 1e-11        # on ||masked(G) x + c_bar|| / (1 + ||c_bar||)
+_STAGNATION_TOL = 1e-3  # step ratio separating the two regimes
+_DD_TOL = 1e-7          # on ||second difference|| / ||x||
+_NULL_TOL = 1e-8        # contraction stop: ||masked(G) x|| <= tol * ||x0||
 
 
 class RefinementError(RuntimeError):
@@ -58,19 +61,12 @@ class OutcomeKind(Enum):
 class RefineConfig:
     epsilon: float = 1e-7       # shift; factors must be built with this
     max_iters: int = 20
-    res_tol: float = 1e-11      # on ||masked(G) x + c_bar|| / (1 + ||c_bar||)
-    stagnation_tol: float = 1e-3  # step ratio separating the two regimes
-    dd_tol: float = 1e-7        # on ||second difference|| / ||x||
-    null_tol: float = 1e-8      # project_null stop: ||masked(G) x|| <= tol*||x0||
 
     def validate(self):
         if not 0 < self.epsilon:
             raise ValueError("epsilon must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        for name in ("res_tol", "stagnation_tol", "dd_tol", "null_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
 
 
 @dataclass
@@ -127,13 +123,13 @@ def refine_solve(f, c_bar, cfg=None):
         stats = {"iters": k, "residual": res, "x_norm": x_norm,
                  "step_norm": step_norm, "step_ratio": ratio}
 
-        if res <= cfg.res_tol * (1.0 + c_norm) and ratio <= cfg.stagnation_tol:
+        if res <= _RES_TOL * (1.0 + c_norm) and ratio <= _STAGNATION_TOL:
             return RefineOutcome(OutcomeKind.SOLUTION, x, k, res)
 
         if prev_step is not None and x_norm > 0:
             dd = np.linalg.norm(step - prev_step)
-            if dd <= cfg.dd_tol * x_norm:
-                if ratio > cfg.stagnation_tol:
+            if dd <= _DD_TOL * x_norm:
+                if ratio > _STAGNATION_TOL:
                     p = _extract_direction(f, c_bar, step, cfg, stats)
                     return RefineOutcome(OutcomeKind.DESCENT_DIRECTION, p,
                                          k, res)
@@ -153,7 +149,7 @@ def _extract_direction(f, c_bar, step, cfg, stats):
     if c_bar @ p > 0:
         p = -p
     try:
-        q, _ = _null_contract(f, p, cfg)
+        q = _null_contract(f, p, cfg)
         q_norm = np.linalg.norm(q)
         if q_norm > 0:
             p = q / q_norm
@@ -178,33 +174,12 @@ def _null_contract(f, seed, cfg):
     x = np.asarray(seed, dtype=float).copy()
     ref = np.linalg.norm(x)
     if ref == 0.0:
-        return x, 0
-    for k in range(cfg.max_iters + 1):
-        if np.linalg.norm(matvec_masked(f.base, f.mask, x)) <= cfg.null_tol * ref:
-            return x, k
+        return x
+    for _ in range(cfg.max_iters + 1):
+        if np.linalg.norm(matvec_masked(f.base, f.mask, x)) <= _NULL_TOL * ref:
+            return x
         x = f.epsilon * solve_with_factor(f, x)
     raise RefinementError(
         "null-space contraction did not converge",
         diagnostics={"seed_norm": ref})
 
-
-def project_null(f, c_bar, cfg=None):
-    """Approximate projection of -c_bar onto the null space of masked(G).
-
-    Iterates the contraction from x0 = -c_bar until
-    ||masked(G) x|| <= null_tol * ||x0||.  For nonsingular masked(G) the
-    result is (numerically) zero; for masked(G) = 0 it is -c_bar itself.
-    """
-    x, _ = _null_contract(f, -np.asarray(c_bar, dtype=float),
-                          cfg or RefineConfig())
-    return x
-
-
-def contraction_rate(lam_min_nonzero, epsilon):
-    """Per-iteration contraction factor eps / (lam + eps) of the
-    range-space error, for the smallest nonzero eigenvalue lam."""
-    if not lam_min_nonzero > 0:
-        raise ValueError("lam_min_nonzero must be positive")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    return epsilon / (lam_min_nonzero + epsilon)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,7 +8,7 @@ import dualqp.active_set as active_set
 from dualqp import (DualQP, RefineConfig, SolveStatus, SolverConfig,
                     UnboundedDualError, WorkingSet, build_dual,
                     enumerate_solve, random_qp, recover_primal, smartstart,
-                    solve_dual)
+                    solve, solve_dual)
 from dualqp.active_set import step_length
 from dualqp.kernel import CholeskyDowndateError
 from dualqp.refine import OutcomeKind, RefineOutcome, RefinementError
@@ -290,14 +292,95 @@ class TestSalvageRejections:
             raise RefinementError("forced", diagnostics(c_bar))
 
         monkeypatch.setattr(active_set, "refine_solve", fail)
-        # the floor equals the starting shift, so nothing escalates
-        rep = solve_dual(projection_dual(),
-                         cfg=SolverConfig(shift_floor=1e-7))
-        assert calls == [1e-7]
+        # the shift starts at the floor, so nothing escalates
+        rep = solve_dual(projection_dual(), cfg=SolverConfig(
+            refine=RefineConfig(epsilon=1e-12)))
+        assert calls == [1e-12]
         assert rep.status is SolveStatus.NUMERICAL_FAILURE
         assert rep.shift_retries == 0
         assert rep.outer_iters == 1
         assert rep.message.startswith("refinement failed at iteration 1")
+
+    def test_failure_report_keeps_its_escalations(self, monkeypatch):
+        calls = []
+
+        def fail(f, c_bar, cfg):
+            calls.append(f.epsilon)
+            raise RefinementError("forced", {})
+
+        monkeypatch.setattr(active_set, "refine_solve", fail)
+        rep = solve_dual(projection_dual())
+        assert calls == pytest.approx([1e-7, 1e-9, 1e-11, 1e-12],
+                                      rel=1e-12)
+        assert rep.status is SolveStatus.NUMERICAL_FAILURE
+        assert rep.shift_retries == 3
+        assert rep.final_shift == 1e-12
+
+
+def large_rows_qp(s):
+    # feasible P = I problem, m > n, every row of C scaled by s
+    rng = np.random.default_rng(0)
+    C = s * rng.standard_normal((5, 3))
+    x = rng.standard_normal(3)
+    d = C @ x + s * rng.uniform(0.1, 1.0, 5)
+    q = s * rng.standard_normal(3)
+    return PrimalQP(P=np.eye(3), q=q, C=C, d=d)
+
+
+class TestAbsoluteShift:
+    """The shift and its floor are absolute: once max|G| is large, a
+    rank-deficient masked G can round to indefinite at the shift, and
+    its factorization fails inside the solve."""
+
+    def test_unfactorable_sharper_shift_salvages(self, monkeypatch):
+        failed = []
+        factorize = active_set.factorize
+
+        def recording_factorize(G, W, epsilon):
+            try:
+                return factorize(G, W, epsilon)
+            except np.linalg.LinAlgError:
+                failed.append(epsilon)
+                raise
+
+        monkeypatch.setattr(active_set, "factorize", recording_factorize)
+        primal = large_rows_qp(100.0)
+        dual, pf = build_dual(primal)
+        rep = solve_dual(dual)
+        assert failed and min(failed) < rep.final_shift  # escalation ended
+        assert rep.status is SolveStatus.OPTIMAL
+        x = recover_primal(primal, pf, rep.mu_star).x
+        ref = enumerate_solve(primal).x
+        assert_allclose(x, ref, rtol=1e-6, atol=0)
+
+    @pytest.mark.parametrize("s, message, shift", [
+        (1e3, "refactorization failed at iteration", 1e-12),
+        (1e5, "start factorization failed", 1e-7),
+    ], ids=["fallback", "start"])
+    def test_unfactorable_shift_is_a_numerical_failure(self, s, message,
+                                                       shift):
+        dual, _ = build_dual(large_rows_qp(s))
+        rep = solve_dual(dual)
+        assert rep.status is SolveStatus.NUMERICAL_FAILURE
+        assert rep.message.startswith(message)
+        assert f"shift {shift:g}" in rep.message
+        assert rep.final_shift == shift
+        assert np.isfinite(rep.mu_star).all()
+
+    @pytest.mark.parametrize("s", [1e2, 1e3])
+    @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+    def test_public_solve_never_raises(self, s, warm):
+        # both starts through solve(): the start changes which of the
+        # three factorization sites meets the indefinite block
+        primal = large_rows_qp(s)
+        sol, rep = solve(primal, SolverConfig(smartstart=warm))
+        assert rep.status in (SolveStatus.OPTIMAL,
+                              SolveStatus.NUMERICAL_FAILURE)
+        if rep.status is SolveStatus.OPTIMAL:
+            assert_allclose(sol.x, enumerate_solve(primal).x, rtol=1e-6,
+                            atol=0)
+        else:
+            assert f"shift {rep.final_shift:g}" in rep.message
 
 
 class TestCycleDetection:
@@ -371,16 +454,14 @@ class TestBoundary:
 
 class TestSolverConfig:
 
+    def test_only_the_settings_callers_use_are_fields(self):
+        # tolerances and the shift policy are module constants
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+            "refine", "max_outer_iters", "smartstart"]
+        assert [f.name for f in dataclasses.fields(RefineConfig)] == [
+            "epsilon", "max_iters"]
+
     @pytest.mark.parametrize("field, value, match", [
-        ("shift_floor", 0.0, "shift_floor"),
-        ("shift_floor", -1e-12, "shift_floor"),
-        ("shift_shrink", 0.0, "shift_shrink"),
-        ("shift_shrink", 1.0, "shift_shrink"),
-        ("shift_shrink", 2.0, "shift_shrink"),
-        ("lambda_tol", -1.0, "lambda_tol"),
-        ("stationarity_tol", 0.0, "stationarity_tol"),
-        ("zero_step_tol", 0.0, "zero_step_tol"),
-        ("flat_tol", -1e-12, "flat_tol"),
         ("max_outer_iters", 0, "max_outer_iters"),
         ("max_outer_iters", -3, "max_outer_iters"),
         ("refine", RefineConfig(epsilon=0.0), "epsilon"),

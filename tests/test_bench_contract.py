@@ -1,8 +1,9 @@
 """What the benchmark in perfbench/ needs from the program.
 
-perfbench/ hooks solver functions by name and reads SolveReport fields;
-a rename in src/ breaks it without failing any other test.  These
-checks read perfbench/ and change nothing there.
+perfbench/ hooks solver functions by name, builds SolverConfig objects
+by keyword and reads SolveReport fields; a rename in src/ breaks it
+without failing any other test.  These checks read perfbench/ and
+change nothing there.
 """
 
 import dataclasses
@@ -10,7 +11,7 @@ import importlib.util
 import os
 import re
 
-from dualqp import SolveReport
+from dualqp import SolverConfig, SolveReport
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
@@ -30,9 +31,15 @@ def test_every_hooked_name_exists():
         pass
 
 
-def test_workloads_import():
-    assert set(load("workloads").WORKLOADS) == {
-        "mpc_loop", "polytope_cold", "mpc_cold"}
+def test_every_workload_constructs():
+    # each workload builds its SolverConfig in its constructor, so a
+    # config keyword it passes and src/ no longer accepts fails here
+    workloads = load("workloads").WORKLOADS
+    assert set(workloads) == {"mpc_loop", "polytope_cold", "mpc_cold"}
+    for name, cls in workloads.items():
+        wl = cls(1, tiny=True)
+        assert isinstance(wl.cfg, SolverConfig), name
+        wl.cfg.validate()
 
 
 def test_report_has_every_field_the_runner_reads():

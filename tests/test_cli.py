@@ -196,6 +196,29 @@ class TestSolveCommand:
         rep = json.loads(report.read_text())
         assert rep["status"] == "numerical_failure"
         assert rep["message"].startswith("refinement failed at iteration 1")
+        assert rep["shift_retries"] == 3
+        assert report_shape(rep) == report_shape(
+            json.loads(optimal.read_text()))
+
+    def test_unfactorable_shift_exit(self, tmp_path):
+        # rows of C scaled by 1e3: the fallback refactorization at the
+        # shift floor fails once masked(G) rounds to indefinite
+        rng = np.random.default_rng(0)
+        s = 1e3
+        C = s * rng.standard_normal((5, 3))
+        d = C @ rng.standard_normal(3) + s * rng.uniform(0.1, 1.0, 5)
+        q = s * rng.standard_normal(3)
+        prob = str(tmp_path / "p.json")
+        save_problem(PrimalQP(P=np.eye(3), q=q, C=C, d=d), prob)
+        report = tmp_path / "r.json"
+        assert main(["solve", prob, "--report", str(report)]) == 3
+        rep = json.loads(report.read_text())
+        assert rep["status"] == "numerical_failure"
+        assert rep["message"].startswith("refactorization failed")
+        optimal = tmp_path / "optimal.json"
+        assert main(["solve", write_json(tmp_path / "o.json",
+                                         projection_doc()),
+                     "--report", str(optimal)]) == 0
         assert report_shape(rep) == report_shape(
             json.loads(optimal.read_text()))
 

@@ -4,8 +4,8 @@ from numpy.testing import assert_allclose
 
 from dualqp import RefineConfig, WorkingSet
 from dualqp.kernel import factorize
-from dualqp.refine import (OutcomeKind, RefinementError, contraction_rate,
-                           project_null, refine_solve)
+from dualqp.refine import (OutcomeKind, RefinementError, _extract_direction,
+                           _null_contract, refine_solve)
 
 
 def diag_factor(diag, masked=(), epsilon=1e-7):
@@ -113,8 +113,6 @@ class TestConfig:
             RefineConfig(epsilon=0.0).validate()
         with pytest.raises(ValueError):
             RefineConfig(max_iters=0).validate()
-        with pytest.raises(ValueError):
-            RefineConfig(res_tol=-1.0).validate()
         RefineConfig().validate()
 
     def test_shift_comes_from_the_factor(self):
@@ -125,16 +123,35 @@ class TestConfig:
         assert out.kind is OutcomeKind.SOLUTION
 
 
-def test_contraction_rate():
-    assert contraction_rate(1.0, 1e-7) == pytest.approx(1e-7 / (1 + 1e-7))
-    # faster for eigenvalues far above the shift
-    assert contraction_rate(1e-3, 1e-7) < contraction_rate(1e-5, 1e-7)
-    with pytest.raises(ValueError):
-        contraction_rate(0.0, 1e-7)
+class TestExtractDirection:
+    """_extract_direction on hand-built steps, one per branch."""
+
+    def test_unconverged_polish_keeps_the_step_and_fails_verification(self):
+        # eigenvalue 5e-5 against shift 1e-3: the contraction factor is
+        # 0.95, so the polish cannot converge within max_iters
+        G, f = diag_factor([0.0, 5e-5], epsilon=1e-3)
+        step, c_bar = np.array([1.0, 1.0]), np.array([-1.0, -1.0])
+        with pytest.raises(RefinementError, match="did not converge"):
+            _null_contract(f, step / np.sqrt(2.0), RefineConfig())
+        with pytest.raises(RefinementError,
+                           match="extracted direction failed verification") \
+                as info:
+            _extract_direction(f, c_bar, step, RefineConfig(), {})
+        # the curvature checked is the unpolished step's
+        assert info.value.diagnostics["curvature"] == pytest.approx(
+            5e-5 / np.sqrt(2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("step", [[1.0, 0.0], [-1.0, -1.0]],
+                             ids=["uphill_step", "uphill_after_polish"])
+    def test_direction_is_oriented_downhill(self, step):
+        G, f = diag_factor([0.0, 1.0])
+        p = _extract_direction(f, np.array([1.0, -3.0]), np.array(step),
+                               RefineConfig(), {})
+        assert_allclose(p, [-1.0, 0.0], rtol=0, atol=1e-12)
 
 
-def test_project_null():
+def test_null_contract():
     G, f = diag_factor([0.0, 1.0])
-    z = project_null(f, np.array([-1.0, 0.5]))
+    z = _null_contract(f, np.array([1.0, -0.5]), RefineConfig())
     assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-9)
     assert np.linalg.norm(G @ z) <= 1e-8
