@@ -11,11 +11,17 @@ through a slightly shifted factor and watches how the iterates move:
 
 Both verdicts come out of the same iteration, shown here side by side,
 plus the per-eigenvalue contraction factors that explain the speed.
+
+The shift is the one the factor was built with; refine_solve reads it
+off the factor.  In a full solve, SolverConfig.epsilon sets the first
+shift, and the active-set loop refactorizes at a sharper one when a
+subproblem cannot be classified within the fixed budget of 20
+iterations.
 """
 
 import numpy as np
 
-from dualqp import RefineConfig, WorkingSet
+from dualqp import WorkingSet
 from dualqp.kernel import factorize
 from dualqp.refine import OutcomeKind, refine_solve
 
@@ -38,7 +44,7 @@ def run(n=12, nullity=2, seed=4):
 
     # consistent right-hand side: lies in the range space
     c = -(G @ rng.standard_normal(n))
-    out = refine_solve(f, c, RefineConfig(epsilon=eps))
+    out = refine_solve(f, c)
     assert out.kind is OutcomeKind.SOLUTION
     print(f"\nconsistent rhs   -> solution in {out.iters} iterations, "
           f"residual {out.final_residual:.1e}")
@@ -46,7 +52,7 @@ def run(n=12, nullity=2, seed=4):
     # inconsistent: add a component on the null space
     null = Q[:, -1]
     c_bad = c - 0.5 * null
-    out = refine_solve(f, c_bad, RefineConfig(epsilon=eps))
+    out = refine_solve(f, c_bad)
     assert out.kind is OutcomeKind.DESCENT_DIRECTION
     p = out.p
     print(f"inconsistent rhs -> descent direction in {out.iters} "

@@ -9,7 +9,6 @@ internals, importable from dualqp.kernel and dualqp.refine.
 """
 
 from .kernel import WorkingSet
-from .refine import RefineConfig
 from .active_set import (DualQP, SolveReport, SolveStatus, SolverConfig,
                          UnboundedDualError, smartstart, solve_dual)
 from .transform import (InvalidProblemError, PFactor, PrimalQP,
@@ -38,7 +37,7 @@ def solve(primal, cfg=None, w0=None):
 __all__ = [
     "solve", "PrimalQP", "PrimalSolution", "PFactor", "build_dual",
     "recover_primal", "DualQP", "WorkingSet", "smartstart", "solve_dual",
-    "SolverConfig", "RefineConfig", "SolveReport", "SolveStatus",
+    "SolverConfig", "SolveReport", "SolveStatus",
     "UnboundedDualError", "InvalidProblemError",
     "enumerate_solve", "random_qp", "OracleResult", "InfeasibleProblemError",
     "MpcSpec", "PolytopeSpec", "afti16_spec", "build_mpc", "build_polytope",

@@ -14,15 +14,19 @@ direction is confirmed to be zero at machine level.
 
 The proximal shift used by the refinement module doubles as a spectral
 cutoff: eigenvalues far below it act as zeros, far above it as regular
-curvature, and eigenvalues near it are ambiguous.  When a subproblem
-lands in that band (refinement cannot classify, or a "flat" direction
-turns out to carry curvature), the loop refactorizes with a sharper
-shift and retries, down to a fixed floor.
+curvature, and eigenvalues near it are ambiguous.  This module owns the
+shift policy: the first factor is built at SolverConfig.epsilon, and
+when refinement cannot classify a subproblem the loop refactorizes in
+place at a shift _SHIFT_SHRINK times smaller and retries, down to
+_SHIFT_FLOOR.  The shift never grows back within a solve.  At the floor
+the last refinement iterate is salvaged as an uncertified descent
+direction.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -31,8 +35,8 @@ import numpy as np
 from .kernel import (CholeskyDowndateError, WorkingSet, add_index,
                      factorize, lambda_from_direction, mask_vector,
                      remove_index)
-from .refine import (OutcomeKind, RefineConfig, RefineOutcome,
-                     RefinementError, refine_solve)
+from .refine import (OutcomeKind, RefineOutcome, RefinementError,
+                     refine_solve)
 
 _LAMBDA_TOL = 1e-8        # bound-multiplier slack, times 1+||h||
 _STATIONARITY_TOL = 1e-8  # subspace-minimizer test, same scaling
@@ -103,7 +107,7 @@ class DualQP:
 
 @dataclass
 class SolverConfig:
-    refine: RefineConfig = field(default_factory=RefineConfig)
+    epsilon: float = 1e-7               # starting proximal shift
     max_outer_iters: int | None = None  # default 10 * (m_eq + m_in)
     smartstart: bool = True
 
@@ -111,10 +115,15 @@ class SolverConfig:
         """Raise ValueError for a setting the solver cannot run with.
 
         solve_dual calls this once on entry; nothing downstream
-        re-checks the config."""
-        self.refine.validate()
-        if self.max_outer_iters is not None and not self.max_outer_iters >= 1:
-            raise ValueError("max_outer_iters must be None or at least 1")
+        re-checks the config.  A shift above 1 is rejected: refinement
+        steps shrink like 1/epsilon, and from about 1e200 they underflow
+        its tests; an infinite shift never gets sharper."""
+        if not 0.0 < self.epsilon <= 1.0:
+            raise ValueError("epsilon must lie in (0, 1]")
+        n = self.max_outer_iters
+        if n is not None and not (isinstance(n, numbers.Integral) and n >= 1):
+            raise ValueError("max_outer_iters must be None or an integer "
+                             ">= 1")
 
 
 @dataclass
@@ -149,43 +158,37 @@ def smartstart(qp):
     return WorkingSet(qp.m_eq, qp.m_in, idx)
 
 
-def step_length(mu, p, inequality_indices, W, bounded):
+def step_length(mu, p, inequality_indices, W):
     """Largest feasible step along p from mu, and the blocking index.
 
-    Only free inequality coordinates with (p)_i < 0 limit the step.
-    When `bounded`, the step is capped at 1 (the subspace minimizer);
-    blocking is None when the cap binds first.  Ties pick the smallest
-    index.  When not bounded and nothing blocks, the dual is unbounded.
+    Only free inequality coordinates with (p)_i < 0 limit the step; ties
+    pick the smallest index.  Returns (inf, None) when nothing blocks.
     """
     mu = np.asarray(mu, dtype=float)
     p = np.asarray(p, dtype=float)
     ineq = np.asarray(inequality_indices, dtype=int)
     cand = ineq[(p[ineq] < 0.0) & ~W.member[ineq]]
     if not cand.size:
-        if bounded:
-            return 1.0, None
-        raise UnboundedDualError(
-            "unbounded descent direction with no blocking bound: "
-            "the primal problem is infeasible")
+        return math.inf, None
     ratios = -mu[cand] / p[cand]
     j = int(np.argmin(ratios))  # first minimum = smallest index
-    alpha = float(ratios[j])
-    if bounded and alpha > 1.0:
-        return 1.0, None
-    return alpha, int(cand[j])
+    return float(ratios[j]), int(cand[j])
 
 
-def _sharper(qp, f):
-    # The factor at the next shift down.  None at the floor, or when the
-    # absolute shift falls below the rounding of a G with large entries,
-    # so that a rank-deficient block factors as indefinite.
-    if f.epsilon > _SHIFT_FLOOR:
-        try:
-            return factorize(qp.G, f.mask, max(f.epsilon * _SHIFT_SHRINK,
-                                               _SHIFT_FLOOR))
-        except np.linalg.LinAlgError:
-            pass
-    return None
+def _sharpen(qp, f):
+    # Refactorize f in place at the next shift down; False, with f
+    # untouched, at the floor or when the sharper shift falls below the
+    # rounding of a G with large entries, so that a rank-deficient
+    # block factors as indefinite.
+    if f.epsilon <= _SHIFT_FLOOR:
+        return False
+    try:
+        sharper = factorize(qp.G, f.mask, max(f.epsilon * _SHIFT_SHRINK,
+                                              _SHIFT_FLOOR))
+    except np.linalg.LinAlgError:
+        return False
+    f.factor, f.epsilon = sharper.factor, sharper.epsilon
+    return True
 
 
 def _salvage(err, c_bar):
@@ -213,65 +216,60 @@ def _salvage(err, c_bar):
     return RefineOutcome(OutcomeKind.DESCENT_DIRECTION, p, iters, res)
 
 
-def _directed_step(qp, f, c_bar, mu, cfg, g_scale):
+def _directed_step(qp, f, c_bar, mu, g_scale):
     """Classify the pinned subproblem and settle the step along the result.
 
-    Returns (outcome, alpha, blocking, f, retries).  The factor comes
-    back because recovery may replace it: when refinement cannot
-    classify at the current shift the subproblem is retried with a
-    sharper one, and once the floor is reached the last iterate is
-    salvaged as an uncertified descent direction.  Every descent step
-    is capped at its exact line minimizer -slope/curvature, so real
-    curvature along a nominally flat direction cannot break the
-    monotone decrease of the objective.  Near-zero solutions get a
-    throwaway (alpha, blocking); the caller tests them for the
-    multiplier branch before stepping.
+    Returns (outcome, alpha, blocking, retries).  When refinement cannot
+    classify at the current shift, f is refactorized in place at a
+    sharper one and the subproblem retried; retries counts those
+    escalations.  Once the floor is reached the last iterate is salvaged
+    as an uncertified descent direction.  A solution steps at most to 1,
+    the subspace minimizer.  Every descent step is capped at its exact
+    line minimizer -slope/curvature, so real curvature along a nominally
+    flat direction cannot break the monotone decrease of the objective.
+    Near-zero solutions get a throwaway (alpha, blocking); the caller
+    tests them for the multiplier branch before stepping.
 
-    Raises RefinementError when even salvage fails, with the factor and
-    retries in its diagnostics, and UnboundedDualError only for a
-    classified direction whose curvature is zero at machine level while
-    no bound blocks it.
+    Raises RefinementError when even salvage fails, with the retries in
+    its diagnostics, and UnboundedDualError only for a classified
+    direction whose curvature is zero at machine level while no bound
+    blocks it.
     """
-    ineq = qp.inequality_indices
     retries = 0
     salvaged = False
     while True:
         try:
-            outcome = refine_solve(f, c_bar, cfg.refine)
+            outcome = refine_solve(f, c_bar)
         except RefinementError as err:
-            sharper = _sharper(qp, f)
-            if sharper is not None:
-                f = sharper
+            if _sharpen(qp, f):
                 retries += 1
                 continue
-            err.diagnostics.update(factor=f, retries=retries)
+            err.diagnostics["retries"] = retries
             outcome = _salvage(err, c_bar)
             salvaged = True
         break
 
-    if outcome.is_solution:
-        alpha, blocking = step_length(mu, outcome.p, ineq, f.mask,
-                                      bounded=True)
-        return outcome, alpha, blocking, f, retries
-
     p = outcome.p
+    alpha, blocking = step_length(mu, p, qp.inequality_indices, f.mask)
+    if outcome.is_solution:
+        if alpha > 1.0:  # the subspace minimizer comes first
+            alpha, blocking = 1.0, None
+        return outcome, alpha, blocking, retries
+
     curv = float(p @ (qp.G @ p))
     flat = curv <= _FLAT_TOL * g_scale * float(p @ p)
     alpha_min = math.inf if flat else -float(c_bar @ p) / curv
-    try:
-        alpha, blocking = step_length(mu, p, ineq, f.mask, bounded=False)
-    except UnboundedDualError:
-        if flat and not salvaged:
-            raise  # certified: the dual objective is a descending ray
-        if math.isinf(alpha_min):
-            raise RefinementError(
-                "flat uncertified direction with no blocking bound",
-                diagnostics={"salvaged": salvaged, "curvature": curv,
-                             "factor": f, "retries": retries})
-        return outcome, alpha_min, None, f, retries
     if alpha_min < alpha:
-        return outcome, alpha_min, None, f, retries
-    return outcome, alpha, blocking, f, retries
+        return outcome, alpha_min, None, retries
+    if blocking is None:  # flat, and no bound blocks
+        if not salvaged:  # certified: the dual objective is a descending ray
+            raise UnboundedDualError(
+                "unbounded descent direction with no blocking bound: "
+                "the primal problem is infeasible")
+        raise RefinementError(
+            "flat uncertified direction with no blocking bound",
+            diagnostics={"curvature": curv, "retries": retries})
+    return outcome, alpha, blocking, retries
 
 
 def _inf_norm(v):
@@ -301,7 +299,9 @@ def solve_dual(qp, W0=None, cfg=None):
     W0 : optional WorkingSet of bounds to pin initially (any subset of
         the inequality block is valid at mu = 0).  Defaults to
         smartstart(qp) when cfg.smartstart, else the empty set.
-    cfg : SolverConfig, validated here before any work.
+    cfg : SolverConfig, validated here before any work.  The first
+        factor is built at cfg.epsilon; _directed_step sharpens it in
+        place when a subproblem cannot be classified (module docstring).
 
     The working set lives in the factor: f.mask is the only copy, and
     add_index/remove_index move it together with the factor.
@@ -325,7 +325,7 @@ def solve_dual(qp, W0=None, cfg=None):
     elif (W0.m_eq, W0.m_in) != (qp.m_eq, qp.m_in):
         raise ValueError("W0 dimensions do not match the dual problem")
     m = qp.m
-    eps = cfg.refine.epsilon
+    eps = cfg.epsilon
     max_outer = cfg.max_outer_iters or max(10 * m, 1)
     h_scale = 1.0 + _inf_norm(qp.h)
     ineq = qp.inequality_indices
@@ -372,10 +372,9 @@ def solve_dual(qp, W0=None, cfg=None):
             p_zero = np.zeros(m)  # already at this subspace's minimizer
         else:
             try:
-                outcome, alpha, blocking, f, retries = _directed_step(
-                    qp, f, c_bar, mu, cfg, g_scale)
+                outcome, alpha, blocking, retries = _directed_step(
+                    qp, f, c_bar, mu, g_scale)
             except RefinementError as err:
-                f = err.diagnostics["factor"]
                 shift_retries += err.diagnostics["retries"]
                 status = SolveStatus.NUMERICAL_FAILURE
                 message = f"refinement failed at iteration {k}: {err}"

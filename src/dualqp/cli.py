@@ -250,7 +250,7 @@ def cmd_solve(args):
     primal = load_problem(args.problem)
     cfg = SolverConfig(smartstart=args.smartstart == "on")
     if args.epsilon is not None:
-        cfg.refine.epsilon = args.epsilon
+        cfg.epsilon = args.epsilon
     if args.max_iters is not None:
         cfg.max_outer_iters = args.max_iters
     try:
@@ -296,7 +296,8 @@ def _build_parser():
     p_solve.add_argument("--report", metavar="PATH",
                          help="write a JSON report here")
     p_solve.add_argument("--epsilon", type=float, metavar="EPS",
-                         help="proximal shift for the refinement solves")
+                         help="starting proximal shift for the refinement "
+                              "solves, in (0, 1] (default 1e-7)")
     p_solve.add_argument("--max-iters", type=int, metavar="N",
                          help="outer iteration cap")
     p_solve.add_argument("--dual-only", action="store_true",

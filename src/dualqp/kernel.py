@@ -177,7 +177,9 @@ class MaskedFactor:
     """Lower-triangular Cholesky factor of (masked(base) + epsilon*I).
 
     `base` is the unmasked symmetric matrix and is never modified; the
-    mask and the factor move together through add_index/remove_index.
+    mask and the factor move together through add_index/remove_index,
+    and shift escalation in active_set replaces factor and epsilon
+    together.
     Single-writer semantics: updates mutate `factor` in place, which
     requires it to be Fortran-ordered (see the module docstring).
     """

@@ -20,6 +20,11 @@ step that stays large relative to ||x_k|| mean a descent direction.
 The returned direction is normalized, sign-checked against c_bar (the
 slope must be negative; the sign of the raw limit is not trusted), and
 polished by one null-space contraction pass.
+
+The shift eps is read off the factor.  Which shift a factor carries,
+and when to sharpen it after a failed classification, is the policy of
+the active-set loop (active_set.py); the iteration budget and the
+classification tolerances are the constants below.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import numpy as np
 
 from .kernel import matvec_masked, solve_with_factor
 
+_MAX_ITERS = 20         # refinement budget per subproblem
 _CURVATURE_TOL = 1e-6   # runtime guarantee on returned descent directions
 _RES_TOL = 1e-11        # on ||masked(G) x + c_bar|| / (1 + ||c_bar||)
 _STAGNATION_TOL = 1e-3  # step ratio separating the two regimes
@@ -58,18 +64,6 @@ class OutcomeKind(Enum):
 
 
 @dataclass
-class RefineConfig:
-    epsilon: float = 1e-7       # shift; factors must be built with this
-    max_iters: int = 20
-
-    def validate(self):
-        if not 0 < self.epsilon:
-            raise ValueError("epsilon must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-
-
-@dataclass
 class RefineOutcome:
     kind: OutcomeKind
     p: np.ndarray
@@ -81,17 +75,14 @@ class RefineOutcome:
         return self.kind is OutcomeKind.SOLUTION
 
 
-def refine_solve(f, c_bar, cfg=None):
+def refine_solve(f, c_bar):
     """Solve or refute masked(G) x = -c_bar through the shifted factor.
 
     Parameters
     ----------
-    f : MaskedFactor of (masked(G) + eps*I).
+    f : MaskedFactor of (masked(G) + eps*I); eps is f.epsilon.
     c_bar : masked right-hand side (zero on the working set), float
         vector of length f.n.
-    cfg : validated RefineConfig.  The shift is always read off the
-        factor; the config's epsilon only seeds fresh factorizations
-        upstream.
 
     Returns
     -------
@@ -101,10 +92,9 @@ def refine_solve(f, c_bar, cfg=None):
 
     Raises
     ------
-    RefinementError if neither test fires within max_iters, or a
-    descent direction fails its runtime checks.
+    RefinementError if neither test fires within _MAX_ITERS
+    iterations, or a descent direction fails its runtime checks.
     """
-    cfg = cfg or RefineConfig()
     G, W = f.base, f.mask
 
     c_norm = np.linalg.norm(c_bar)
@@ -112,7 +102,7 @@ def refine_solve(f, c_bar, cfg=None):
     r = -c_bar
     prev_step = None
     stats = {}
-    for k in range(1, cfg.max_iters + 1):
+    for k in range(1, _MAX_ITERS + 1):
         step = solve_with_factor(f, r)
         x = x + step
         r = -c_bar - matvec_masked(G, W, x)
@@ -130,7 +120,7 @@ def refine_solve(f, c_bar, cfg=None):
             dd = np.linalg.norm(step - prev_step)
             if dd <= _DD_TOL * x_norm:
                 if ratio > _STAGNATION_TOL:
-                    p = _extract_direction(f, c_bar, step, cfg, stats)
+                    p = _extract_direction(f, c_bar, step, stats)
                     return RefineOutcome(OutcomeKind.DESCENT_DIRECTION, p,
                                          k, res)
                 # Steps have stopped moving and are tiny relative to x:
@@ -139,17 +129,17 @@ def refine_solve(f, c_bar, cfg=None):
         prev_step = step
 
     raise RefinementError(
-        "no convergence within max_iters",
+        f"no convergence within {_MAX_ITERS} iterations",
         diagnostics={**stats, "iterate": x})
 
 
-def _extract_direction(f, c_bar, step, cfg, stats):
+def _extract_direction(f, c_bar, step, stats):
     # Normalize, orient downhill, strip the range-space tail.
     p = step / np.linalg.norm(step)
     if c_bar @ p > 0:
         p = -p
     try:
-        q = _null_contract(f, p, cfg)
+        q = _null_contract(f, p)
         q_norm = np.linalg.norm(q)
         if q_norm > 0:
             p = q / q_norm
@@ -168,14 +158,14 @@ def _extract_direction(f, c_bar, step, cfg, stats):
     return p
 
 
-def _null_contract(f, seed, cfg):
+def _null_contract(f, seed):
     # x <- eps * (masked(G) + eps*I)^{-1} x kills range-space components
     # geometrically and leaves null components untouched.
     x = np.asarray(seed, dtype=float).copy()
     ref = np.linalg.norm(x)
     if ref == 0.0:
         return x
-    for _ in range(cfg.max_iters + 1):
+    for _ in range(_MAX_ITERS + 1):
         if np.linalg.norm(matvec_masked(f.base, f.mask, x)) <= _NULL_TOL * ref:
             return x
         x = f.epsilon * solve_with_factor(f, x)

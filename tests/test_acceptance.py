@@ -10,9 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from dualqp import (PrimalQP, RefineConfig, SolverConfig, SolveStatus,
-                    UnboundedDualError, WorkingSet, afti16_spec, build_dual,
-                    build_mpc, build_polytope, enumerate_solve, random_qp,
+from dualqp import (PrimalQP, SolverConfig, SolveStatus, UnboundedDualError,
+                    WorkingSet, afti16_spec, build_dual, build_mpc,
+                    build_polytope, enumerate_solve, random_qp,
                     recover_primal, solve, solve_dual, PolytopeSpec)
 from dualqp.kernel import add_index, build_masked, factorize, remove_index
 from dualqp.refine import OutcomeKind, refine_solve
@@ -119,7 +119,7 @@ def test_criterion_4_refinement_classifies_singular_systems():
 
         # inconsistent: a null component in the right-hand side
         c = -(G @ rng.standard_normal(n)) - Qn @ rng.uniform(0.2, 1.0, nullity)
-        out = refine_solve(f, c, RefineConfig(epsilon=eps))
+        out = refine_solve(f, c)
         assert out.kind is OutcomeKind.DESCENT_DIRECTION, f"trial {trial}"
         p = out.p
         assert np.linalg.norm(G @ p) <= 1e-6 * np.linalg.norm(p)
@@ -133,7 +133,7 @@ def test_criterion_4_refinement_classifies_singular_systems():
 
         # consistent: right-hand side entirely in the range space
         c = -(G @ rng.standard_normal(n))
-        out = refine_solve(f, c, RefineConfig(epsilon=eps))
+        out = refine_solve(f, c)
         assert out.kind is OutcomeKind.SOLUTION, f"trial {trial}"
         res = np.linalg.norm(G @ out.p + c)
         assert res <= 1e-10 * (1.0 + np.linalg.norm(c))
@@ -173,10 +173,18 @@ def test_criterion_6_polytope_scaling():
         return time.perf_counter() - t0, rep, sol
 
     # medium scale: the full pipeline fits in the budget and skipping
-    # recovery is measurably cheaper
-    full = sorted(run(1000, 50, False)[0] for _ in range(7))
-    dual = sorted(run(1000, 50, True)[0] for _ in range(7))
-    t_full, t_dual = full[3], dual[3]
+    # recovery is measurably cheaper.  Recovery is a small part of the
+    # run, so the two kinds of run alternate, and so does which one goes
+    # first: a slow stretch of the host then hits both alike.  Single
+    # solves still jitter by more than the recovery costs; 51 pairs
+    # (about 0.35 s) keep the two medians apart.
+    pairs = 51
+    times = {False: [], True: []}
+    for i in range(pairs):
+        for dual_only in ((False, True) if i % 2 else (True, False)):
+            times[dual_only].append(run(1000, 50, dual_only)[0])
+    t_full = sorted(times[False])[pairs // 2]
+    t_dual = sorted(times[True])[pairs // 2]
     assert t_full < 1.0
     assert t_dual < t_full
 

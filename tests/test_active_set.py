@@ -5,12 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 import dualqp.active_set as active_set
-from dualqp import (DualQP, RefineConfig, SolveStatus, SolverConfig,
-                    UnboundedDualError, WorkingSet, build_dual,
-                    enumerate_solve, random_qp, recover_primal, smartstart,
-                    solve, solve_dual)
+from dualqp import (DualQP, SolveStatus, SolverConfig, UnboundedDualError,
+                    WorkingSet, build_dual, enumerate_solve, random_qp,
+                    recover_primal, smartstart, solve, solve_dual)
 from dualqp.active_set import step_length
-from dualqp.kernel import CholeskyDowndateError
+from dualqp.kernel import CholeskyDowndateError, factorize
 from dualqp.refine import OutcomeKind, RefineOutcome, RefinementError
 from dualqp.transform import PrimalQP
 
@@ -42,62 +41,87 @@ class TestSmartstart:
                 assert i in W
 
 
+def directed_step(monkeypatch, mu, c_bar, outcome):
+    # _directed_step on G = I with no bound pinned, refinement patched
+    # to return `outcome`; returns (alpha, blocking)
+    m = len(mu)
+    qp = DualQP(G=np.eye(m), h=np.zeros(m), m_eq=0, m_in=m)
+    f = factorize(qp.G, WorkingSet(0, m), 1e-7)
+    monkeypatch.setattr(active_set, "refine_solve", lambda f, c_bar: outcome)
+    _, alpha, blocking, retries = active_set._directed_step(
+        qp, f, np.asarray(c_bar, dtype=float), np.asarray(mu, dtype=float),
+        2.0)
+    assert retries == 0
+    return alpha, blocking
+
+
+def solution(p):
+    return RefineOutcome(OutcomeKind.SOLUTION, np.asarray(p, dtype=float),
+                         1, 0.0)
+
+
 class TestStepLength:
+    """The ratio test of step_length, and the caps _directed_step puts
+    on its result."""
 
     def test_blocking_bound(self):
         mu = np.array([0.0, 2.0, 1.0])
         p = np.array([1.0, -1.0, -4.0])
         W = WorkingSet(0, 3)
-        alpha, blocking = step_length(mu, p, np.arange(3), W, bounded=True)
+        alpha, blocking = step_length(mu, p, np.arange(3), W)
         assert alpha == pytest.approx(0.25)
         assert blocking == 2
 
-    def test_full_step_when_nothing_blocks(self):
-        mu = np.zeros(2)
-        p = np.array([1.0, 1.0])
-        alpha, blocking = step_length(mu, p, np.arange(2), WorkingSet(0, 2),
-                                      bounded=True)
+    def test_full_step_when_nothing_blocks(self, monkeypatch):
+        alpha, blocking = directed_step(monkeypatch, [0.0, 0.0],
+                                        [-1.0, -1.0], solution([1.0, 1.0]))
         assert alpha == 1.0 and blocking is None
 
-    def test_cap_at_subspace_minimizer(self):
-        mu = np.array([5.0])
-        p = np.array([-1.0])
-        alpha, blocking = step_length(mu, p, np.arange(1), WorkingSet(0, 1),
-                                      bounded=True)
+    def test_cap_at_subspace_minimizer(self, monkeypatch):
+        # the bound would block at 5, beyond the solution at step 1
+        alpha, blocking = directed_step(monkeypatch, [5.0], [1.0],
+                                        solution([-1.0]))
         assert alpha == 1.0 and blocking is None
+
+    def test_cap_at_line_minimizer_before_blocking_bound(self, monkeypatch):
+        # along p the objective bottoms out at 1/sqrt(2), before bound 1
+        # blocks at 10 sqrt(2)
+        p = np.array([1.0, -1.0]) / np.sqrt(2.0)
+        descent = RefineOutcome(OutcomeKind.DESCENT_DIRECTION, p, 1, 0.0)
+        alpha, blocking = directed_step(monkeypatch, [0.0, 10.0],
+                                        [-1.0, 0.0], descent)
+        assert alpha == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-15)
+        assert blocking is None
 
     def test_working_set_members_do_not_block(self):
         mu = np.array([0.0, 0.0])
         p = np.array([-1.0, -1.0])
         W = WorkingSet(0, 2, [0])
-        alpha, blocking = step_length(mu, p, np.arange(2), W, bounded=True)
+        alpha, blocking = step_length(mu, p, np.arange(2), W)
         assert blocking == 1
 
-    def test_unbounded_raises(self):
+    def test_nothing_blocking_gives_an_infinite_step(self):
         mu = np.zeros(1)
         p = np.array([1.0])
-        with pytest.raises(UnboundedDualError):
-            step_length(mu, p, np.arange(1), WorkingSet(0, 1), bounded=False)
+        alpha, blocking = step_length(mu, p, np.arange(1), WorkingSet(0, 1))
+        assert alpha == np.inf and blocking is None
 
     def test_tie_picks_smallest_index(self):
         mu = np.array([1.0, 1.0])
         p = np.array([-1.0, -1.0])
-        alpha, blocking = step_length(mu, p, np.arange(2), WorkingSet(0, 2),
-                                      bounded=True)
+        alpha, blocking = step_length(mu, p, np.arange(2), WorkingSet(0, 2))
         assert alpha == 1.0 and blocking == 0
 
     def test_matches_loop_reference(self):
         # the scalar loop that step_length vectorizes; same arithmetic,
         # so results must agree exactly, ties included
-        def loop(mu, p, ineq, W, bounded):
+        def loop(mu, p, ineq, W):
             member = W.member
             cand = [i for i in ineq if not member[i] and p[i] < 0.0]
             if not cand:
-                return 1.0, None
+                return np.inf, None
             ratios = np.array([-mu[i] / p[i] for i in cand])
             j = int(np.argmin(ratios))
-            if bounded and ratios[j] > 1.0:
-                return 1.0, None
             return float(ratios[j]), int(cand[j])
 
         rng = np.random.default_rng(11)
@@ -109,11 +133,7 @@ class TestStepLength:
             pins = [i for i in range(m_eq, m) if rng.random() < 0.3]
             W = WorkingSet(m_eq, m_in, pins)
             ineq = np.arange(m_eq, m)
-            for bounded in (True, False):
-                want = loop(mu, p, ineq, W, bounded)
-                if not bounded and want[1] is None:
-                    continue  # the unbounded case raises; tested above
-                assert step_length(mu, p, ineq, W, bounded) == want, trial
+            assert step_length(mu, p, ineq, W) == loop(mu, p, ineq, W), trial
 
 
 class TestScalarDuals:
@@ -134,6 +154,16 @@ class TestScalarDuals:
         qp = DualQP(G=np.array([[2.0]]), h=np.array([3.0]), m_eq=1, m_in=0)
         rep = solve_dual(qp)
         assert_allclose(rep.mu_star, [-1.5], rtol=0, atol=1e-9)
+
+    def test_zero_step_solution_is_optimal(self):
+        # the gradient 5e-7 is above the stationarity test, but the
+        # step -5e-13 it solves to counts as zero: optimal at mu = 0
+        # after one refinement, without stepping
+        qp = DualQP(G=np.array([[1e6]]), h=np.array([5e-7]), m_eq=1, m_in=0)
+        rep = solve_dual(qp)
+        assert rep.status is SolveStatus.OPTIMAL
+        assert rep.mu_star.tolist() == [0.0]
+        assert rep.outer_iters == 1 and rep.refine_calls == 1
 
 
 class TestAgainstEnumeration:
@@ -287,14 +317,13 @@ class TestSalvageRejections:
             self, monkeypatch, diagnostics):
         calls = []
 
-        def fail(f, c_bar, cfg):
+        def fail(f, c_bar):
             calls.append(f.epsilon)
             raise RefinementError("forced", diagnostics(c_bar))
 
         monkeypatch.setattr(active_set, "refine_solve", fail)
         # the shift starts at the floor, so nothing escalates
-        rep = solve_dual(projection_dual(), cfg=SolverConfig(
-            refine=RefineConfig(epsilon=1e-12)))
+        rep = solve_dual(projection_dual(), cfg=SolverConfig(epsilon=1e-12))
         assert calls == [1e-12]
         assert rep.status is SolveStatus.NUMERICAL_FAILURE
         assert rep.shift_retries == 0
@@ -304,7 +333,7 @@ class TestSalvageRejections:
     def test_failure_report_keeps_its_escalations(self, monkeypatch):
         calls = []
 
-        def fail(f, c_bar, cfg):
+        def fail(f, c_bar):
             calls.append(f.epsilon)
             raise RefinementError("forced", {})
 
@@ -313,6 +342,21 @@ class TestSalvageRejections:
         assert calls == pytest.approx([1e-7, 1e-9, 1e-11, 1e-12],
                                       rel=1e-12)
         assert rep.status is SolveStatus.NUMERICAL_FAILURE
+        assert rep.shift_retries == 3
+        assert rep.final_shift == 1e-12
+
+    def test_flat_salvaged_direction_with_no_blocking_bound(self,
+                                                            monkeypatch):
+        # the salvaged iterate has zero curvature and no bound blocks
+        # it, but it is not certified: no infeasibility is claimed
+        def fail(f, c_bar):
+            raise RefinementError("forced", {"iterate": np.array([1.0])})
+
+        monkeypatch.setattr(active_set, "refine_solve", fail)
+        qp = DualQP(G=np.zeros((1, 1)), h=np.array([-1.0]), m_eq=0, m_in=1)
+        rep = solve_dual(qp)
+        assert rep.status is SolveStatus.NUMERICAL_FAILURE
+        assert "flat uncertified direction" in rep.message
         assert rep.shift_retries == 3
         assert rep.final_shift == 1e-12
 
@@ -389,11 +433,11 @@ class TestCycleDetection:
         # Every direction pins the smallest free bound at step 0: the
         # loop pins {0, 1}, unpins 0 at the subspace minimizer, pins 0
         # again and meets {0, 1} at the same objective.
-        def pin_smallest_free(qp, f, c_bar, mu, cfg, g_scale):
+        def pin_smallest_free(qp, f, c_bar, mu, g_scale):
             free = [i for i in qp.inequality_indices if i not in f.mask]
             outcome = RefineOutcome(OutcomeKind.DESCENT_DIRECTION, -c_bar,
                                     1, 0.0)
-            return outcome, 0.0, free[0], f, 0
+            return outcome, 0.0, free[0], 0
 
         monkeypatch.setattr(active_set, "_directed_step", pin_smallest_free)
         qp = DualQP(G=np.eye(2), h=np.array([-1.0, -1.0]), m_eq=0, m_in=2)
@@ -455,17 +499,22 @@ class TestBoundary:
 class TestSolverConfig:
 
     def test_only_the_settings_callers_use_are_fields(self):
-        # tolerances and the shift policy are module constants
+        # tolerances, the refinement budget and the shift policy are
+        # module constants
         assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-            "refine", "max_outer_iters", "smartstart"]
-        assert [f.name for f in dataclasses.fields(RefineConfig)] == [
-            "epsilon", "max_iters"]
+            "epsilon", "max_outer_iters", "smartstart"]
 
+    # A shift above 1 makes refinement steps underflow its tests (wrong
+    # optima at 1e200), and an infinite one escalates forever; a cap
+    # must be an integer for range().
     @pytest.mark.parametrize("field, value, match", [
         ("max_outer_iters", 0, "max_outer_iters"),
         ("max_outer_iters", -3, "max_outer_iters"),
-        ("refine", RefineConfig(epsilon=0.0), "epsilon"),
-        ("refine", RefineConfig(max_iters=0), "max_iters"),
+        ("max_outer_iters", 2.5, "max_outer_iters"),
+        ("epsilon", 0.0, "epsilon"),
+        ("epsilon", np.inf, "epsilon"),
+        ("epsilon", np.nan, "epsilon"),
+        ("epsilon", 1e200, "epsilon"),
     ])
     def test_bad_value_raises_before_any_factorization(
             self, monkeypatch, field, value, match):

@@ -184,7 +184,7 @@ class TestSolveCommand:
 
     def test_numerical_failure_exit(self, tmp_path, monkeypatch):
         # refinement fails at every shift and leaves nothing to salvage
-        def fail(f, c_bar, cfg):
+        def fail(f, c_bar):
             raise RefinementError("forced", {})
 
         prob = write_json(tmp_path / "p.json", projection_doc())
@@ -263,6 +263,8 @@ class TestSolveCommand:
         prob = write_json(tmp_path / "p.json", projection_doc())
         assert main(["solve", prob, "--epsilon", "1e-9"]) == 0
         assert main(["solve", prob, "--epsilon", "-1"]) == 2
+        # an infinite shift never gets sharper: rejected, not run
+        assert main(["solve", prob, "--epsilon", "inf"]) == 2
 
     def test_max_iters_flag(self, tmp_path):
         prob = write_json(tmp_path / "p.json", projection_doc())
