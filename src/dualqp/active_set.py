@@ -33,8 +33,8 @@ from enum import Enum
 import numpy as np
 
 from .kernel import (CholeskyDowndateError, WorkingSet, add_index,
-                     factorize, lambda_from_direction, mask_vector,
-                     remove_index)
+                     as_integer, factorize, lambda_from_direction,
+                     mask_vector, remove_index)
 from .refine import (OutcomeKind, RefineOutcome, RefinementError,
                      refine_solve)
 
@@ -81,9 +81,10 @@ class DualQP:
     def __post_init__(self):
         self.G = np.asarray(self.G, dtype=float)
         self.h = np.asarray(self.h, dtype=float)
-        m = self.m_eq + self.m_in
-        if self.m_eq < 0 or self.m_in < 0:
+        if min(as_integer("m_eq", self.m_eq),
+               as_integer("m_in", self.m_in)) < 0:
             raise ValueError("m_eq and m_in must be nonnegative")
+        m = self.m_eq + self.m_in
         if self.G.shape != (m, m):
             raise ValueError(f"G must have shape ({m}, {m}), got {self.G.shape}")
         if self.h.shape != (m,):
@@ -120,6 +121,8 @@ class SolverConfig:
         its tests; an infinite shift never gets sharper."""
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
+        if not isinstance(self.smartstart, (bool, np.bool_)):
+            raise ValueError("smartstart must be a bool")
         n = self.max_outer_iters
         if n is not None and not (isinstance(n, numbers.Integral) and n >= 1):
             raise ValueError("max_outer_iters must be None or an integer "
@@ -273,20 +276,15 @@ def _directed_step(qp, f, c_bar, mu, g_scale):
 
 
 def _inf_norm(v):
-    return float(np.max(np.abs(v))) if v.size else 0.0
+    return float(np.max(np.abs(v), initial=0.0))
 
 
 def _kkt_summary(qp, mu, W):
     g = qp.G @ mu + qp.h
     h_scale = 1.0 + _inf_norm(qp.h)
-    free = np.setdiff1d(np.arange(qp.m), W.indices, assume_unique=True)
-    stat = _inf_norm(g[free]) / h_scale
-    ineq = qp.inequality_indices
-    if ineq.size:
-        comp = _inf_norm(mu[ineq] * g[ineq])
-        comp /= h_scale * (1.0 + _inf_norm(mu[ineq]))
-    else:
-        comp = 0.0
+    stat = _inf_norm(g[~W.member]) / h_scale
+    comp = _inf_norm(mu[qp.m_eq:] * g[qp.m_eq:])
+    comp /= h_scale * (1.0 + _inf_norm(mu[qp.m_eq:]))
     return stat, comp
 
 
@@ -328,7 +326,6 @@ def solve_dual(qp, W0=None, cfg=None):
     eps = cfg.epsilon
     max_outer = cfg.max_outer_iters or max(10 * m, 1)
     h_scale = 1.0 + _inf_norm(qp.h)
-    ineq = qp.inequality_indices
 
     mu = np.zeros(m)
     try:
@@ -342,7 +339,7 @@ def solve_dual(qp, W0=None, cfg=None):
             shift_retries=0, final_shift=eps, stationarity_residual=stat,
             complementarity_residual=comp,
             message=f"start factorization failed at shift {eps:g}: {err}")
-    g_scale = 1.0 + (float(np.max(np.abs(qp.G))) if qp.G.size else 0.0)
+    g_scale = 1.0 + _inf_norm(qp.G)
     refine_iters = []
     descent_count = 0
     shift_retries = 0
@@ -409,8 +406,7 @@ def solve_dual(qp, W0=None, cfg=None):
         if not outcome.is_solution:
             descent_count += 1
         mu = mu + alpha * outcome.p
-        if ineq.size:
-            np.maximum(mu[qp.m_eq:], 0.0, out=mu[qp.m_eq:])
+        np.maximum(mu[qp.m_eq:], 0.0, out=mu[qp.m_eq:])
         if blocking is not None:
             mu[blocking] = 0.0
             f = add_index(f, blocking)

@@ -17,8 +17,8 @@ constraint rows).
 
 build_polytope draws a random projection problem: P = I (flagged so the
 pipeline can skip the factorization), unit-norm constraint rows, and
-offsets placed so a target fraction of the constraints is violated at
-the point being projected.
+offsets placed so about half of the constraints are violated at the
+point being projected.
 """
 
 from __future__ import annotations
@@ -165,15 +165,12 @@ class PolytopeSpec:
     n: int
     m: int
     seed: int = 0
-    target_active_fraction: float = 0.5
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError("n and m must be positive")
         if not self.m < self.n:
             raise ValueError("this generator targets the m < n regime")
-        if not 0.0 < self.target_active_fraction < 1.0:
-            raise ValueError("target_active_fraction must sit in (0, 1)")
 
 
 def build_polytope(spec):
@@ -181,8 +178,8 @@ def build_polytope(spec):
 
     Rows of C are unit norm and oriented toward the drawn point c, so a
     constraint is violated at c exactly when its offset factor is below
-    one; offsets keep the origin strictly feasible.  Roughly
-    target_active_fraction of the rows are violated at c and hence
+    one; offsets keep the origin strictly feasible.  Each row is
+    violated at c with probability 1/2, and the violated rows are
     likely active at the projection.  P is the identity and is flagged,
     not materialized.
     """
@@ -193,7 +190,7 @@ def build_polytope(spec):
     u = C @ c
     C[u < 0] *= -1.0
     u = np.abs(u)
-    violated = rng.random(spec.m) < spec.target_active_fraction
+    violated = rng.random(spec.m) < 0.5
     factors = np.where(violated,
                        rng.uniform(0.3, 0.8, spec.m),
                        rng.uniform(1.3, 2.5, spec.m))

@@ -13,8 +13,8 @@ work on it in place: potrf builds it, every column a rank-1 step
 touches is contiguous, and cho_solve reads it without a copy.  The
 layout is a correctness invariant, not a speed hint: f2py silently
 copies a non-contiguous argument, so an in-place BLAS step on a
-C-ordered factor would leave it unchanged.  Only factorize and
-MaskedFactor.copy create factors, and both return Fortran order.
+C-ordered factor would leave it unchanged.  factorize is the only
+creator of factors, and it returns Fortran order.
 
 Masking preserves positive definiteness: reordering so the masked block
 comes first gives blockdiag(I, G_ff) with G_ff a principal submatrix of
@@ -25,6 +25,7 @@ masking, hence masked diagonal entries store 1 + eps.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,7 @@ class CholeskyDowndateError(RuntimeError):
 class WorkingSet:
     """Ordered set of masked dual indices.
 
-    Indices are 0-based positions into the stacked dual vector
+    Indices are 0-based integer positions into the stacked dual vector
     (equalities first, inequalities after) and must lie in the
     inequality block [m_eq, m_eq + m_in).  Instances are immutable;
     add/remove return new sets.  Iteration order is ascending, and that
@@ -57,11 +58,14 @@ class WorkingSet:
     __slots__ = ("m_eq", "m_in", "_member")
 
     def __init__(self, m_eq, m_in, indices=()):
-        if m_eq < 0 or m_in < 0:
+        self.m_eq = as_integer("m_eq", m_eq)
+        self.m_in = as_integer("m_in", m_in)
+        if self.m_eq < 0 or self.m_in < 0:
             raise ValueError("m_eq and m_in must be nonnegative")
-        self.m_eq = int(m_eq)
-        self.m_in = int(m_in)
-        idx = np.asarray(indices, dtype=np.intp).reshape(-1)
+        idx = np.asarray(indices).reshape(-1)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ValueError(f"indices must be integers, got {idx.dtype}")
+        idx = idx.astype(np.intp, copy=False)
         self._member = np.zeros(self.m, dtype=bool)
         # On bad input, _pinnable raises the error naming the first
         # offending index: one outside the block, else one listed twice.
@@ -89,7 +93,7 @@ class WorkingSet:
         return self._member.copy()
 
     def __contains__(self, i):
-        i = int(i)
+        i = as_integer("index", i)
         return 0 <= i < self.m and bool(self._member[i])
 
     def __len__(self):
@@ -116,7 +120,7 @@ class WorkingSet:
 
     def _pinnable(self, i):
         # i as an int, if it is a free index of the inequality block.
-        i = int(i)
+        i = as_integer("index", i)
         if not self.m_eq <= i < self.m:
             raise ValueError(
                 f"index {i} outside the inequality block "
@@ -129,7 +133,7 @@ class WorkingSet:
         return self._with(self._pinnable(i), True)
 
     def remove(self, i):
-        i = int(i)
+        i = as_integer("index", i)
         if i not in self:
             raise ValueError(f"index {i} not in the working set")
         return self._with(i, False)
@@ -141,6 +145,16 @@ class WorkingSet:
         out._member = self._member.copy()
         out._member[i] = member
         return out
+
+
+def as_integer(name, v):
+    # v as an int; int() would truncate a float and take a bool as 0/1.
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
 def build_masked(G, W):
@@ -193,16 +207,6 @@ class MaskedFactor:
     def n(self):
         return self.base.shape[0]
 
-    def matrix(self):
-        """Reconstruct masked(base) + epsilon*I (diagnostics/tests)."""
-        M = build_masked(self.base, self.mask)
-        M[np.diag_indices_from(M)] += self.epsilon
-        return M
-
-    def copy(self):
-        return MaskedFactor(self.base, self.mask, self.epsilon,
-                            self.factor.copy(order="F"))
-
 
 def factorize(G, W, epsilon):
     """Factor masked(G) + epsilon*I from scratch.
@@ -228,14 +232,13 @@ def factorize(G, W, epsilon):
     """
     M = build_masked(G, W)
     M[np.diag_indices_from(M)] += epsilon
-    if M.size:
-        # M is symmetric, so M.T is the same matrix already in Fortran
-        # order: potrf factors it in place, with no copy.
-        M, info = dpotrf(M.T, lower=1, clean=1, overwrite_a=1)
-        if info > 0:
-            raise np.linalg.LinAlgError(
-                f"masked matrix is not positive definite (leading minor "
-                f"{info})")
+    # M is symmetric, so M.T is the same matrix already in Fortran
+    # order: potrf factors it in place, with no copy.
+    M, info = dpotrf(M.T, lower=1, clean=1, overwrite_a=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"masked matrix is not positive definite (leading minor "
+            f"{info})")
     return MaskedFactor(base=G, mask=W, epsilon=float(epsilon), factor=M)
 
 
@@ -318,11 +321,8 @@ def remove_index(f, i):
     col[new_mask.indices] = 0.0  # other masked rows keep zero coupling
     diag = f.base[i, i] + f.epsilon
 
-    if i > 0:
-        l21 = solve_triangular(L[:i, :i], col[:i], lower=True,
-                               check_finite=False)
-    else:
-        l21 = np.zeros(0)
+    l21 = solve_triangular(L[:i, :i], col[:i], lower=True,
+                           check_finite=False)
     piv2 = diag - l21 @ l21
     if not piv2 > pivot_floor * pivot_floor:
         raise CholeskyDowndateError(
@@ -341,8 +341,6 @@ def remove_index(f, i):
 
 def solve_with_factor(f, rhs):
     """Solve (masked(base) + eps*I) x = rhs with the retained factor."""
-    if f.n == 0:
-        return rhs.copy()
     return cho_solve((f.factor, True), rhs, check_finite=False)
 
 

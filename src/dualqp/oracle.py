@@ -24,6 +24,8 @@ import numpy as np
 from .transform import PrimalQP
 
 _MAX_ENUM = 20
+_FEAS_TOL = 1e-8   # constraint violation, times 1 + ||(b, d)||_inf
+_MULT_TOL = 1e-8   # inequality multipliers down to -tol count as >= 0
 
 
 class InfeasibleProblemError(RuntimeError):
@@ -61,7 +63,7 @@ def _kkt_candidate(P, q, rows, rhs):
     return z[:n], z[n:]
 
 
-def enumerate_solve(primal, feas_tol=1e-8, mult_tol=1e-8):
+def enumerate_solve(primal):
     """Globally solve a small QP by enumerating active sets.
 
     Refuses problems with more than 20 inequality rows.  Raises
@@ -77,7 +79,7 @@ def enumerate_solve(primal, feas_tol=1e-8, mult_tol=1e-8):
     A, b, C, d = primal.A, primal.b, primal.C, primal.d
     scale = 1.0 + (np.linalg.norm(np.concatenate([b, d]), np.inf)
                    if b.size + d.size else 0.0)
-    ftol = feas_tol * scale
+    ftol = _FEAS_TOL * scale
 
     best = None        # (objective, x, subset)
     sign_valid = []    # x of candidates whose multipliers pass the sign test
@@ -94,7 +96,7 @@ def enumerate_solve(primal, feas_tol=1e-8, mult_tol=1e-8):
                 continue
             obj = primal.objective(x)
             if mults[primal.m_eq:].size == 0 \
-                    or np.min(mults[primal.m_eq:]) >= -mult_tol:
+                    or np.min(mults[primal.m_eq:]) >= -_MULT_TOL:
                 sign_valid.append(x)
             if best is None or obj < best[0] - 1e-9 * (1.0 + abs(best[0])):
                 best = (obj, x, S)

@@ -17,9 +17,9 @@ is the proximal-point method with step 1/eps.  Two regimes:
 Classification reads the iterate statistics.  A small residual with a
 collapsing step means a solution; settled second differences with a
 step that stays large relative to ||x_k|| mean a descent direction.
-The returned direction is normalized, sign-checked against c_bar (the
-slope must be negative; the sign of the raw limit is not trusted), and
-polished by one null-space contraction pass.
+The returned direction is normalized, polished by a null-space
+contraction pass when that converges, then oriented so its slope on
+c_bar is negative (the sign of the raw limit is not trusted).
 
 The shift eps is read off the factor.  Which shift a factor carries,
 and when to sharpen it after a failed classification, is the policy of
@@ -134,19 +134,14 @@ def refine_solve(f, c_bar):
 
 
 def _extract_direction(f, c_bar, step, stats):
-    # Normalize, orient downhill, strip the range-space tail.
+    # Normalize, strip the range-space tail, orient downhill; the
+    # contraction is linear, so the sign can wait until after it.
     p = step / np.linalg.norm(step)
+    q = _null_contract(f, p)
+    if q is not None:
+        p = q / np.linalg.norm(q)
     if c_bar @ p > 0:
         p = -p
-    try:
-        q = _null_contract(f, p)
-        q_norm = np.linalg.norm(q)
-        if q_norm > 0:
-            p = q / q_norm
-            if c_bar @ p > 0:
-                p = -p
-    except RefinementError:
-        pass  # keep the unpolished step; the checks below decide
 
     curvature = np.linalg.norm(matvec_masked(f.base, f.mask, p))
     slope = c_bar @ p
@@ -158,18 +153,13 @@ def _extract_direction(f, c_bar, step, stats):
     return p
 
 
-def _null_contract(f, seed):
+def _null_contract(f, x):
     # x <- eps * (masked(G) + eps*I)^{-1} x kills range-space components
-    # geometrically and leaves null components untouched.
-    x = np.asarray(seed, dtype=float).copy()
-    ref = np.linalg.norm(x)
-    if ref == 0.0:
-        return x
+    # geometrically, leaves null ones untouched; None if the budget ends.
+    tol = _NULL_TOL * np.linalg.norm(x)
     for _ in range(_MAX_ITERS + 1):
-        if np.linalg.norm(matvec_masked(f.base, f.mask, x)) <= _NULL_TOL * ref:
+        if np.linalg.norm(matvec_masked(f.base, f.mask, x)) <= tol:
             return x
         x = f.epsilon * solve_with_factor(f, x)
-    raise RefinementError(
-        "null-space contraction did not converge",
-        diagnostics={"seed_norm": ref})
+    return None
 

@@ -158,7 +158,7 @@ def build_dual(primal):
         except np.linalg.LinAlgError as err:
             raise InvalidProblemError(f"P is not positive definite: {err}")
         pf = PFactor(chol=chol)
-        Y = cho_solve(chol, M.T, check_finite=False) if M.size else M.T
+        Y = cho_solve(chol, M.T, check_finite=False)
         p_inv_q = cho_solve(chol, primal.q, check_finite=False)
     G = M @ Y
     G = 0.5 * (G + G.T)
@@ -179,21 +179,14 @@ def recover_primal(primal, pf, mu):
     if mu.shape != (m,):
         raise ValueError(f"mu must have length {m}, got {mu.shape}")
     M = primal.stacked()
-    grad = primal.q + (M.T @ mu if M.size else 0.0)
+    grad = primal.q + M.T @ mu
     x = -pf.solve(grad)
     mu_eq = mu[:primal.m_eq]
     mu_in = mu[primal.m_eq:]
-    if primal.m_eq:
-        eq_violation = float(np.max(np.abs(primal.A @ x - primal.b)))
-    else:
-        eq_violation = 0.0
-    if primal.m_in:
-        slack = primal.C @ x - primal.d
-        ineq_violation = float(max(0.0, np.max(slack)))
-        complementarity = float(np.max(np.abs(mu_in * slack)))
-    else:
-        ineq_violation = 0.0
-        complementarity = 0.0
+    eq_violation = float(np.max(np.abs(primal.A @ x - primal.b), initial=0.0))
+    slack = primal.C @ x - primal.d
+    ineq_violation = float(max(0.0, np.max(slack, initial=0.0)))
+    complementarity = float(np.max(np.abs(mu_in * slack), initial=0.0))
     px = x if primal.identity_p else primal.P @ x
     stationarity = float(np.max(np.abs(px + grad)))
     return PrimalSolution(x=x, mu_eq=mu_eq, mu_in=mu_in,

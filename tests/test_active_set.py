@@ -468,6 +468,17 @@ class TestBoundary:
         with pytest.raises(ValueError, match="G must"):
             DualQP(G=np.eye(3), h=np.zeros(4), m_eq=1, m_in=3)
 
+    @pytest.mark.parametrize("m_eq, m_in, match", [
+        (0.5, 1.5, "m_eq must be an integer"),
+        (True, 1, "m_eq must be an integer"),
+        (0, np.float64(2.0), "m_in must be an integer"),
+        (-1, 3, "nonnegative"),
+        (3, -1, "nonnegative"),
+    ])
+    def test_dualqp_rejects_bad_dimensions(self, m_eq, m_in, match):
+        with pytest.raises(ValueError, match=match):
+            DualQP(G=np.eye(2), h=-np.ones(2), m_eq=m_eq, m_in=m_in)
+
     def test_symmetry_check_matches_allclose_reference(self):
         rng = np.random.default_rng(8)
         for trial in range(200):
@@ -515,6 +526,7 @@ class TestSolverConfig:
         ("epsilon", np.inf, "epsilon"),
         ("epsilon", np.nan, "epsilon"),
         ("epsilon", 1e200, "epsilon"),
+        ("smartstart", "off", "smartstart"),
     ])
     def test_bad_value_raises_before_any_factorization(
             self, monkeypatch, field, value, match):

@@ -11,7 +11,7 @@ import importlib.util
 import os
 import re
 
-from dualqp import SolverConfig, SolveReport
+from dualqp import PrimalQP, SolverConfig, SolveReport
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
@@ -33,13 +33,16 @@ def test_every_hooked_name_exists():
 
 def test_every_workload_constructs():
     # each workload builds its SolverConfig in its constructor, so a
-    # config keyword it passes and src/ no longer accepts fails here
+    # config keyword it passes and src/ no longer accepts fails here;
+    # generator calls run only when a QP's inputs are built, so one QP
+    # of each workload is built too
     workloads = load("workloads").WORKLOADS
     assert set(workloads) == {"mpc_loop", "polytope_cold", "mpc_cold"}
     for name, cls in workloads.items():
         wl = cls(1, tiny=True)
         assert isinstance(wl.cfg, SolverConfig), name
         wl.cfg.validate()
+        PrimalQP(**wl.inputs(wl.next()))
 
 
 def test_report_has_every_field_the_runner_reads():

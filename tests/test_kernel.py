@@ -100,6 +100,28 @@ class TestWorkingSet:
         with pytest.raises(ValueError, match=message):
             WorkingSet(2, 8, pins)
 
+    @pytest.mark.parametrize("pins", [[1.7], [True], ["1"], [1.0]])
+    def test_rejects_non_integer_indices(self, pins):
+        # a cast to int would turn each of these into index 1
+        with pytest.raises(ValueError, match="integers"):
+            WorkingSet(0, 3, pins)
+
+    def test_rejects_bad_dimensions(self):
+        with pytest.raises(ValueError, match="m_in must be an integer"):
+            WorkingSet(0, 2.5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            WorkingSet(-1, 3)
+
+    @pytest.mark.parametrize("i", [1.5, 1.0, True, np.True_, "1"])
+    def test_add_and_remove_reject_non_integer_index(self, i):
+        with pytest.raises(ValueError, match="index must be an integer"):
+            WorkingSet(0, 3).add(i)
+        with pytest.raises(ValueError, match="index must be an integer"):
+            WorkingSet(0, 3, [1]).remove(i)
+        with pytest.raises(ValueError, match="index must be an integer"):
+            i in WorkingSet(0, 3, [1])
+        assert WorkingSet(0, 3).add(np.int64(1)) == WorkingSet(0, 3, [1])
+
     def test_add_remove_are_persistent(self):
         W = WorkingSet(0, 3, [0])
         W2 = W.add(2)
@@ -166,7 +188,6 @@ class TestFactorize:
         f = factorize(G, W, 1e-8)
         M = build_masked(G, W) + 1e-8 * np.eye(5)
         assert_allclose(f.factor, np.linalg.cholesky(M), rtol=0, atol=1e-12)
-        assert_allclose(f.matrix(), M, rtol=0, atol=0)
 
     def test_solve_with_factor(self):
         rng = np.random.default_rng(3)
@@ -175,7 +196,8 @@ class TestFactorize:
         f = factorize(G, W, 1e-9)
         rhs = rng.standard_normal(7)
         x = solve_with_factor(f, rhs)
-        assert_allclose(f.matrix() @ x, rhs, rtol=0, atol=1e-8)
+        M = build_masked(G, W) + 1e-9 * np.eye(7)
+        assert_allclose(M @ x, rhs, rtol=0, atol=1e-8)
 
     def test_zero_dimension(self):
         f = factorize(np.zeros((0, 0)), WorkingSet(0, 0), 1e-8)
@@ -235,29 +257,6 @@ class TestRankOneUpdates:
         with pytest.raises(CholeskyDowndateError):
             remove_index(f, 1)
 
-    def test_copy_is_independent(self):
-        G = np.eye(3) * 2.0
-        f = factorize(G, WorkingSet(0, 3), 1e-8)
-        g = f.copy()
-        add_index(g, 1)
-        assert 1 not in f.mask and 1 in g.mask
-
-        # pins and unpins on a copy update the copy's own factor, and
-        # leave the original's bytes alone
-        rng = np.random.default_rng(7)
-        G = random_psd(rng, 8) + np.eye(8)
-        f = factorize(G, WorkingSet(0, 8, [2, 5]), 1e-8)
-        before = f.factor.tobytes()
-        g = f.copy()
-        for step in (lambda: add_index(g, 3), lambda: remove_index(g, 5),
-                     lambda: add_index(g, 0), lambda: remove_index(g, 2)):
-            step()
-            fresh = factorize(G, g.mask, 1e-8).factor
-            assert rel_diff(g.factor, fresh) <= 1e-12
-        assert g.mask == WorkingSet(0, 8, [0, 3])
-        assert f.mask == WorkingSet(0, 8, [2, 5])
-        assert f.factor.tobytes() == before
-
 
 class TestBlasKernels:
     """The BLAS rank-1 kernels against the numpy loops they replaced."""
@@ -305,7 +304,6 @@ class TestBlasKernels:
         assert f.factor.flags.f_contiguous
         remove_index(f, 4)
         assert f.factor.flags.f_contiguous
-        assert f.copy().factor.flags.f_contiguous
 
     def test_pivot_floor_inside_downdate(self):
         # Unmasking index 0 passes the diagonal check in remove_index
@@ -314,13 +312,13 @@ class TestBlasKernels:
         # collapses at position 2 of the block L[1:, 1:].
         G = np.eye(4)
         G[0, 3] = G[3, 0] = 2.0
-        f = factorize(G, WorkingSet(0, 4, [0]), 1e-10)
 
         def message(downdate):
+            f = factorize(G, WorkingSet(0, 4, [0]), 1e-10)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(kernel, "_rank1_downdate", downdate)
                 with pytest.raises(CholeskyDowndateError) as err:
-                    remove_index(f.copy(), 0)
+                    remove_index(f, 0)
             return str(err.value)
 
         got = message(kernel._rank1_downdate)
