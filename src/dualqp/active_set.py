@@ -63,7 +63,9 @@ def check_symmetric(name, M):
 
     Callers check finiteness first; a NaN would pass this test."""
     scale = 1.0 + np.max(np.abs(M), initial=0.0)
-    if np.max(np.abs(M - M.T), initial=0.0) > 1e-12 * scale:
+    asym = M - M.T
+    np.abs(asym, out=asym)  # in place: one m x m temporary, not two
+    if np.max(asym, initial=0.0) > 1e-12 * scale:
         raise ValueError(f"{name} must be symmetric")
 
 
@@ -119,12 +121,14 @@ class SolverConfig:
         re-checks the config.  A shift above 1 is rejected: refinement
         steps shrink like 1/epsilon, and from about 1e200 they underflow
         its tests; an infinite shift never gets sharper."""
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in (0, 1]")
+        eps = self.epsilon
+        if (isinstance(eps, bool) or not isinstance(eps, numbers.Real)
+                or not 0.0 < eps <= 1.0):
+            raise ValueError("epsilon must be a real number in (0, 1]")
         if not isinstance(self.smartstart, (bool, np.bool_)):
             raise ValueError("smartstart must be a bool")
         n = self.max_outer_iters
-        if n is not None and not (isinstance(n, numbers.Integral) and n >= 1):
+        if n is not None and as_integer("max_outer_iters", n) < 1:
             raise ValueError("max_outer_iters must be None or an integer "
                              ">= 1")
 
@@ -201,42 +205,38 @@ def _salvage(err, c_bar):
     construction, so when classification is out of reach (spectrum
     crowding the shift from both sides) the iterate still drives the
     outer loop: it selects a blocking bound, or gets cut at its exact
-    line minimizer.  Re-raises the original error when the iterate is
-    missing or fails the slope check.
+    line minimizer.  Returns None when the iterate is zero, not finite
+    or fails the slope check.
     """
-    x = err.diagnostics.get("iterate")
-    if x is None:
-        raise err
-    x = np.asarray(x, dtype=float)
-    nrm = np.linalg.norm(x)
+    nrm = np.linalg.norm(err.iterate)
     if not nrm > 0.0:
-        raise err
-    p = x / nrm
+        return None
+    p = err.iterate / nrm
     if not float(c_bar @ p) < 0.0:
-        raise err
-    iters = int(err.diagnostics.get("iters", 0)) or 1
-    res = float(err.diagnostics.get("residual", math.nan))
-    return RefineOutcome(OutcomeKind.DESCENT_DIRECTION, p, iters, res)
+        return None
+    return RefineOutcome(OutcomeKind.DESCENT_DIRECTION, p, err.iters,
+                         err.residual)
 
 
 def _directed_step(qp, f, c_bar, mu, g_scale):
     """Classify the pinned subproblem and settle the step along the result.
 
-    Returns (outcome, alpha, blocking, retries).  When refinement cannot
-    classify at the current shift, f is refactorized in place at a
-    sharper one and the subproblem retried; retries counts those
-    escalations.  Once the floor is reached the last iterate is salvaged
-    as an uncertified descent direction.  A solution steps at most to 1,
-    the subspace minimizer.  Every descent step is capped at its exact
-    line minimizer -slope/curvature, so real curvature along a nominally
-    flat direction cannot break the monotone decrease of the objective.
-    Near-zero solutions get a throwaway (alpha, blocking); the caller
-    tests them for the multiplier branch before stepping.
+    Returns (outcome, alpha, blocking, retries, failure).  When
+    refinement cannot classify at the current shift, f is refactorized
+    in place at a sharper one and the subproblem retried; retries counts
+    those escalations.  Once the floor is reached the last iterate is
+    salvaged as an uncertified descent direction.  A solution steps at
+    most to 1, the subspace minimizer.  Every descent step is capped at
+    its exact line minimizer -slope/curvature, so real curvature along a
+    nominally flat direction cannot break the monotone decrease of the
+    objective.  Near-zero solutions get a throwaway (alpha, blocking);
+    the caller tests them for the multiplier branch before stepping.
 
-    Raises RefinementError when even salvage fails, with the retries in
-    its diagnostics, and UnboundedDualError only for a classified
-    direction whose curvature is zero at machine level while no bound
-    blocks it.
+    failure is None, or the reason the subproblem gave no usable step,
+    with (outcome, alpha, blocking) all None: the refinement error when
+    salvage fails, or a flat salvaged direction that no bound blocks.
+    Raises UnboundedDualError only for a classified direction whose
+    curvature is zero at machine level while no bound blocks it.
     """
     retries = 0
     salvaged = False
@@ -247,8 +247,9 @@ def _directed_step(qp, f, c_bar, mu, g_scale):
             if _sharpen(qp, f):
                 retries += 1
                 continue
-            err.diagnostics["retries"] = retries
             outcome = _salvage(err, c_bar)
+            if outcome is None:
+                return None, None, None, retries, str(err)
             salvaged = True
         break
 
@@ -257,22 +258,21 @@ def _directed_step(qp, f, c_bar, mu, g_scale):
     if outcome.is_solution:
         if alpha > 1.0:  # the subspace minimizer comes first
             alpha, blocking = 1.0, None
-        return outcome, alpha, blocking, retries
+        return outcome, alpha, blocking, retries, None
 
     curv = float(p @ (qp.G @ p))
     flat = curv <= _FLAT_TOL * g_scale * float(p @ p)
     alpha_min = math.inf if flat else -float(c_bar @ p) / curv
     if alpha_min < alpha:
-        return outcome, alpha_min, None, retries
+        return outcome, alpha_min, None, retries, None
     if blocking is None:  # flat, and no bound blocks
         if not salvaged:  # certified: the dual objective is a descending ray
             raise UnboundedDualError(
                 "unbounded descent direction with no blocking bound: "
                 "the primal problem is infeasible")
-        raise RefinementError(
-            "flat uncertified direction with no blocking bound",
-            diagnostics={"curvature": curv, "retries": retries})
-    return outcome, alpha, blocking, retries
+        return (None, None, None, retries,
+                "flat uncertified direction with no blocking bound")
+    return outcome, alpha, blocking, retries, None
 
 
 def _inf_norm(v):
@@ -323,108 +323,102 @@ def solve_dual(qp, W0=None, cfg=None):
     elif (W0.m_eq, W0.m_in) != (qp.m_eq, qp.m_in):
         raise ValueError("W0 dimensions do not match the dual problem")
     m = qp.m
-    eps = cfg.epsilon
     max_outer = cfg.max_outer_iters or max(10 * m, 1)
     h_scale = 1.0 + _inf_norm(qp.h)
 
     mu = np.zeros(m)
-    try:
-        f = factorize(qp.G, W0, eps)
-    except np.linalg.LinAlgError as err:
-        stat, comp = _kkt_summary(qp, mu, W0)
-        return SolveReport(
-            mu_star=mu, status=SolveStatus.NUMERICAL_FAILURE, objective=0.0,
-            outer_iters=0, refine_calls=0, refine_iters_min=0,
-            refine_iters_max=0, refine_iters_mean=0.0, descent_count=0,
-            shift_retries=0, final_shift=eps, stationarity_residual=stat,
-            complementarity_residual=comp,
-            message=f"start factorization failed at shift {eps:g}: {err}")
     g_scale = 1.0 + _inf_norm(qp.G)
     refine_iters = []
     descent_count = 0
     shift_retries = 0
     trace = []
-    visited = {}
+    visited = set()  # (working set, objective) pairs met so far
+    k = 0
+    W, shift = W0, cfg.epsilon  # what a failed start reports
     status = SolveStatus.ITERATION_LIMIT
     message = "outer iteration cap reached"
 
-    for k in range(1, max_outer + 1):
-        g = qp.G @ mu
-        c = g + qp.h
-        obj = 0.5 * (mu @ g) + qp.h @ mu
-        trace.append(obj)
+    try:
+        f = factorize(qp.G, W0, shift)
+    except np.linalg.LinAlgError as err:
+        status = SolveStatus.NUMERICAL_FAILURE
+        message = f"start factorization failed at shift {shift:g}: {err}"
+    else:
+        for k in range(1, max_outer + 1):
+            g = qp.G @ mu
+            c = g + qp.h
+            obj = 0.5 * (mu @ g) + qp.h @ mu
+            trace.append(obj)
 
-        key = f.mask.as_tuple()
-        seen = visited.setdefault(key, set())
-        if obj in seen:
-            message = (f"cycle detected: working set {key} revisited at "
-                       f"objective {float(obj)!r}")
-            break
-        seen.add(obj)
+            key = (f.mask.as_tuple(), obj)
+            if key in visited:
+                message = (f"cycle detected: working set {key[0]} "
+                           f"revisited at objective {float(obj)!r}")
+                break
+            visited.add(key)
 
-        c_bar = mask_vector(c, f.mask)
-        outcome = None
-        p_zero = None
-        if _inf_norm(c_bar) <= _STATIONARITY_TOL * h_scale:
-            p_zero = np.zeros(m)  # already at this subspace's minimizer
-        else:
-            try:
-                outcome, alpha, blocking, retries = _directed_step(
+            c_bar = mask_vector(c, f.mask)
+            outcome = None
+            p_zero = None
+            if _inf_norm(c_bar) <= _STATIONARITY_TOL * h_scale:
+                p_zero = np.zeros(m)  # already at this subspace's minimizer
+            else:
+                outcome, alpha, blocking, retries, failure = _directed_step(
                     qp, f, c_bar, mu, g_scale)
-            except RefinementError as err:
-                shift_retries += err.diagnostics["retries"]
-                status = SolveStatus.NUMERICAL_FAILURE
-                message = f"refinement failed at iteration {k}: {err}"
-                break
-            shift_retries += retries
-            refine_iters.append(outcome.iters)
-            if (outcome.is_solution
-                    and _inf_norm(outcome.p)
-                    <= _ZERO_STEP_TOL * (1.0 + _inf_norm(mu))):
-                p_zero = outcome.p
-
-        if p_zero is not None:
-            lam = lambda_from_direction(qp.G, p_zero, c, f.mask)
-            sigma = -lam  # bound multipliers: gradient on the working set
-            if sigma.size == 0 or np.min(sigma) >= -_LAMBDA_TOL * h_scale:
-                status = SolveStatus.OPTIMAL
-                message = ""
-                break
-            j = int(f.mask.indices[int(np.argmin(sigma))])
-            try:
-                f = remove_index(f, j)
-            except CholeskyDowndateError:
-                try:
-                    f = factorize(qp.G, f.mask.remove(j), f.epsilon)
-                except np.linalg.LinAlgError as err:
+                shift_retries += retries
+                if failure is not None:
                     status = SolveStatus.NUMERICAL_FAILURE
-                    message = (f"refactorization failed at iteration {k}, "
-                               f"shift {f.epsilon:g}: {err}")
+                    message = f"refinement failed at iteration {k}: {failure}"
                     break
-            continue
+                refine_iters.append(outcome.iters)
+                if (outcome.is_solution
+                        and _inf_norm(outcome.p)
+                        <= _ZERO_STEP_TOL * (1.0 + _inf_norm(mu))):
+                    p_zero = outcome.p
 
-        if not outcome.is_solution:
-            descent_count += 1
-        mu = mu + alpha * outcome.p
-        np.maximum(mu[qp.m_eq:], 0.0, out=mu[qp.m_eq:])
-        if blocking is not None:
-            mu[blocking] = 0.0
-            f = add_index(f, blocking)
+            if p_zero is not None:
+                lam = lambda_from_direction(qp.G, p_zero, c, f.mask)
+                sigma = -lam  # bound multipliers: gradient on the working set
+                if sigma.size == 0 or np.min(sigma) >= -_LAMBDA_TOL * h_scale:
+                    status = SolveStatus.OPTIMAL
+                    message = ""
+                    break
+                j = int(f.mask.indices[int(np.argmin(sigma))])
+                try:
+                    f = remove_index(f, j)
+                except CholeskyDowndateError:
+                    try:
+                        f = factorize(qp.G, f.mask.remove(j), f.epsilon)
+                    except np.linalg.LinAlgError as err:
+                        status = SolveStatus.NUMERICAL_FAILURE
+                        message = (f"refactorization failed at iteration "
+                                   f"{k}, shift {f.epsilon:g}: {err}")
+                        break
+                continue
 
-    stat, comp = _kkt_summary(qp, mu, f.mask)
-    n_ref = len(refine_iters)
+            if not outcome.is_solution:
+                descent_count += 1
+            mu = mu + alpha * outcome.p
+            np.maximum(mu[qp.m_eq:], 0.0, out=mu[qp.m_eq:])
+            if blocking is not None:
+                mu[blocking] = 0.0
+                f = add_index(f, blocking)
+        W, shift = f.mask, f.epsilon
+
+    stat, comp = _kkt_summary(qp, mu, W)
+    iters = refine_iters or [0]
     return SolveReport(
         mu_star=mu,
         status=status,
         objective=float(qp.objective(mu)),
         outer_iters=k,
-        refine_calls=n_ref,
-        refine_iters_min=min(refine_iters) if n_ref else 0,
-        refine_iters_max=max(refine_iters) if n_ref else 0,
-        refine_iters_mean=float(np.mean(refine_iters)) if n_ref else 0.0,
+        refine_calls=len(refine_iters),
+        refine_iters_min=min(iters),
+        refine_iters_max=max(iters),
+        refine_iters_mean=float(np.mean(iters)),
         descent_count=descent_count,
         shift_retries=shift_retries,
-        final_shift=f.epsilon,
+        final_shift=shift,
         stationarity_residual=stat,
         complementarity_residual=comp,
         message=message,

@@ -45,17 +45,19 @@ _NULL_TOL = 1e-8        # contraction stop: ||masked(G) x|| <= tol * ||x0||
 
 
 class RefinementError(RuntimeError):
-    """Refinement failed to classify within the iteration budget.
+    """Refinement failed to classify within the iteration budget, or a
+    descent direction failed its runtime checks.
 
-    `diagnostics` carries the last iterate statistics, including the
-    iterate itself under "iterate" (callers may salvage it: it is a
-    strict descent direction for the subproblem whenever c_bar is
-    nonzero, even though it certifies neither regime).
+    `iterate` is the last refinement iterate (callers may salvage it: it
+    is a strict descent direction for the subproblem whenever c_bar is
+    nonzero, even though it certifies neither regime); `iters` and
+    `residual` are the iteration count and ||masked(G) x + c_bar|| at
+    the failure.
     """
 
-    def __init__(self, message, diagnostics=None):
+    def __init__(self, message, iterate, iters, residual):
         super().__init__(message)
-        self.diagnostics = dict(diagnostics or {})
+        self.iterate, self.iters, self.residual = iterate, iters, residual
 
 
 class OutcomeKind(Enum):
@@ -101,7 +103,6 @@ def refine_solve(f, c_bar):
     x = np.zeros(f.n)
     r = -c_bar
     prev_step = None
-    stats = {}
     for k in range(1, _MAX_ITERS + 1):
         step = solve_with_factor(f, r)
         x = x + step
@@ -110,8 +111,6 @@ def refine_solve(f, c_bar):
         x_norm = np.linalg.norm(x)
         step_norm = np.linalg.norm(step)
         ratio = step_norm / x_norm if x_norm > 0 else 0.0
-        stats = {"iters": k, "residual": res, "x_norm": x_norm,
-                 "step_norm": step_norm, "step_ratio": ratio}
 
         if res <= _RES_TOL * (1.0 + c_norm) and ratio <= _STAGNATION_TOL:
             return RefineOutcome(OutcomeKind.SOLUTION, x, k, res)
@@ -120,7 +119,7 @@ def refine_solve(f, c_bar):
             dd = np.linalg.norm(step - prev_step)
             if dd <= _DD_TOL * x_norm:
                 if ratio > _STAGNATION_TOL:
-                    p = _extract_direction(f, c_bar, step, stats)
+                    p = _extract_direction(f, c_bar, step, k, res)
                     return RefineOutcome(OutcomeKind.DESCENT_DIRECTION, p,
                                          k, res)
                 # Steps have stopped moving and are tiny relative to x:
@@ -128,12 +127,11 @@ def refine_solve(f, c_bar):
                 return RefineOutcome(OutcomeKind.SOLUTION, x, k, res)
         prev_step = step
 
-    raise RefinementError(
-        f"no convergence within {_MAX_ITERS} iterations",
-        diagnostics={**stats, "iterate": x})
+    raise RefinementError(f"no convergence within {_MAX_ITERS} iterations",
+                          x, _MAX_ITERS, res)
 
 
-def _extract_direction(f, c_bar, step, stats):
+def _extract_direction(f, c_bar, step, iters, residual):
     # Normalize, strip the range-space tail, orient downhill; the
     # contraction is linear, so the sign can wait until after it.
     p = step / np.linalg.norm(step)
@@ -147,9 +145,8 @@ def _extract_direction(f, c_bar, step, stats):
     slope = c_bar @ p
     if curvature > _CURVATURE_TOL * np.linalg.norm(p) or not slope < 0:
         raise RefinementError(
-            "extracted direction failed verification",
-            diagnostics={**stats, "curvature": curvature, "slope": slope,
-                         "iterate": step})
+            f"extracted direction failed verification: curvature "
+            f"{curvature:.6g}, slope {slope:.6g}", step, iters, residual)
     return p
 
 

@@ -59,6 +59,8 @@ class PrimalQP:
         if self.q.ndim != 1:
             raise ValueError("q must be a vector")
         n = self.q.shape[0]
+        if not isinstance(self.identity_p, (bool, np.bool_)):
+            raise ValueError("identity_p must be a bool")
         if self.P is None:
             if not self.identity_p:
                 raise ValueError("P may only be omitted with identity_p=True")

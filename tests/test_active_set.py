@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import dualqp.active_set as active_set
 from dualqp import (DualQP, SolveStatus, SolverConfig, UnboundedDualError,
@@ -48,10 +48,10 @@ def directed_step(monkeypatch, mu, c_bar, outcome):
     qp = DualQP(G=np.eye(m), h=np.zeros(m), m_eq=0, m_in=m)
     f = factorize(qp.G, WorkingSet(0, m), 1e-7)
     monkeypatch.setattr(active_set, "refine_solve", lambda f, c_bar: outcome)
-    _, alpha, blocking, retries = active_set._directed_step(
+    _, alpha, blocking, retries, failure = active_set._directed_step(
         qp, f, np.asarray(c_bar, dtype=float), np.asarray(mu, dtype=float),
         2.0)
-    assert retries == 0
+    assert retries == 0 and failure is None
     return alpha, blocking
 
 
@@ -308,18 +308,18 @@ class TestSalvageRejections:
     """Refinement fails at the shift floor and the iterate it leaves
     cannot be salvaged: the solve stops with NUMERICAL_FAILURE."""
 
-    @pytest.mark.parametrize("diagnostics", [
-        lambda c_bar: {},
-        lambda c_bar: {"iterate": np.zeros_like(c_bar)},
-        lambda c_bar: {"iterate": c_bar.copy()},  # uphill
-    ], ids=["no_iterate", "zero_iterate", "uphill_iterate"])
+    @pytest.mark.parametrize("iterate", [
+        np.zeros_like,
+        lambda c_bar: np.full_like(c_bar, np.nan),
+        lambda c_bar: c_bar.copy(),  # uphill
+    ], ids=["zero_iterate", "nan_iterate", "uphill_iterate"])
     def test_unsalvageable_iterate_is_a_numerical_failure(
-            self, monkeypatch, diagnostics):
+            self, monkeypatch, iterate):
         calls = []
 
         def fail(f, c_bar):
             calls.append(f.epsilon)
-            raise RefinementError("forced", diagnostics(c_bar))
+            raise RefinementError("forced", iterate(c_bar), 20, 1.0)
 
         monkeypatch.setattr(active_set, "refine_solve", fail)
         # the shift starts at the floor, so nothing escalates
@@ -328,14 +328,14 @@ class TestSalvageRejections:
         assert rep.status is SolveStatus.NUMERICAL_FAILURE
         assert rep.shift_retries == 0
         assert rep.outer_iters == 1
-        assert rep.message.startswith("refinement failed at iteration 1")
+        assert rep.message == "refinement failed at iteration 1: forced"
 
     def test_failure_report_keeps_its_escalations(self, monkeypatch):
         calls = []
 
         def fail(f, c_bar):
             calls.append(f.epsilon)
-            raise RefinementError("forced", {})
+            raise RefinementError("forced", np.zeros_like(c_bar), 20, 1.0)
 
         monkeypatch.setattr(active_set, "refine_solve", fail)
         rep = solve_dual(projection_dual())
@@ -350,13 +350,14 @@ class TestSalvageRejections:
         # the salvaged iterate has zero curvature and no bound blocks
         # it, but it is not certified: no infeasibility is claimed
         def fail(f, c_bar):
-            raise RefinementError("forced", {"iterate": np.array([1.0])})
+            raise RefinementError("forced", np.array([1.0]), 20, 1.0)
 
         monkeypatch.setattr(active_set, "refine_solve", fail)
         qp = DualQP(G=np.zeros((1, 1)), h=np.array([-1.0]), m_eq=0, m_in=1)
         rep = solve_dual(qp)
         assert rep.status is SolveStatus.NUMERICAL_FAILURE
-        assert "flat uncertified direction" in rep.message
+        assert rep.message == ("refinement failed at iteration 1: flat "
+                               "uncertified direction with no blocking bound")
         assert rep.shift_retries == 3
         assert rep.final_shift == 1e-12
 
@@ -410,6 +411,19 @@ class TestAbsoluteShift:
         assert f"shift {shift:g}" in rep.message
         assert rep.final_shift == shift
         assert np.isfinite(rep.mu_star).all()
+        if message.startswith("start"):
+            # nothing ran: the report is of mu = 0 on the start set W0
+            assert rep.outer_iters == 0 and rep.objective == 0.0
+            assert rep.refine_calls == 0 and rep.refine_iters_mean == 0.0
+            assert rep.refine_iters_min == rep.refine_iters_max == 0
+            assert rep.descent_count == 0 and rep.shift_retries == 0
+            assert rep.objective_trace == []
+            assert_array_equal(rep.mu_star, np.zeros(dual.m))
+            free = ~smartstart(dual).member  # g = h at mu = 0
+            h_scale = 1.0 + np.max(np.abs(dual.h))
+            assert rep.stationarity_residual == (
+                np.max(np.abs(dual.h[free])) / h_scale)
+            assert rep.complementarity_residual == 0.0
 
     @pytest.mark.parametrize("s", [1e2, 1e3])
     @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
@@ -437,7 +451,7 @@ class TestCycleDetection:
             free = [i for i in qp.inequality_indices if i not in f.mask]
             outcome = RefineOutcome(OutcomeKind.DESCENT_DIRECTION, -c_bar,
                                     1, 0.0)
-            return outcome, 0.0, free[0], 0
+            return outcome, 0.0, free[0], 0, None
 
         monkeypatch.setattr(active_set, "_directed_step", pin_smallest_free)
         qp = DualQP(G=np.eye(2), h=np.array([-1.0, -1.0]), m_eq=0, m_in=2)
@@ -522,10 +536,14 @@ class TestSolverConfig:
         ("max_outer_iters", 0, "max_outer_iters"),
         ("max_outer_iters", -3, "max_outer_iters"),
         ("max_outer_iters", 2.5, "max_outer_iters"),
+        ("max_outer_iters", True, "max_outer_iters"),
         ("epsilon", 0.0, "epsilon"),
         ("epsilon", np.inf, "epsilon"),
         ("epsilon", np.nan, "epsilon"),
         ("epsilon", 1e200, "epsilon"),
+        ("epsilon", True, "epsilon"),
+        ("epsilon", np.True_, "epsilon"),
+        ("epsilon", "1e-7", "epsilon"),
         ("smartstart", "off", "smartstart"),
     ])
     def test_bad_value_raises_before_any_factorization(

@@ -51,3 +51,20 @@ def test_report_has_every_field_the_runner_reads():
     assert {"outer_iters", "mu_star", "status"} <= read
     fields = {f.name for f in dataclasses.fields(SolveReport)}
     assert read <= fields, read - fields
+
+
+def test_every_counted_error_class_exists():
+    # run.py counts failed spans by the class name of the exception
+    # (refine.unclassified, kernel.downdate_fallbacks); a renamed class,
+    # or a raise turned into a return value, would make them read 0
+    with open(os.path.join(BENCH, "run.py")) as fh:
+        pairs = re.findall(r'name == "([\w.]+)" and err == "(\w+)"',
+                           fh.read())
+    assert len(pairs) >= 2, pairs
+    module_of = {span: module
+                 for module, entries in load("tracing").HOOKS.items()
+                 for _, span in entries}
+    for span, err in pairs:
+        cls = getattr(importlib.import_module(module_of[span]), err, None)
+        assert isinstance(cls, type) and issubclass(cls, Exception), (
+            f"{span} is counted by {err}, which {module_of[span]} lacks")

@@ -185,7 +185,7 @@ class TestSolveCommand:
     def test_numerical_failure_exit(self, tmp_path, monkeypatch):
         # refinement fails at every shift and leaves nothing to salvage
         def fail(f, c_bar):
-            raise RefinementError("forced", {})
+            raise RefinementError("forced", np.zeros_like(c_bar), 20, 1.0)
 
         prob = write_json(tmp_path / "p.json", projection_doc())
         optimal = tmp_path / "optimal.json"

@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from dualqp import WorkingSet
 from dualqp.kernel import factorize
@@ -107,10 +109,11 @@ class TestFailurePath:
                            match="no convergence within 20 iterations") \
                 as info:
             refine_solve(f, c)
-        diag = info.value.diagnostics
-        assert diag["iters"] == 20
-        assert "iterate" in diag and "residual" in diag
-        x = np.asarray(diag["iterate"])
+        err = info.value
+        assert err.iters == 20
+        x = err.iterate
+        assert err.residual == pytest.approx(
+            np.linalg.norm(c + G @ x), rel=1e-12)
         # the stranded iterate still slopes downhill, so it is salvageable
         assert float(c @ x) < 0.0
 
@@ -143,10 +146,13 @@ class TestExtractDirection:
         with pytest.raises(RefinementError,
                            match="extracted direction failed verification") \
                 as info:
-            _extract_direction(f, c_bar, step, {})
+            _extract_direction(f, c_bar, step, 7, 0.5)
+        err = info.value
+        assert (err.iters, err.residual) == (7, 0.5)
+        assert_array_equal(err.iterate, step)
         # the curvature checked is the unpolished step's
-        assert info.value.diagnostics["curvature"] == pytest.approx(
-            5e-5 / np.sqrt(2.0), rel=1e-12)
+        curvature = float(re.search(r"curvature (\S+),", str(err)).group(1))
+        assert curvature == pytest.approx(5e-5 / np.sqrt(2.0), rel=1e-5)
 
     # The sign is read off the polished direction: [-1, -1] is uphill,
     # but its null-space part [-1, 0] is downhill and is kept as it is.
@@ -154,7 +160,8 @@ class TestExtractDirection:
                              ids=["uphill_step", "downhill_after_polish"])
     def test_direction_is_oriented_downhill(self, step):
         G, f = diag_factor([0.0, 1.0])
-        p = _extract_direction(f, np.array([1.0, -3.0]), np.array(step), {})
+        p = _extract_direction(f, np.array([1.0, -3.0]), np.array(step), 2,
+                               0.0)
         assert_allclose(p, [-1.0, 0.0], rtol=0, atol=1e-12)
 
 

@@ -39,6 +39,16 @@ class TestPrimalQP:
         with pytest.raises(ValueError):
             PrimalQP(P=2 * np.eye(2), q=np.zeros(2), identity_p=True)
 
+    # a flag that is not a bool was taken by truthiness: "no" and 1
+    # solved as the identity, and "false" with P = 3I failed with an
+    # error claiming identity_p=True
+    @pytest.mark.parametrize("P, flag", [
+        (None, "no"), (None, 1), (None, None), (3 * np.eye(2), "false"),
+    ], ids=["no", "one", "none", "false-3I"])
+    def test_identity_flag_must_be_a_bool(self, P, flag):
+        with pytest.raises(ValueError, match="identity_p must be a bool"):
+            PrimalQP(P=P, q=np.zeros(2), identity_p=flag)
+
     def test_rejects_shape_mismatches(self):
         with pytest.raises(ValueError):
             PrimalQP(P=np.eye(3), q=np.zeros(2))
