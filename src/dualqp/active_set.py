@@ -10,7 +10,15 @@ inspects the bound multipliers to drop an index or declare optimality.
 Unbounded descent (a zero-curvature direction with no blocking bound)
 means the original inequality-constrained problem is infeasible; that
 surfaces as UnboundedDualError, and only after the curvature along the
-direction is confirmed to be zero at machine level.
+direction is confirmed to be zero at machine level.  When the dual
+carries the primal problem it was built from (build_dual hands it
+over), the ray p must also be a Farkas certificate on the primal rows
+M = [A; C] and offsets [b; d]:
+
+    ||M'p||_inf <= _RAY_TOL ||M||_inf ||p||_inf   and   [b; d]'p < 0,
+
+where ||M||_inf is the largest absolute row sum.  A ray that fails
+this check ends the solve as NUMERICAL_FAILURE.
 
 The proximal shift used by the refinement module doubles as a spectral
 cutoff: eigenvalues far below it act as zeros, far above it as regular
@@ -18,9 +26,16 @@ curvature, and eigenvalues near it are ambiguous.  This module owns the
 shift policy: the first factor is built at SolverConfig.epsilon, and
 when refinement cannot classify a subproblem the loop refactorizes in
 place at a shift _SHIFT_SHRINK times smaller and retries, down to
-_SHIFT_FLOOR.  The shift never grows back within a solve.  At the floor
-the last refinement iterate is salvaged as an uncertified descent
-direction.
+_SHIFT_FLOOR.  At the floor the last refinement iterate is salvaged as
+an uncertified descent direction.
+
+The shift comes back after a hard subproblem.  The loop keeps a home
+shift: SolverConfig.epsilon at the start, then the shift of the last
+subproblem that refinement classified without salvage.  Each outer
+iteration that needs refinement first refactorizes in place at home
+when the factor's shift is below it.  Classification happens at or
+below home, so home never rises.  When the factorization at home
+fails, the loop keeps the sharper factor it has.
 """
 
 from __future__ import annotations
@@ -44,11 +59,20 @@ _ZERO_STEP_TOL = 1e-12    # a returned step this small counts as zero
 _FLAT_TOL = 1e-12         # certified-flat curvature, times 1+max|G|
 _SHIFT_SHRINK = 1e-2      # shift reduction per escalation
 _SHIFT_FLOOR = 1e-12      # smallest shift worth factorizing with
+_RAY_TOL = 1e-10          # primal check on a ray, times ||M||_inf ||p||_inf
 
 
 class UnboundedDualError(RuntimeError):
     """The dual objective decreases without bound; the primal problem
-    admits no feasible point."""
+    admits no feasible point.
+
+    `ray` is the dual direction p of unbounded descent.  For a dual
+    built by build_dual it is a checked Farkas certificate:
+    [A; C]'p ~ 0, p >= 0 on the inequality rows and [b; d]'p < 0."""
+
+    def __init__(self, message, ray):
+        super().__init__(message)
+        self.ray = ray
 
 
 class SolveStatus(Enum):
@@ -73,12 +97,20 @@ def check_symmetric(name, M):
 class DualQP:
     """Lower QP data: quadratic term G, linear term h, and the split of
     the variable vector into m_eq free coordinates followed by m_in
-    bound (>= 0) coordinates."""
+    bound (>= 0) coordinates.
+
+    primal, when given, is the PrimalQP behind G and h.  build_dual
+    passes it by reference; solve_dual reads its rows and offsets only
+    to check an infeasibility ray on the primal data.  A DualQP built
+    without it gets no such check.  Holding the primal, and not a
+    stacked copy of its rows, keeps that copy out of memory while the
+    dual is alive."""
 
     G: np.ndarray
     h: np.ndarray
     m_eq: int
     m_in: int
+    primal: object = field(default=None, repr=False)
 
     def __post_init__(self):
         self.G = np.asarray(self.G, dtype=float)
@@ -94,6 +126,10 @@ class DualQP:
         if not (np.isfinite(self.G).all() and np.isfinite(self.h).all()):
             raise ValueError("G and h must be finite")
         check_symmetric("G", self.G)
+        if self.primal is not None and (
+                (self.primal.m_eq, self.primal.m_in) != (self.m_eq, self.m_in)):
+            raise ValueError("primal must have m_eq equality and m_in "
+                             "inequality rows")
 
     @property
     def m(self):
@@ -144,6 +180,7 @@ class SolveReport:
     refine_iters_max: int
     refine_iters_mean: float
     descent_count: int
+    salvaged_steps: int              # descent steps on uncertified directions
     shift_retries: int               # escalations to a sharper shift
     final_shift: float               # shift in effect at termination
     stationarity_residual: float     # ||(G mu + h)_free||_inf / (1 + ||h||_inf)
@@ -182,20 +219,23 @@ def step_length(mu, p, inequality_indices, W):
     return float(ratios[j]), int(cand[j])
 
 
-def _sharpen(qp, f):
-    # Refactorize f in place at the next shift down; False, with f
-    # untouched, at the floor or when the sharper shift falls below the
-    # rounding of a G with large entries, so that a rank-deficient
-    # block factors as indefinite.
-    if f.epsilon <= _SHIFT_FLOOR:
-        return False
+def _reshift(qp, f, epsilon):
+    # Refactorize f in place at epsilon; False, with f untouched, when
+    # the shifted block does not factor (on a G with large entries a
+    # rank-deficient block can round to indefinite at a small shift).
     try:
-        sharper = factorize(qp.G, f.mask, max(f.epsilon * _SHIFT_SHRINK,
-                                              _SHIFT_FLOOR))
+        fresh = factorize(qp.G, f.mask, epsilon)
     except np.linalg.LinAlgError:
         return False
-    f.factor, f.epsilon = sharper.factor, sharper.epsilon
+    f.factor, f.epsilon = fresh.factor, fresh.epsilon
     return True
+
+
+def _sharpen(qp, f):
+    # Refactorize f in place at the next shift down; False, with f
+    # untouched, at the floor or when the sharper shift does not factor.
+    return f.epsilon > _SHIFT_FLOOR and _reshift(
+        qp, f, max(f.epsilon * _SHIFT_SHRINK, _SHIFT_FLOOR))
 
 
 def _salvage(err, c_bar):
@@ -221,22 +261,27 @@ def _salvage(err, c_bar):
 def _directed_step(qp, f, c_bar, mu, g_scale):
     """Classify the pinned subproblem and settle the step along the result.
 
-    Returns (outcome, alpha, blocking, retries, failure).  When
-    refinement cannot classify at the current shift, f is refactorized
-    in place at a sharper one and the subproblem retried; retries counts
-    those escalations.  Once the floor is reached the last iterate is
-    salvaged as an uncertified descent direction.  A solution steps at
-    most to 1, the subspace minimizer.  Every descent step is capped at
-    its exact line minimizer -slope/curvature, so real curvature along a
-    nominally flat direction cannot break the monotone decrease of the
-    objective.  Near-zero solutions get a throwaway (alpha, blocking);
-    the caller tests them for the multiplier branch before stepping.
+    Returns (outcome, alpha, blocking, salvaged, retries, failure).
+    When refinement cannot classify at the current shift, f is
+    refactorized in place at a sharper one and the subproblem retried;
+    retries counts those escalations.  Once the floor is reached the
+    last iterate is salvaged as an uncertified descent direction, and
+    salvaged is True: the caller's home shift then stays where it was
+    (module docstring).  Otherwise the subproblem was classified at
+    f.epsilon.  A solution steps at most to 1, the subspace minimizer.
+    Every descent step is capped at its exact line minimizer
+    -slope/curvature, so real curvature along a nominally flat direction
+    cannot break the monotone decrease of the objective.  Near-zero
+    solutions get a throwaway (alpha, blocking); the caller tests them
+    for the multiplier branch before stepping.
 
     failure is None, or the reason the subproblem gave no usable step,
     with (outcome, alpha, blocking) all None: the refinement error when
-    salvage fails, or a flat salvaged direction that no bound blocks.
-    Raises UnboundedDualError only for a classified direction whose
-    curvature is zero at machine level while no bound blocks it.
+    salvage fails, a flat salvaged direction that no bound blocks, or a
+    ray that fails the primal check.  Raises UnboundedDualError only for
+    a classified direction whose curvature is zero at machine level
+    while no bound blocks it, and that passes the primal check when qp
+    carries its primal.
     """
     retries = 0
     salvaged = False
@@ -249,7 +294,7 @@ def _directed_step(qp, f, c_bar, mu, g_scale):
                 continue
             outcome = _salvage(err, c_bar)
             if outcome is None:
-                return None, None, None, retries, str(err)
+                return None, None, None, False, retries, str(err)
             salvaged = True
         break
 
@@ -258,21 +303,43 @@ def _directed_step(qp, f, c_bar, mu, g_scale):
     if outcome.is_solution:
         if alpha > 1.0:  # the subspace minimizer comes first
             alpha, blocking = 1.0, None
-        return outcome, alpha, blocking, retries, None
+        return outcome, alpha, blocking, salvaged, retries, None
 
     curv = float(p @ (qp.G @ p))
     flat = curv <= _FLAT_TOL * g_scale * float(p @ p)
     alpha_min = math.inf if flat else -float(c_bar @ p) / curv
     if alpha_min < alpha:
-        return outcome, alpha_min, None, retries, None
-    if blocking is None:  # flat, and no bound blocks
-        if not salvaged:  # certified: the dual objective is a descending ray
-            raise UnboundedDualError(
-                "unbounded descent direction with no blocking bound: "
-                "the primal problem is infeasible")
-        return (None, None, None, retries,
+        return outcome, alpha_min, None, salvaged, retries, None
+    if blocking is not None:
+        return outcome, alpha, blocking, salvaged, retries, None
+    # flat, and no bound blocks
+    if salvaged:
+        return (None, None, None, True, retries,
                 "flat uncertified direction with no blocking bound")
-    return outcome, alpha, blocking, retries, None
+    failure = _ray_check(qp, p)
+    if failure is not None:
+        return None, None, None, False, retries, failure
+    # certified: the dual objective is a descending ray
+    raise UnboundedDualError(
+        "unbounded descent direction with no blocking bound: "
+        "the primal problem is infeasible", p)
+
+
+def _ray_check(qp, p):
+    # None when p is a Farkas certificate on the primal rows (module
+    # docstring) or the dual carries no primal; else the failure
+    # message.  p >= 0 on the inequality rows holds already: no bound
+    # blocks p.
+    if qp.primal is None:
+        return None
+    M = qp.primal.stacked()
+    resid = _inf_norm(M.T @ p)
+    gap = float(np.concatenate([qp.primal.b, qp.primal.d]) @ p)
+    if resid <= _RAY_TOL * np.linalg.norm(M, np.inf) * _inf_norm(p) \
+            and gap < 0.0:
+        return None
+    return (f"infeasibility ray failed the primal check: "
+            f"||M'p||_inf {resid:.3g}, [b; d]'p {gap:.3g}")
 
 
 def _inf_norm(v):
@@ -298,15 +365,18 @@ def solve_dual(qp, W0=None, cfg=None):
         the inequality block is valid at mu = 0).  Defaults to
         smartstart(qp) when cfg.smartstart, else the empty set.
     cfg : SolverConfig, validated here before any work.  The first
-        factor is built at cfg.epsilon; _directed_step sharpens it in
-        place when a subproblem cannot be classified (module docstring).
+        factor is built at cfg.epsilon, the first home shift.
+        _directed_step sharpens the factor in place when a subproblem
+        cannot be classified, and each later iteration that needs
+        refinement starts back at home (module docstring).
 
     The working set lives in the factor: f.mask is the only copy, and
     add_index/remove_index move it together with the factor.
 
     Returns
     -------
-    SolveReport.  status OPTIMAL carries the certified multipliers;
+    SolveReport.  status OPTIMAL carries the certified multipliers,
+    and its message names the count of salvaged steps, if any;
     ITERATION_LIMIT and NUMERICAL_FAILURE report the best iterate with
     a diagnostic message.
 
@@ -314,7 +384,7 @@ def solve_dual(qp, W0=None, cfg=None):
     ------
     ValueError for an invalid cfg or a W0 of other dimensions than qp.
     UnboundedDualError when a zero-curvature descent direction meets no
-    blocking bound (primal infeasible).
+    blocking bound and passes the primal check (primal infeasible).
     """
     cfg = cfg or SolverConfig()
     cfg.validate()
@@ -330,11 +400,13 @@ def solve_dual(qp, W0=None, cfg=None):
     g_scale = 1.0 + _inf_norm(qp.G)
     refine_iters = []
     descent_count = 0
+    salvaged_steps = 0
     shift_retries = 0
     trace = []
     visited = set()  # (working set, objective) pairs met so far
     k = 0
     W, shift = W0, cfg.epsilon  # what a failed start reports
+    home = cfg.epsilon
     status = SolveStatus.ITERATION_LIMIT
     message = "outer iteration cap reached"
 
@@ -363,13 +435,19 @@ def solve_dual(qp, W0=None, cfg=None):
             if _inf_norm(c_bar) <= _STATIONARITY_TOL * h_scale:
                 p_zero = np.zeros(m)  # already at this subspace's minimizer
             else:
-                outcome, alpha, blocking, retries, failure = _directed_step(
-                    qp, f, c_bar, mu, g_scale)
+                if f.epsilon < home:
+                    _reshift(qp, f, home)  # on failure f stays sharper
+                (outcome, alpha, blocking, salvaged, retries,
+                 failure) = _directed_step(qp, f, c_bar, mu, g_scale)
                 shift_retries += retries
                 if failure is not None:
                     status = SolveStatus.NUMERICAL_FAILURE
                     message = f"refinement failed at iteration {k}: {failure}"
                     break
+                if salvaged:
+                    salvaged_steps += 1
+                else:
+                    home = f.epsilon
                 refine_iters.append(outcome.iters)
                 if (outcome.is_solution
                         and _inf_norm(outcome.p)
@@ -381,7 +459,9 @@ def solve_dual(qp, W0=None, cfg=None):
                 sigma = -lam  # bound multipliers: gradient on the working set
                 if sigma.size == 0 or np.min(sigma) >= -_LAMBDA_TOL * h_scale:
                     status = SolveStatus.OPTIMAL
-                    message = ""
+                    message = (f"optimal, but {salvaged_steps} step(s) "
+                               f"took salvaged, uncertified directions"
+                               if salvaged_steps else "")
                     break
                 j = int(f.mask.indices[int(np.argmin(sigma))])
                 try:
@@ -417,6 +497,7 @@ def solve_dual(qp, W0=None, cfg=None):
         refine_iters_max=max(iters),
         refine_iters_mean=float(np.mean(iters)),
         descent_count=descent_count,
+        salvaged_steps=salvaged_steps,
         shift_retries=shift_retries,
         final_shift=shift,
         stationarity_residual=stat,

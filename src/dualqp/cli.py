@@ -181,8 +181,9 @@ def _write_json(path, doc, indent=None):
 
 
 _REPORT_KEYS = ("status", "objective", "x", "mu_eq", "mu_in", "outer_iters",
-                "refine_iter_stats", "descent_steps", "shift_retries",
-                "dual_objective", "timings", "kkt_residuals", "message")
+                "refine_iter_stats", "descent_steps", "salvaged_steps",
+                "shift_retries", "dual_objective", "timings",
+                "kkt_residuals", "message")
 _STAGES = ("build_dual", "solve_dual", "recover_primal")
 _KKT_KEYS = ("stationarity", "primal_feasibility", "complementarity")
 
@@ -228,6 +229,7 @@ def _run_once(primal, cfg, dual_only):
                            "max": rep.refine_iters_max,
                            "mean": rep.refine_iters_mean},
         descent_steps=rep.descent_count,
+        salvaged_steps=rep.salvaged_steps,
         shift_retries=rep.shift_retries,
         dual_objective=rep.objective)
     if dual_only:

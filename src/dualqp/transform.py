@@ -145,8 +145,10 @@ def build_dual(primal):
     """Assemble the dual QP and the retained factor of P.
 
     Returns (DualQP, PFactor).  G is symmetrized after assembly; its
-    pre-symmetrization asymmetry is at rounding level.  Raises
-    InvalidProblemError when Cholesky of P breaks down (P not PD).
+    pre-symmetrization asymmetry is at rounding level.  The DualQP keeps
+    a reference to primal, for the primal check of an infeasibility
+    ray.  Raises InvalidProblemError when Cholesky of P breaks down (P
+    not PD).
     """
     M = primal.stacked()
     offsets = np.concatenate([primal.b, primal.d])
@@ -165,7 +167,8 @@ def build_dual(primal):
     G = M @ Y
     G = 0.5 * (G + G.T)
     h = M @ p_inv_q + offsets
-    dual = DualQP(G=G, h=h, m_eq=primal.m_eq, m_in=primal.m_in)
+    dual = DualQP(G=G, h=h, m_eq=primal.m_eq, m_in=primal.m_in,
+                  primal=primal)
     return dual, pf
 
 

@@ -48,10 +48,10 @@ def directed_step(monkeypatch, mu, c_bar, outcome):
     qp = DualQP(G=np.eye(m), h=np.zeros(m), m_eq=0, m_in=m)
     f = factorize(qp.G, WorkingSet(0, m), 1e-7)
     monkeypatch.setattr(active_set, "refine_solve", lambda f, c_bar: outcome)
-    _, alpha, blocking, retries, failure = active_set._directed_step(
-        qp, f, np.asarray(c_bar, dtype=float), np.asarray(mu, dtype=float),
-        2.0)
-    assert retries == 0 and failure is None
+    _, alpha, blocking, salvaged, retries, failure = (
+        active_set._directed_step(qp, f, np.asarray(c_bar, dtype=float),
+                                  np.asarray(mu, dtype=float), 2.0))
+    assert not salvaged and retries == 0 and failure is None
     return alpha, blocking
 
 
@@ -398,32 +398,48 @@ class TestAbsoluteShift:
         ref = enumerate_solve(primal).x
         assert_allclose(x, ref, rtol=1e-6, atol=0)
 
+    # fallback: the factor is back at the home shift 1e-7 when the
+    # refactorization after a collapsed downdate meets the indefinite
+    # block (at 1e3 the home shift solves the problem, see below)
     @pytest.mark.parametrize("s, message, shift", [
-        (1e3, "refactorization failed at iteration", 1e-12),
+        (10 ** 4.45, "refactorization failed at iteration", 1e-7),
         (1e5, "start factorization failed", 1e-7),
     ], ids=["fallback", "start"])
     def test_unfactorable_shift_is_a_numerical_failure(self, s, message,
                                                        shift):
         dual, _ = build_dual(large_rows_qp(s))
-        rep = solve_dual(dual)
-        assert rep.status is SolveStatus.NUMERICAL_FAILURE
-        assert rep.message.startswith(message)
-        assert f"shift {shift:g}" in rep.message
-        assert rep.final_shift == shift
-        assert np.isfinite(rep.mu_star).all()
-        if message.startswith("start"):
-            # nothing ran: the report is of mu = 0 on the start set W0
-            assert rep.outer_iters == 0 and rep.objective == 0.0
-            assert rep.refine_calls == 0 and rep.refine_iters_mean == 0.0
-            assert rep.refine_iters_min == rep.refine_iters_max == 0
-            assert rep.descent_count == 0 and rep.shift_retries == 0
-            assert rep.objective_trace == []
-            assert_array_equal(rep.mu_star, np.zeros(dual.m))
-            free = ~smartstart(dual).member  # g = h at mu = 0
-            h_scale = 1.0 + np.max(np.abs(dual.h))
-            assert rep.stationarity_residual == (
-                np.max(np.abs(dual.h[free])) / h_scale)
-            assert rep.complementarity_residual == 0.0
+        for warm in (True, False):
+            rep = solve_dual(dual, cfg=SolverConfig(smartstart=warm))
+            assert rep.status is SolveStatus.NUMERICAL_FAILURE
+            assert rep.message.startswith(message)
+            assert f"shift {shift:g}" in rep.message
+            assert rep.final_shift == shift
+            assert np.isfinite(rep.mu_star).all()
+            if message.startswith("start"):
+                # nothing ran: the report is of mu = 0 on the start set W0
+                assert rep.outer_iters == 0 and rep.objective == 0.0
+                assert rep.refine_calls == 0 and rep.refine_iters_mean == 0.0
+                assert rep.refine_iters_min == rep.refine_iters_max == 0
+                assert rep.descent_count == 0 and rep.shift_retries == 0
+                assert rep.salvaged_steps == 0
+                assert rep.objective_trace == []
+                assert_array_equal(rep.mu_star, np.zeros(dual.m))
+                W0 = smartstart(dual) if warm else WorkingSet(0, dual.m_in)
+                free = ~W0.member  # g = h at mu = 0
+                h_scale = 1.0 + np.max(np.abs(dual.h))
+                assert rep.stationarity_residual == (
+                    np.max(np.abs(dual.h[free])) / h_scale)
+                assert rep.complementarity_residual == 0.0
+
+    @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+    def test_rows_scaled_by_1e3_match_the_oracle(self, warm):
+        # the fallback refactorization used to fail at the shift floor;
+        # back at the home shift the solve ends optimal
+        primal = large_rows_qp(1e3)
+        sol, rep = solve(primal, SolverConfig(smartstart=warm))
+        assert rep.status is SolveStatus.OPTIMAL
+        ref = enumerate_solve(primal).x
+        assert np.max(np.abs(sol.x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("s", [1e2, 1e3])
     @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
@@ -441,6 +457,155 @@ class TestAbsoluteShift:
             assert f"shift {rep.final_shift:g}" in rep.message
 
 
+def scripted_refinement(monkeypatch, fails, iterate, unfactorable=()):
+    # refine_solve patched: call number k (from 1) raises, leaving
+    # `iterate`, when k is in `fails`; every other call refines for
+    # real.  factorize is counted, and raises LinAlgError for a shift
+    # in `unfactorable` after the start factorization.  Returns the
+    # shift each refinement call saw and the shift of each
+    # factorization attempt.
+    seen, factorizations = [], []
+    refine, factorize = active_set.refine_solve, active_set.factorize
+
+    def scripted(f, c_bar):
+        seen.append(f.epsilon)
+        if len(seen) in fails:
+            raise RefinementError("forced", np.asarray(iterate, dtype=float),
+                                  20, 1.0)
+        return refine(f, c_bar)
+
+    def counting(G, W, epsilon):
+        factorizations.append(epsilon)
+        if len(factorizations) > 1 and epsilon in unfactorable:
+            raise np.linalg.LinAlgError("forced")
+        return factorize(G, W, epsilon)
+
+    monkeypatch.setattr(active_set, "refine_solve", scripted)
+    monkeypatch.setattr(active_set, "factorize", counting)
+    return seen, factorizations
+
+
+COLD = SolverConfig(smartstart=False)
+
+
+class TestHomeShift:
+    """Each iteration that needs refinement starts at the home shift:
+    the shift of the last subproblem classified without salvage."""
+
+    def test_salvage_at_the_floor_returns_home(self, monkeypatch):
+        # G = I, h = [-1, 2], cold.  The first subproblem fails down to
+        # the floor and its iterate -c_bar = [1, -2] is salvaged: a step
+        # of 0 that pins bound 1.  The next subproblem starts back at
+        # the configured shift, one factorization later.
+        seen, factorizations = scripted_refinement(
+            monkeypatch, fails={1, 2, 3, 4}, iterate=[1.0, -2.0])
+        qp = DualQP(G=np.eye(2), h=np.array([-1.0, 2.0]), m_eq=0, m_in=2)
+        rep = solve_dual(qp, cfg=COLD)
+        assert seen == pytest.approx([1e-7, 1e-9, 1e-11, 1e-12, 1e-7],
+                                     rel=1e-12)
+        # the start, three escalations, and one return home
+        assert len(factorizations) == 5 and factorizations[-1] == 1e-7
+        assert rep.status is SolveStatus.OPTIMAL
+        assert_allclose(rep.mu_star, [1.0, 0.0], rtol=0, atol=1e-12)
+        assert rep.salvaged_steps == 1 and rep.shift_retries == 3
+        assert rep.final_shift == 1e-7
+        assert rep.message == ("optimal, but 1 step(s) took salvaged, "
+                               "uncertified directions")
+
+    def test_home_follows_a_sharper_classification(self, monkeypatch):
+        # G = I, h = [-1, -1, 2], cold.  The first subproblem classifies
+        # only at 1e-9, so home moves there; the second fails down to
+        # the floor and is salvaged; the third starts at 1e-9, not at
+        # the configured 1e-7.
+        seen, factorizations = scripted_refinement(
+            monkeypatch, fails={1, 3, 4, 5}, iterate=[1.0, 0.0, 0.0])
+        qp = DualQP(G=np.eye(3), h=np.array([-1.0, -1.0, 2.0]),
+                    m_eq=0, m_in=3)
+        rep = solve_dual(qp, cfg=COLD)
+        assert seen == pytest.approx([1e-7, 1e-9, 1e-9, 1e-11, 1e-12, 1e-9],
+                                     rel=1e-12)
+        assert factorizations[-1] == pytest.approx(1e-9, rel=1e-12)
+        assert len(factorizations) == 5
+        assert rep.status is SolveStatus.OPTIMAL
+        assert_allclose(rep.mu_star, [1.0, 1.0, 0.0], rtol=0, atol=1e-12)
+        assert rep.salvaged_steps == 1 and rep.shift_retries == 3
+
+    def test_unfactorable_home_keeps_the_sharper_factor(self, monkeypatch):
+        # as in the first test, but the factorization at home fails:
+        # the solve carries on with the factor at the floor, where the
+        # next subproblem classifies and so becomes home
+        seen, factorizations = scripted_refinement(
+            monkeypatch, fails={1, 2, 3, 4}, iterate=[1.0, -2.0],
+            unfactorable={1e-7})
+        qp = DualQP(G=np.eye(2), h=np.array([-1.0, 2.0]), m_eq=0, m_in=2)
+        rep = solve_dual(qp, cfg=COLD)
+        assert seen == pytest.approx([1e-7, 1e-9, 1e-11, 1e-12, 1e-12],
+                                     rel=1e-12)
+        assert len(factorizations) == 5  # the last one failed
+        assert rep.status is SolveStatus.OPTIMAL
+        assert_allclose(rep.mu_star, [1.0, 0.0], rtol=0, atol=1e-12)
+        assert rep.final_shift == 1e-12
+        assert rep.salvaged_steps == 1
+
+
+def all_rows_tight_qp(seed):
+    # n = 3, cond(P) = 1e9, 7 rows all tight at one point x: feasible
+    rng = np.random.default_rng([seed, 14])
+    Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    P = Q @ np.diag([1.0, 10 ** 4.5, 1e9]) @ Q.T
+    C = rng.standard_normal((7, 3))
+    x = rng.standard_normal(3)
+    q = rng.standard_normal(3)
+    return PrimalQP(P=0.5 * (P + P.T), q=q, C=C, d=C @ x)
+
+
+class TestInfeasibilityRay:
+    """A ray of unbounded dual descent is checked on the primal rows
+    before it is reported as infeasibility."""
+
+    def test_error_carries_a_farkas_certificate(self):
+        # x1 <= -1 and -x1 <= 0 cannot both hold
+        C = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        d = np.array([-1.0, 0.0])
+        dual, _ = build_dual(PrimalQP(P=np.eye(2), q=np.zeros(2), C=C, d=d))
+        with pytest.raises(UnboundedDualError) as info:
+            solve_dual(dual)
+        p = info.value.ray
+        assert np.all(p >= 0.0)
+        assert np.max(np.abs(C.T @ p)) <= 1e-13
+        assert d @ p < 0.0
+
+    @pytest.mark.parametrize("seed, warm", [(10, False), (21, True)])
+    def test_false_ray_is_a_numerical_failure(self, seed, warm):
+        # feasible, every row tight at one point: the ray the dual
+        # offers is flat in G, but not on the primal rows
+        dual, _ = build_dual(all_rows_tight_qp(seed))
+        rep = solve_dual(dual, cfg=SolverConfig(smartstart=warm))
+        assert rep.status is SolveStatus.NUMERICAL_FAILURE
+        assert "infeasibility ray failed the primal check" in rep.message
+        assert "||M'p||_inf" in rep.message and "[b; d]'p" in rep.message
+        # a hand-built dual carries no primal and gets no check
+        bare = DualQP(G=dual.G, h=dual.h, m_eq=dual.m_eq, m_in=dual.m_in)
+        with pytest.raises(UnboundedDualError):
+            solve_dual(bare, cfg=SolverConfig(smartstart=warm))
+
+    def test_all_rows_tight_family_claims_no_infeasibility(self):
+        # every problem of the family is feasible, so none may end in
+        # UnboundedDualError, from either start
+        for seed in range(50):
+            dual, _ = build_dual(all_rows_tight_qp(seed))
+            for warm in (True, False):
+                rep = solve_dual(dual, cfg=SolverConfig(smartstart=warm))
+                assert isinstance(rep.status, SolveStatus), (seed, warm)
+
+    def test_primal_of_other_dimensions_is_rejected(self):
+        primal = PrimalQP(P=np.eye(1), q=np.zeros(1),
+                          C=np.array([[1.0], [-1.0]]), d=np.zeros(2))
+        with pytest.raises(ValueError, match="primal"):
+            DualQP(G=np.eye(2), h=np.zeros(2), m_eq=1, m_in=1,
+                   primal=primal)
+
+
 class TestCycleDetection:
 
     def test_revisited_working_set_stops_the_solve(self, monkeypatch):
@@ -451,7 +616,7 @@ class TestCycleDetection:
             free = [i for i in qp.inequality_indices if i not in f.mask]
             outcome = RefineOutcome(OutcomeKind.DESCENT_DIRECTION, -c_bar,
                                     1, 0.0)
-            return outcome, 0.0, free[0], 0, None
+            return outcome, 0.0, free[0], False, 0, None
 
         monkeypatch.setattr(active_set, "_directed_step", pin_smallest_free)
         qp = DualQP(G=np.eye(2), h=np.array([-1.0, -1.0]), m_eq=0, m_in=2)

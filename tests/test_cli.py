@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 import dualqp.active_set as active_set
 from dualqp import PrimalQP, load_problem, save_problem
 from dualqp.cli import ProblemFormatError, main
-from dualqp.refine import RefinementError
+from dualqp.refine import RefinementError, refine_solve
 
 
 def write_json(path, doc):
@@ -126,6 +126,7 @@ class TestSolveCommand:
         assert_allclose(doc["x"], [1.0, 0.0], rtol=0, atol=1e-9)
         assert doc["objective"] == pytest.approx(-1.5, abs=1e-9)
         assert doc["outer_iters"] >= 1
+        assert doc["salvaged_steps"] == 0
         stats = doc["refine_iter_stats"]
         assert stats["min"] <= stats["mean"] <= stats["max"]
         for key in ("build_dual", "solve_dual", "recover_primal"):
@@ -197,30 +198,56 @@ class TestSolveCommand:
         assert rep["status"] == "numerical_failure"
         assert rep["message"].startswith("refinement failed at iteration 1")
         assert rep["shift_retries"] == 3
+        assert rep["salvaged_steps"] == 0
         assert report_shape(rep) == report_shape(
             json.loads(optimal.read_text()))
 
+    def test_salvaged_steps_are_reported(self, tmp_path, monkeypatch):
+        # refinement fails at every shift on the first subproblem and
+        # its iterate is salvaged; the step it takes reaches the optimum
+        calls = []
+
+        def fail_once(f, c_bar):
+            calls.append(f.epsilon)
+            if len(calls) <= 4:  # 1e-7 down to the floor 1e-12
+                raise RefinementError("forced", -c_bar, 20, 1.0)
+            return refine_solve(f, c_bar)
+
+        monkeypatch.setattr(active_set, "refine_solve", fail_once)
+        prob = write_json(tmp_path / "p.json", projection_doc())
+        report = tmp_path / "r.json"
+        assert main(["solve", prob, "--report", str(report)]) == 0
+        rep = json.loads(report.read_text())
+        assert rep["status"] == "optimal"
+        assert rep["salvaged_steps"] == 1
+        assert rep["message"] == ("optimal, but 1 step(s) took salvaged, "
+                                  "uncertified directions")
+        assert_allclose(rep["x"], [1.0, 0.0], rtol=0, atol=1e-9)
+
     def test_unfactorable_shift_exit(self, tmp_path):
-        # rows of C scaled by 1e3: the fallback refactorization at the
-        # shift floor fails once masked(G) rounds to indefinite
+        # rows of C scaled by 10^4.45: the fallback refactorization
+        # after a collapsed downdate fails once masked(G) rounds to
+        # indefinite at the shift
         rng = np.random.default_rng(0)
-        s = 1e3
+        s = 10 ** 4.45
         C = s * rng.standard_normal((5, 3))
         d = C @ rng.standard_normal(3) + s * rng.uniform(0.1, 1.0, 5)
         q = s * rng.standard_normal(3)
         prob = str(tmp_path / "p.json")
         save_problem(PrimalQP(P=np.eye(3), q=q, C=C, d=d), prob)
-        report = tmp_path / "r.json"
-        assert main(["solve", prob, "--report", str(report)]) == 3
-        rep = json.loads(report.read_text())
-        assert rep["status"] == "numerical_failure"
-        assert rep["message"].startswith("refactorization failed")
         optimal = tmp_path / "optimal.json"
         assert main(["solve", write_json(tmp_path / "o.json",
                                          projection_doc()),
                      "--report", str(optimal)]) == 0
-        assert report_shape(rep) == report_shape(
-            json.loads(optimal.read_text()))
+        for start in ("on", "off"):
+            report = tmp_path / f"r-{start}.json"
+            assert main(["solve", prob, "--report", str(report),
+                         "--smartstart", start]) == 3
+            rep = json.loads(report.read_text())
+            assert rep["status"] == "numerical_failure"
+            assert rep["message"].startswith("refactorization failed")
+            assert report_shape(rep) == report_shape(
+                json.loads(optimal.read_text()))
 
     def test_stages_not_reached_are_none(self, tmp_path):
         prob = write_json(tmp_path / "p.json", infeasible_doc())
@@ -232,8 +259,8 @@ class TestSolveCommand:
         assert rep["timings"]["recover_primal"] is None
         assert set(rep["kkt_residuals"].values()) == {None}
         for key in ("objective", "x", "mu_eq", "mu_in", "outer_iters",
-                    "refine_iter_stats", "descent_steps", "shift_retries",
-                    "dual_objective"):
+                    "refine_iter_stats", "descent_steps", "salvaged_steps",
+                    "shift_retries", "dual_objective"):
             assert rep[key] is None
 
     def test_dual_only_feasibility_matches_full_report(self, tmp_path):

@@ -130,6 +130,20 @@ class TestBuildMpc:
         with pytest.raises(UnboundedDualError):
             solve(primal)
 
+    def test_infeasible_x0_ray_passes_the_primal_check(self):
+        # infeasible too; from the smartstart set the solver's ray reads
+        # ||C'p||_inf of about 6e-12 ||C||_inf ||p||_inf, so the primal
+        # check must leave room above that for a real certificate
+        primal = build_mpc(afti16_spec(horizon=3, x0=[-1.25, -1.36, 1.33,
+                                                      1.86]))
+        with pytest.raises(UnboundedDualError) as info:
+            solve(primal)
+        p = info.value.ray
+        C, d = primal.C, primal.d
+        assert np.all(p >= 0.0) and d @ p < 0.0
+        assert np.max(np.abs(C.T @ p)) <= (
+            1e-10 * np.linalg.norm(C, np.inf) * np.max(np.abs(p)))
+
     def test_singular_condensed_hessian_is_rejected(self):
         # no input moves the state and inputs cost nothing: F = 0
         spec = MpcSpec(a_dyn=[[1.0]], b_dyn=[[0.0]], horizon=2,
