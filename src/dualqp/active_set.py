@@ -6,16 +6,19 @@ iteration pins the working set to zero, asks the refinement module for
 a direction, and either steps (with a ratio test against the bounds),
 grows the working set at a blocking bound, or, at a subspace minimizer,
 inspects the bound multipliers to drop an index or declare optimality.
+The subspace-minimizer test allows for the rounding in G mu (the
+_ROUNDING_TOL term): at a large mu that rounding is all the gradient
+has left, and a test without it would never pass.
 
 Unbounded descent (a zero-curvature direction with no blocking bound)
 means the original inequality-constrained problem is infeasible; that
 surfaces as UnboundedDualError, and only after the curvature along the
 direction is confirmed to be zero at machine level.  When the dual
 carries the primal problem it was built from (build_dual hands it
-over), the ray p must also be a Farkas certificate on the primal rows
-M = [A; C] and offsets [b; d]:
+over), the ray y = s p, in the caller's row units, must also be a
+Farkas certificate on the primal rows M = [A; C] and offsets [b; d]:
 
-    ||M'p||_inf <= _RAY_TOL ||M||_inf ||p||_inf   and   [b; d]'p < 0,
+    ||M'y||_inf <= _RAY_TOL ||M||_inf ||y||_inf   and   [b; d]'y < 0,
 
 where ||M||_inf is the largest absolute row sum.  A ray that fails
 this check ends the solve as NUMERICAL_FAILURE.
@@ -55,6 +58,7 @@ from .refine import (OutcomeKind, RefineOutcome, RefinementError,
 
 _LAMBDA_TOL = 1e-8        # bound-multiplier slack, times 1+||h||
 _STATIONARITY_TOL = 1e-8  # subspace-minimizer test, same scaling
+_ROUNDING_TOL = 1e-13     # rounding in G mu, times (1+max|G|)||mu||_inf
 _ZERO_STEP_TOL = 1e-12    # a returned step this small counts as zero
 _FLAT_TOL = 1e-12         # certified-flat curvature, times 1+max|G|
 _SHIFT_SHRINK = 1e-2      # shift reduction per escalation
@@ -66,9 +70,10 @@ class UnboundedDualError(RuntimeError):
     """The dual objective decreases without bound; the primal problem
     admits no feasible point.
 
-    `ray` is the dual direction p of unbounded descent.  For a dual
-    built by build_dual it is a checked Farkas certificate:
-    [A; C]'p ~ 0, p >= 0 on the inequality rows and [b; d]'p < 0."""
+    `ray` is the direction y = s p of unbounded dual descent, in the
+    caller's row units.  For a dual built by build_dual it is a checked
+    Farkas certificate: [A; C]'y ~ 0, y >= 0 on the inequality rows and
+    [b; d]'y < 0."""
 
     def __init__(self, message, ray):
         super().__init__(message)
@@ -99,18 +104,19 @@ class DualQP:
     the variable vector into m_eq free coordinates followed by m_in
     bound (>= 0) coordinates.
 
-    primal, when given, is the PrimalQP behind G and h.  build_dual
-    passes it by reference; solve_dual reads its rows and offsets only
-    to check an infeasibility ray on the primal data.  A DualQP built
-    without it gets no such check.  Holding the primal, and not a
-    stacked copy of its rows, keeps that copy out of memory while the
-    dual is alive."""
+    build_dual also passes the PrimalQP behind G and h, by reference
+    (a stacked copy of its rows would stay in memory with the dual),
+    and its row scale s: G and h are those of the rows s_i [A; C]_i and
+    offsets s_i [b; d]_i.  solve_dual checks an infeasibility ray on
+    the primal rows and reports mu and rays times s, in the caller's
+    units.  A hand-built dual without them gets neither."""
 
     G: np.ndarray
     h: np.ndarray
     m_eq: int
     m_in: int
     primal: object = field(default=None, repr=False)
+    s: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.G = np.asarray(self.G, dtype=float)
@@ -130,6 +136,9 @@ class DualQP:
                 (self.primal.m_eq, self.primal.m_in) != (self.m_eq, self.m_in)):
             raise ValueError("primal must have m_eq equality and m_in "
                              "inequality rows")
+        if self.s is not None and not (np.shape(self.s) == (m,)
+                                       and np.all(np.asarray(self.s) > 0)):
+            raise ValueError(f"s must be a positive vector of length {m}")
 
     @property
     def m(self):
@@ -186,7 +195,6 @@ class SolveReport:
     stationarity_residual: float     # ||(G mu + h)_free||_inf / (1 + ||h||_inf)
     complementarity_residual: float
     message: str = ""
-    objective_trace: list = field(default_factory=list)
 
 
 def smartstart(qp):
@@ -316,6 +324,7 @@ def _directed_step(qp, f, c_bar, mu, g_scale):
     if salvaged:
         return (None, None, None, True, retries,
                 "flat uncertified direction with no blocking bound")
+    p = p if qp.s is None else qp.s * p  # in row units
     failure = _ray_check(qp, p)
     if failure is not None:
         return None, None, None, False, retries, failure
@@ -326,10 +335,10 @@ def _directed_step(qp, f, c_bar, mu, g_scale):
 
 
 def _ray_check(qp, p):
-    # None when p is a Farkas certificate on the primal rows (module
-    # docstring) or the dual carries no primal; else the failure
-    # message.  p >= 0 on the inequality rows holds already: no bound
-    # blocks p.
+    # None when p, in row units, is a Farkas certificate on the primal
+    # rows (module docstring) or the dual carries no primal; else the
+    # failure message.  p >= 0 on the inequality rows holds already: no
+    # bound blocks p.
     if qp.primal is None:
         return None
     M = qp.primal.stacked()
@@ -378,7 +387,8 @@ def solve_dual(qp, W0=None, cfg=None):
     SolveReport.  status OPTIMAL carries the certified multipliers,
     and its message names the count of salvaged steps, if any;
     ITERATION_LIMIT and NUMERICAL_FAILURE report the best iterate with
-    a diagnostic message.
+    a diagnostic message.  mu_star is s mu, in row units; the
+    residuals are those of qp as given.
 
     Raises
     ------
@@ -402,8 +412,6 @@ def solve_dual(qp, W0=None, cfg=None):
     descent_count = 0
     salvaged_steps = 0
     shift_retries = 0
-    trace = []
-    visited = set()  # (working set, objective) pairs met so far
     k = 0
     W, shift = W0, cfg.epsilon  # what a failed start reports
     home = cfg.epsilon
@@ -417,22 +425,12 @@ def solve_dual(qp, W0=None, cfg=None):
         message = f"start factorization failed at shift {shift:g}: {err}"
     else:
         for k in range(1, max_outer + 1):
-            g = qp.G @ mu
-            c = g + qp.h
-            obj = 0.5 * (mu @ g) + qp.h @ mu
-            trace.append(obj)
-
-            key = (f.mask.as_tuple(), obj)
-            if key in visited:
-                message = (f"cycle detected: working set {key[0]} "
-                           f"revisited at objective {float(obj)!r}")
-                break
-            visited.add(key)
-
+            c = qp.G @ mu + qp.h
             c_bar = mask_vector(c, f.mask)
             outcome = None
             p_zero = None
-            if _inf_norm(c_bar) <= _STATIONARITY_TOL * h_scale:
+            if _inf_norm(c_bar) <= (_STATIONARITY_TOL * h_scale
+                                    + _ROUNDING_TOL * g_scale * _inf_norm(mu)):
                 p_zero = np.zeros(m)  # already at this subspace's minimizer
             else:
                 if f.epsilon < home:
@@ -488,7 +486,7 @@ def solve_dual(qp, W0=None, cfg=None):
     stat, comp = _kkt_summary(qp, mu, W)
     iters = refine_iters or [0]
     return SolveReport(
-        mu_star=mu,
+        mu_star=mu if qp.s is None else qp.s * mu,
         status=status,
         objective=float(qp.objective(mu)),
         outer_iters=k,
@@ -503,5 +501,4 @@ def solve_dual(qp, W0=None, cfg=None):
         stationarity_residual=stat,
         complementarity_residual=comp,
         message=message,
-        objective_trace=trace,
     )

@@ -195,8 +195,8 @@ def _run_once(primal, cfg, dual_only):
     SolveReport and PrimalSolution fields to report keys: every outcome
     gets the same keys, None where a stage did not run.  With
     `dual_only` the objective and residuals are the dual's; primal
-    feasibility is read off the dual gradient g = G mu + h, which
-    equals [b; d] - [A; C] x at the recovered x.
+    feasibility is read off the dual gradient at mu_star / s, over s,
+    which equals [b; d] - [A; C] x at the recovered x.
     """
     doc = dict.fromkeys(_REPORT_KEYS)
     timings = doc["timings"] = dict.fromkeys(_STAGES)
@@ -233,7 +233,7 @@ def _run_once(primal, cfg, dual_only):
         shift_retries=rep.shift_retries,
         dual_objective=rep.objective)
     if dual_only:
-        g = dual.G @ rep.mu_star + dual.h
+        g = (dual.G @ (rep.mu_star / dual.s) + dual.h) / dual.s
         kkt = (rep.stationarity_residual,
                float(max(np.max(np.abs(g[:dual.m_eq]), initial=0.0),
                          -np.min(g[dual.m_eq:], initial=0.0))),

@@ -112,12 +112,6 @@ class WorkingSet:
         return (self.m_eq == other.m_eq and self.m_in == other.m_in
                 and np.array_equal(self._member, other._member))
 
-    def as_tuple(self):
-        return tuple(self.indices.tolist())
-
-    def __hash__(self):
-        return hash((self.m_eq, self.m_in, self.as_tuple()))
-
     def _pinnable(self, i):
         # i as an int, if it is a free index of the inequality block.
         i = as_integer("index", i)

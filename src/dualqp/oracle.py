@@ -24,7 +24,7 @@ import numpy as np
 from .transform import PrimalQP
 
 _MAX_ENUM = 20
-_FEAS_TOL = 1e-8   # constraint violation, times 1 + ||(b, d)||_inf
+_FEAS_TOL = 1e-8   # violation / row norm, times 1 + ||(b, d) / row norm||
 _MULT_TOL = 1e-8   # inequality multipliers down to -tol count as >= 0
 
 
@@ -68,6 +68,8 @@ def enumerate_solve(primal):
 
     Refuses problems with more than 20 inequality rows.  Raises
     InfeasibleProblemError when no candidate satisfies the constraints.
+    Feasibility is tested on |a_i x - b_i| / ||a_i|| and (c_i x - d_i)
+    / ||c_i||, so one row's scale cannot loosen another's test.
     Ties in objective (within 1e-9 relative) resolve to the smallest
     active set, then lexicographic order.
     """
@@ -77,9 +79,10 @@ def enumerate_solve(primal):
     n = primal.n
     P = np.eye(n) if primal.identity_p else primal.P
     A, b, C, d = primal.A, primal.b, primal.C, primal.d
-    scale = 1.0 + (np.linalg.norm(np.concatenate([b, d]), np.inf)
-                   if b.size + d.size else 0.0)
-    ftol = _FEAS_TOL * scale
+    norms = np.linalg.norm(primal.stacked(), axis=1)
+    norms[norms == 0.0] = 1.0  # a zero row is tested as it is
+    offsets = np.concatenate([b, d]) / norms
+    ftol = _FEAS_TOL * (1.0 + np.max(np.abs(offsets), initial=0.0))
 
     best = None        # (objective, x, subset)
     sign_valid = []    # x of candidates whose multipliers pass the sign test
@@ -90,9 +93,8 @@ def enumerate_solve(primal):
             x, mults = _kkt_candidate(P, primal.q, rows, rhs)
             if x is None:
                 continue
-            if primal.m_eq and np.max(np.abs(A @ x - b)) > ftol:
-                continue
-            if primal.m_in and np.max(C @ x - d) > ftol:
+            viol = np.concatenate([np.abs(A @ x - b), C @ x - d]) / norms
+            if np.max(viol, initial=0.0) > ftol:
                 continue
             obj = primal.objective(x)
             if mults[primal.m_eq:].size == 0 \

@@ -7,10 +7,11 @@ The primal problem is
 with P symmetric positive definite.  Eliminating x through the
 stationarity condition gives the lower (dual) problem handled by
 active_set: G is the Gram matrix of the stacked constraint rows under
-the P inner product and h collects the constraint offsets.  P is
+the P^-1 inner product, each row first scaled down to norm at most 1
+there, and h collects the constraint offsets, scaled alike.  P is
 factored once and the triangular factor is retained for every
 subsequent solve; no inverse is ever formed.  Projection problems
-(P = I) can skip the factorization entirely via the identity_p flag.
+(P = I) skip the factorization entirely via the identity_p flag.
 """
 
 from __future__ import annotations
@@ -144,17 +145,19 @@ class PrimalSolution:
 def build_dual(primal):
     """Assemble the dual QP and the retained factor of P.
 
-    Returns (DualQP, PFactor).  G is symmetrized after assembly; its
-    pre-symmetrization asymmetry is at rounding level.  The DualQP keeps
-    a reference to primal, for the primal check of an infeasibility
-    ray.  Raises InvalidProblemError when Cholesky of P breaks down (P
-    not PD).
+    Returns (DualQP, PFactor).  Each row of [A; C] and its offset in
+    [b; d] is scaled by s_i = 1/sqrt(max(1, G_ii)), G_ii read off the
+    unscaled rows, so max|G| <= 1.  The DualQP keeps s, and a reference
+    to primal for the primal check of an infeasibility ray.  G is
+    symmetrized after assembly; its pre-symmetrization asymmetry is at
+    rounding level.  Raises InvalidProblemError when Cholesky of P
+    breaks down (P not PD).
     """
     M = primal.stacked()
     offsets = np.concatenate([primal.b, primal.d])
     if primal.identity_p:
         pf = PFactor(identity=True)
-        Y = M.T
+        Y = M.T  # a view: scaling M scales Y
         p_inv_q = primal.q
     else:
         try:
@@ -164,11 +167,15 @@ def build_dual(primal):
         pf = PFactor(chol=chol)
         Y = cho_solve(chol, M.T, check_finite=False)
         p_inv_q = cho_solve(chol, primal.q, check_finite=False)
+    s = 1.0 / np.sqrt(np.maximum(1.0, np.einsum("ij,ji->i", M, Y)))
+    M *= s[:, None]
+    if not primal.identity_p:
+        Y *= s
     G = M @ Y
     G = 0.5 * (G + G.T)
-    h = M @ p_inv_q + offsets
+    h = M @ p_inv_q + s * offsets
     dual = DualQP(G=G, h=h, m_eq=primal.m_eq, m_in=primal.m_in,
-                  primal=primal)
+                  primal=primal, s=s)
     return dual, pf
 
 

@@ -11,7 +11,10 @@ import importlib.util
 import os
 import re
 
-from dualqp import PrimalQP, SolverConfig, SolveReport
+import numpy as np
+
+from dualqp import (PrimalQP, SolverConfig, SolveReport, build_dual,
+                    recover_primal, solve_dual)
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
@@ -68,3 +71,23 @@ def test_every_counted_error_class_exists():
         cls = getattr(importlib.import_module(module_of[span]), err, None)
         assert isinstance(cls, type) and issubclass(cls, Exception), (
             f"{span} is counted by {err}, which {module_of[span]} lacks")
+
+
+def test_gate_reads_multipliers_in_row_units():
+    # build_dual scales rows of norm near 1e5 down to G_ii = 1; the
+    # gate checks rep.mu_star against the unscaled rows, so mu_star
+    # must be in their units
+    workloads = load("workloads")
+    rng = np.random.default_rng(0)
+    C = 1e5 * rng.standard_normal((5, 3))
+    d = C @ rng.standard_normal(3) + 1e5 * rng.uniform(0.1, 1.0, 5)
+    data = {"P": np.eye(3), "q": 10.0 * rng.standard_normal(3),
+            "C": C, "d": d}
+    primal = PrimalQP(**data)
+    dual, pf = build_dual(primal)
+    assert np.max(dual.s) < 1e-4
+    rep = solve_dual(dual)
+    assert np.count_nonzero(rep.mu_star) >= 1
+    x = recover_primal(primal, pf, rep.mu_star).x
+    tol = min(workloads.MPC_TOL, workloads.POLYTOPE_TOL)
+    assert workloads.kkt_violation(data, x, rep.mu_star) <= tol

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 import dualqp.active_set as active_set
 from dualqp import PrimalQP, load_problem, save_problem
 from dualqp.cli import ProblemFormatError, main
+from dualqp.kernel import CholeskyDowndateError
 from dualqp.refine import RefinementError, refine_solve
 
 
@@ -224,10 +225,11 @@ class TestSolveCommand:
                                   "uncertified directions")
         assert_allclose(rep["x"], [1.0, 0.0], rtol=0, atol=1e-9)
 
-    def test_unfactorable_shift_exit(self, tmp_path):
-        # rows of C scaled by 10^4.45: the fallback refactorization
-        # after a collapsed downdate fails once masked(G) rounds to
-        # indefinite at the shift
+    def test_unfactorable_shift_exit(self, tmp_path, monkeypatch):
+        # the solve of this problem unpins from either start; every
+        # downdate collapses, and every factorization after the start
+        # one fails, as on a masked G that rounds to indefinite at the
+        # shift, so the fallback refactorization ends the solve
         rng = np.random.default_rng(0)
         s = 10 ** 4.45
         C = s * rng.standard_normal((5, 3))
@@ -239,10 +241,27 @@ class TestSolveCommand:
         assert main(["solve", write_json(tmp_path / "o.json",
                                          projection_doc()),
                      "--report", str(optimal)]) == 0
+
+        calls = []
+        factorize = active_set.factorize
+
+        def collapse(f, i):
+            raise CholeskyDowndateError("forced")
+
+        def fail_after_start(G, W, epsilon):
+            calls.append(epsilon)
+            if len(calls) > 1:
+                raise np.linalg.LinAlgError("forced")
+            return factorize(G, W, epsilon)
+
+        monkeypatch.setattr(active_set, "remove_index", collapse)
+        monkeypatch.setattr(active_set, "factorize", fail_after_start)
         for start in ("on", "off"):
+            calls.clear()
             report = tmp_path / f"r-{start}.json"
             assert main(["solve", prob, "--report", str(report),
                          "--smartstart", start]) == 3
+            assert len(calls) == 2
             rep = json.loads(report.read_text())
             assert rep["status"] == "numerical_failure"
             assert rep["message"].startswith("refactorization failed")
@@ -275,6 +294,32 @@ class TestSolveCommand:
             feas.append(rep["kkt_residuals"]["primal_feasibility"])
         assert feas[1] > 0
         assert feas[1] == pytest.approx(feas[0], rel=1e-9, abs=0)
+
+    def test_dual_only_matches_full_report_on_scaled_rows(self, tmp_path):
+        # rows of norm near 1e5, which build_dual scales down: solved to
+        # optimality, and stopped after one iteration with rows violated
+        rng = np.random.default_rng(0)
+        C = 1e5 * rng.standard_normal((5, 3))
+        d = C @ rng.standard_normal(3) + 1e5 * rng.uniform(0.1, 1.0, 5)
+        prob = str(tmp_path / "p.json")
+        save_problem(PrimalQP(P=np.eye(3), q=10.0 * rng.standard_normal(3),
+                              C=C, d=d), prob)
+        for flags, status in (([], "optimal"),
+                              (["--max-iters", "1", "--smartstart", "off"],
+                               "iteration_limit")):
+            reps = []
+            for i, extra in enumerate(([], ["--dual-only"])):
+                report = tmp_path / f"r{i}.json"
+                main(["solve", prob, "--report", str(report)] + flags + extra)
+                reps.append(json.loads(report.read_text()))
+            full, dual_only = reps
+            assert full["status"] == dual_only["status"] == status
+            assert dual_only["mu_eq"] == full["mu_eq"]
+            assert dual_only["mu_in"] == full["mu_in"]
+            assert any(full["mu_in"]) == (status == "optimal")
+            feas = [r["kkt_residuals"]["primal_feasibility"] for r in reps]
+            assert feas[1] == pytest.approx(feas[0], rel=1e-9, abs=1e-6)
+        assert feas[0] > 1.0
 
     def test_dual_only_skips_recovery(self, tmp_path):
         prob = write_json(tmp_path / "p.json", projection_doc())

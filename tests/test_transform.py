@@ -76,12 +76,21 @@ class TestPrimalQP:
 class TestBuildDual:
 
     def test_matches_hand_assembly(self):
+        # row 1, [2, 0], has P^-1 norm 12/11 > 1 and is scaled down;
+        # the other two are below 1 and stay as they are
         p = small_problem()
         dual, pf = build_dual(p)
         Pinv = np.linalg.inv(p.P)
         M = np.vstack([p.A, p.C])
-        assert_allclose(dual.G, M @ Pinv @ M.T, rtol=0, atol=1e-12)
-        assert_allclose(dual.h, M @ Pinv @ p.q + np.concatenate([p.b, p.d]),
+        G = M @ Pinv @ M.T
+        s = np.array([1.0, np.sqrt(11.0 / 12.0), 1.0])
+        assert_allclose(np.diag(G), [5.0 / 11.0, 12.0 / 11.0, 4.0 / 11.0],
+                        rtol=1e-15)
+        assert dual.s[0] == dual.s[2] == 1.0
+        assert_allclose(dual.s, s, rtol=1e-15, atol=0)
+        assert_allclose(dual.G, s[:, None] * G * s, rtol=0, atol=1e-12)
+        assert_allclose(dual.h,
+                        s * (M @ Pinv @ p.q + np.concatenate([p.b, p.d])),
                         rtol=0, atol=1e-12)
         assert dual.m_eq == 1 and dual.m_in == 2
         # the retained factor solves against P
