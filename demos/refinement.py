@@ -13,10 +13,10 @@ Both verdicts come out of the same iteration, shown here side by side,
 plus the per-eigenvalue contraction factors that explain the speed.
 
 The shift is the one the factor was built with; refine_solve reads it
-off the factor.  In a full solve, SolverConfig.epsilon sets the first
-shift, and the active-set loop refactorizes at a sharper one when a
-subproblem cannot be classified within the fixed budget of 20
-iterations.
+off the factor.  In a full solve, the active-set loop builds the first
+factor at a fixed start shift of 1e-7, and refactorizes at a sharper
+one when a subproblem cannot be classified within the fixed budget of
+20 iterations.
 """
 
 import numpy as np

@@ -10,13 +10,16 @@ The subspace-minimizer test allows for the rounding in G mu (the
 _ROUNDING_TOL term): at a large mu that rounding is all the gradient
 has left, and a test without it would never pass.
 
+This module alone applies DualQP's row scale s: multipliers and rays
+leave solve_dual times s, and row violations are the gradient over s.
+
 Unbounded descent (a zero-curvature direction with no blocking bound)
 means the original inequality-constrained problem is infeasible; that
 surfaces as UnboundedDualError, and only after the curvature along the
 direction is confirmed to be zero at machine level.  When the dual
 carries the primal problem it was built from (build_dual hands it
-over), the ray y = s p, in the caller's row units, must also be a
-Farkas certificate on the primal rows M = [A; C] and offsets [b; d]:
+over), the ray y = s p must also be a Farkas certificate on the primal
+rows M = [A; C] and offsets [b; d]:
 
     ||M'y||_inf <= _RAY_TOL ||M||_inf ||y||_inf   and   [b; d]'y < 0,
 
@@ -25,15 +28,17 @@ this check ends the solve as NUMERICAL_FAILURE.
 
 The proximal shift used by the refinement module doubles as a spectral
 cutoff: eigenvalues far below it act as zeros, far above it as regular
-curvature, and eigenvalues near it are ambiguous.  This module owns the
-shift policy: the first factor is built at SolverConfig.epsilon, and
-when refinement cannot classify a subproblem the loop refactorizes in
-place at a shift _SHIFT_SHRINK times smaller and retries, down to
+curvature, and eigenvalues near it are ambiguous.  build_dual scales
+the rows so that max|G| <= 1, so one cutoff means the same on every
+problem, and the shift policy is a fixed rule of this module, not a
+setting: the first factor is built at _SHIFT_START, and when
+refinement cannot classify a subproblem the loop refactorizes in place
+at a shift _SHIFT_SHRINK times smaller and retries, down to
 _SHIFT_FLOOR.  At the floor the last refinement iterate is salvaged as
 an uncertified descent direction.
 
 The shift comes back after a hard subproblem.  The loop keeps a home
-shift: SolverConfig.epsilon at the start, then the shift of the last
+shift: _SHIFT_START at the start, then the shift of the last
 subproblem that refinement classified without salvage.  Each outer
 iteration that needs refinement first refactorizes in place at home
 when the factor's shift is below it.  Classification happens at or
@@ -44,7 +49,6 @@ fails, the loop keeps the sharper factor it has.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -59,8 +63,8 @@ from .refine import (OutcomeKind, RefineOutcome, RefinementError,
 _LAMBDA_TOL = 1e-8        # bound-multiplier slack, times 1+||h||
 _STATIONARITY_TOL = 1e-8  # subspace-minimizer test, same scaling
 _ROUNDING_TOL = 1e-13     # rounding in G mu, times (1+max|G|)||mu||_inf
-_ZERO_STEP_TOL = 1e-12    # a returned step this small counts as zero
 _FLAT_TOL = 1e-12         # certified-flat curvature, times 1+max|G|
+_SHIFT_START = 1e-7       # first shift and first home shift
 _SHIFT_SHRINK = 1e-2      # shift reduction per escalation
 _SHIFT_FLOOR = 1e-12      # smallest shift worth factorizing with
 _RAY_TOL = 1e-10          # primal check on a ray, times ||M||_inf ||p||_inf
@@ -104,12 +108,13 @@ class DualQP:
     the variable vector into m_eq free coordinates followed by m_in
     bound (>= 0) coordinates.
 
-    build_dual also passes the PrimalQP behind G and h, by reference
-    (a stacked copy of its rows would stay in memory with the dual),
-    and its row scale s: G and h are those of the rows s_i [A; C]_i and
-    offsets s_i [b; d]_i.  solve_dual checks an infeasibility ray on
-    the primal rows and reports mu and rays times s, in the caller's
-    units.  A hand-built dual without them gets neither."""
+    s is the row scale: G and h are those of the rows s_i [A; C]_i and
+    offsets s_i [b; d]_i, and solve_dual reports mu and rays times s,
+    in the caller's row units.  It defaults to ones.  build_dual also
+    passes the PrimalQP behind G and h, by reference (a stacked copy of
+    its rows would stay in memory with the dual); solve_dual checks an
+    infeasibility ray on its rows.  A hand-built dual without a primal
+    gets no ray check."""
 
     G: np.ndarray
     h: np.ndarray
@@ -136,8 +141,8 @@ class DualQP:
                 (self.primal.m_eq, self.primal.m_in) != (self.m_eq, self.m_in)):
             raise ValueError("primal must have m_eq equality and m_in "
                              "inequality rows")
-        if self.s is not None and not (np.shape(self.s) == (m,)
-                                       and np.all(np.asarray(self.s) > 0)):
+        self.s = np.ones(m) if self.s is None else np.asarray(self.s, float)
+        if not (self.s.shape == (m,) and np.all(self.s > 0)):
             raise ValueError(f"s must be a positive vector of length {m}")
 
     @property
@@ -155,7 +160,8 @@ class DualQP:
 
 @dataclass
 class SolverConfig:
-    epsilon: float = 1e-7               # starting proximal shift
+    """The caller's budget and start; the solver's rules are constants."""
+
     max_outer_iters: int | None = None  # default 10 * (m_eq + m_in)
     smartstart: bool = True
 
@@ -163,13 +169,7 @@ class SolverConfig:
         """Raise ValueError for a setting the solver cannot run with.
 
         solve_dual calls this once on entry; nothing downstream
-        re-checks the config.  A shift above 1 is rejected: refinement
-        steps shrink like 1/epsilon, and from about 1e200 they underflow
-        its tests; an infinite shift never gets sharper."""
-        eps = self.epsilon
-        if (isinstance(eps, bool) or not isinstance(eps, numbers.Real)
-                or not 0.0 < eps <= 1.0):
-            raise ValueError("epsilon must be a real number in (0, 1]")
+        re-checks the config."""
         if not isinstance(self.smartstart, (bool, np.bool_)):
             raise ValueError("smartstart must be a bool")
         n = self.max_outer_iters
@@ -194,6 +194,7 @@ class SolveReport:
     final_shift: float               # shift in effect at termination
     stationarity_residual: float     # ||(G mu + h)_free||_inf / (1 + ||h||_inf)
     complementarity_residual: float
+    feasibility_residual: float      # largest row violation, in row units
     message: str = ""
 
 
@@ -279,9 +280,7 @@ def _directed_step(qp, f, c_bar, mu, g_scale):
     f.epsilon.  A solution steps at most to 1, the subspace minimizer.
     Every descent step is capped at its exact line minimizer
     -slope/curvature, so real curvature along a nominally flat direction
-    cannot break the monotone decrease of the objective.  Near-zero
-    solutions get a throwaway (alpha, blocking); the caller tests them
-    for the multiplier branch before stepping.
+    cannot break the monotone decrease of the objective.
 
     failure is None, or the reason the subproblem gave no usable step,
     with (outcome, alpha, blocking) all None: the refinement error when
@@ -324,7 +323,7 @@ def _directed_step(qp, f, c_bar, mu, g_scale):
     if salvaged:
         return (None, None, None, True, retries,
                 "flat uncertified direction with no blocking bound")
-    p = p if qp.s is None else qp.s * p  # in row units
+    p = qp.s * p  # in row units
     failure = _ray_check(qp, p)
     if failure is not None:
         return None, None, None, False, retries, failure
@@ -356,12 +355,17 @@ def _inf_norm(v):
 
 
 def _kkt_summary(qp, mu, W):
+    # (stationarity, complementarity, feasibility); g / s is the row
+    # slack [b; d] - [A; C] x at the x that s mu recovers.
     g = qp.G @ mu + qp.h
     h_scale = 1.0 + _inf_norm(qp.h)
     stat = _inf_norm(g[~W.member]) / h_scale
     comp = _inf_norm(mu[qp.m_eq:] * g[qp.m_eq:])
     comp /= h_scale * (1.0 + _inf_norm(mu[qp.m_eq:]))
-    return stat, comp
+    slack = g / qp.s
+    feas = max(_inf_norm(slack[:qp.m_eq]),
+               -np.min(slack[qp.m_eq:], initial=0.0))
+    return stat, comp, float(feas)
 
 
 def solve_dual(qp, W0=None, cfg=None):
@@ -373,11 +377,10 @@ def solve_dual(qp, W0=None, cfg=None):
     W0 : optional WorkingSet of bounds to pin initially (any subset of
         the inequality block is valid at mu = 0).  Defaults to
         smartstart(qp) when cfg.smartstart, else the empty set.
-    cfg : SolverConfig, validated here before any work.  The first
-        factor is built at cfg.epsilon, the first home shift.
-        _directed_step sharpens the factor in place when a subproblem
-        cannot be classified, and each later iteration that needs
-        refinement starts back at home (module docstring).
+    cfg : SolverConfig, validated here before any work.
+
+    The first factor is built at _SHIFT_START, the first home shift; the
+    shift then follows the policy in the module docstring.
 
     The working set lives in the factor: f.mask is the only copy, and
     add_index/remove_index move it together with the factor.
@@ -387,8 +390,9 @@ def solve_dual(qp, W0=None, cfg=None):
     SolveReport.  status OPTIMAL carries the certified multipliers,
     and its message names the count of salvaged steps, if any;
     ITERATION_LIMIT and NUMERICAL_FAILURE report the best iterate with
-    a diagnostic message.  mu_star is s mu, in row units; the
-    residuals are those of qp as given.
+    a diagnostic message.  mu_star is s mu and feasibility_residual the
+    largest row violation, both in row units; the other residuals are
+    those of qp as given.
 
     Raises
     ------
@@ -413,8 +417,8 @@ def solve_dual(qp, W0=None, cfg=None):
     salvaged_steps = 0
     shift_retries = 0
     k = 0
-    W, shift = W0, cfg.epsilon  # what a failed start reports
-    home = cfg.epsilon
+    W, shift = W0, _SHIFT_START  # what a failed start reports
+    home = _SHIFT_START
     status = SolveStatus.ITERATION_LIMIT
     message = "outer iteration cap reached"
 
@@ -427,34 +431,10 @@ def solve_dual(qp, W0=None, cfg=None):
         for k in range(1, max_outer + 1):
             c = qp.G @ mu + qp.h
             c_bar = mask_vector(c, f.mask)
-            outcome = None
-            p_zero = None
             if _inf_norm(c_bar) <= (_STATIONARITY_TOL * h_scale
                                     + _ROUNDING_TOL * g_scale * _inf_norm(mu)):
-                p_zero = np.zeros(m)  # already at this subspace's minimizer
-            else:
-                if f.epsilon < home:
-                    _reshift(qp, f, home)  # on failure f stays sharper
-                (outcome, alpha, blocking, salvaged, retries,
-                 failure) = _directed_step(qp, f, c_bar, mu, g_scale)
-                shift_retries += retries
-                if failure is not None:
-                    status = SolveStatus.NUMERICAL_FAILURE
-                    message = f"refinement failed at iteration {k}: {failure}"
-                    break
-                if salvaged:
-                    salvaged_steps += 1
-                else:
-                    home = f.epsilon
-                refine_iters.append(outcome.iters)
-                if (outcome.is_solution
-                        and _inf_norm(outcome.p)
-                        <= _ZERO_STEP_TOL * (1.0 + _inf_norm(mu))):
-                    p_zero = outcome.p
-
-            if p_zero is not None:
-                lam = lambda_from_direction(qp.G, p_zero, c, f.mask)
-                sigma = -lam  # bound multipliers: gradient on the working set
+                # at this subspace's minimizer: check the bound multipliers
+                sigma = -lambda_from_direction(c, f.mask)
                 if sigma.size == 0 or np.min(sigma) >= -_LAMBDA_TOL * h_scale:
                     status = SolveStatus.OPTIMAL
                     message = (f"optimal, but {salvaged_steps} step(s) "
@@ -474,6 +454,20 @@ def solve_dual(qp, W0=None, cfg=None):
                         break
                 continue
 
+            if f.epsilon < home:
+                _reshift(qp, f, home)  # on failure f stays sharper
+            (outcome, alpha, blocking, salvaged, retries,
+             failure) = _directed_step(qp, f, c_bar, mu, g_scale)
+            shift_retries += retries
+            if failure is not None:
+                status = SolveStatus.NUMERICAL_FAILURE
+                message = f"refinement failed at iteration {k}: {failure}"
+                break
+            if salvaged:
+                salvaged_steps += 1
+            else:
+                home = f.epsilon
+            refine_iters.append(outcome.iters)
             if not outcome.is_solution:
                 descent_count += 1
             mu = mu + alpha * outcome.p
@@ -483,10 +477,10 @@ def solve_dual(qp, W0=None, cfg=None):
                 f = add_index(f, blocking)
         W, shift = f.mask, f.epsilon
 
-    stat, comp = _kkt_summary(qp, mu, W)
+    stat, comp, feas = _kkt_summary(qp, mu, W)
     iters = refine_iters or [0]
     return SolveReport(
-        mu_star=mu if qp.s is None else qp.s * mu,
+        mu_star=qp.s * mu,
         status=status,
         objective=float(qp.objective(mu)),
         outer_iters=k,
@@ -500,5 +494,6 @@ def solve_dual(qp, W0=None, cfg=None):
         final_shift=shift,
         stationarity_residual=stat,
         complementarity_residual=comp,
+        feasibility_residual=feas,
         message=message,
     )

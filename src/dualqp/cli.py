@@ -194,9 +194,8 @@ def _run_once(primal, cfg, dual_only):
     Returns (report dict, exit code).  The only code that maps
     SolveReport and PrimalSolution fields to report keys: every outcome
     gets the same keys, None where a stage did not run.  With
-    `dual_only` the objective and residuals are the dual's; primal
-    feasibility is read off the dual gradient at mu_star / s, over s,
-    which equals [b; d] - [A; C] x at the recovered x.
+    `dual_only` the objective and residuals are the dual's, and the
+    primal feasibility is SolveReport's row violation.
     """
     doc = dict.fromkeys(_REPORT_KEYS)
     timings = doc["timings"] = dict.fromkeys(_STAGES)
@@ -233,10 +232,7 @@ def _run_once(primal, cfg, dual_only):
         shift_retries=rep.shift_retries,
         dual_objective=rep.objective)
     if dual_only:
-        g = (dual.G @ (rep.mu_star / dual.s) + dual.h) / dual.s
-        kkt = (rep.stationarity_residual,
-               float(max(np.max(np.abs(g[:dual.m_eq]), initial=0.0),
-                         -np.min(g[dual.m_eq:], initial=0.0))),
+        kkt = (rep.stationarity_residual, rep.feasibility_residual,
                rep.complementarity_residual)
     else:
         sol = timed("recover_primal", recover_primal, primal, pf, rep.mu_star)
@@ -251,8 +247,6 @@ def _run_once(primal, cfg, dual_only):
 def cmd_solve(args):
     primal = load_problem(args.problem)
     cfg = SolverConfig(smartstart=args.smartstart == "on")
-    if args.epsilon is not None:
-        cfg.epsilon = args.epsilon
     if args.max_iters is not None:
         cfg.max_outer_iters = args.max_iters
     try:
@@ -297,9 +291,6 @@ def _build_parser():
                               "(default on)")
     p_solve.add_argument("--report", metavar="PATH",
                          help="write a JSON report here")
-    p_solve.add_argument("--epsilon", type=float, metavar="EPS",
-                         help="starting proximal shift for the refinement "
-                              "solves, in (0, 1] (default 1e-7)")
     p_solve.add_argument("--max-iters", type=int, metavar="N",
                          help="outer iteration cap")
     p_solve.add_argument("--dual-only", action="store_true",

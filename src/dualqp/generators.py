@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .active_set import check_symmetric
+from .kernel import as_integer
 from .transform import InvalidProblemError, PrimalQP
 
 AFTI16_A = np.array([
@@ -77,14 +79,16 @@ class MpcSpec:
         if self.b_dyn.ndim != 2 or self.b_dyn.shape[0] != nx:
             raise ValueError("b_dyn must have one row per state")
         nu = self.b_dyn.shape[1]
+        self.horizon = as_integer("horizon", self.horizon)
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
         if self.q_weight.shape != (nx, nx) or self.r_weight.shape != (nu, nu):
             raise ValueError("weight shapes must match the dynamics")
         for name in ("q_weight", "r_weight"):
             Wt = getattr(self, name)
-            if not np.allclose(Wt, Wt.T, atol=1e-12 * (1 + np.abs(Wt).max())):
-                raise ValueError(f"{name} must be symmetric")
+            if not np.isfinite(Wt).all():
+                raise ValueError(f"{name} must be finite")
+            check_symmetric(name, Wt)
             if np.linalg.eigvalsh(Wt).min() < -1e-12:
                 raise ValueError(f"{name} must be positive semidefinite")
         if self.x0.shape != (nx,):
@@ -107,7 +111,7 @@ def afti16_spec(horizon=30, x0=None):
     return MpcSpec(
         a_dyn=AFTI16_A.copy(),
         b_dyn=AFTI16_B.copy(),
-        horizon=int(horizon),
+        horizon=horizon,
         q_weight=np.eye(4),
         r_weight=np.eye(2),
         x0=AFTI16_X0.copy() if x0 is None else np.asarray(x0, dtype=float),
@@ -167,6 +171,9 @@ class PolytopeSpec:
     seed: int = 0
 
     def __post_init__(self):
+        self.n = as_integer("n", self.n)
+        self.m = as_integer("m", self.m)
+        self.seed = as_integer("seed", self.seed)
         if self.n < 1 or self.m < 1:
             raise ValueError("n and m must be positive")
         if not self.m < self.n:

@@ -212,8 +212,8 @@ def factorize(G, W, epsilon):
     epsilon : float, > 0.  Regularization added after masking, so masked
         diagonal entries hold 1 + epsilon.
 
-    The arguments are trusted: DualQP and SolverConfig.validate check
-    them once at the public boundary.
+    The arguments are trusted: DualQP checks G and W once at the public
+    boundary, and the shift is one of active_set's fixed rules.
 
     Returns
     -------
@@ -338,10 +338,10 @@ def solve_with_factor(f, rhs):
     return cho_solve((f.factor, True), rhs, check_finite=False)
 
 
-def lambda_from_direction(G, p, c, W):
-    """Working-set multipliers of the pinned subproblem.
+def lambda_from_direction(c, W):
+    """Working-set multipliers of the pinned subproblem at its minimizer.
 
-    Entry j is (-G p - c) evaluated at the j-th working-set index, in
-    ascending index order.  With p = 0 this reduces to -c on the set.
+    There the step is zero, so entry j is -c at the j-th working-set
+    index, c the gradient, in ascending index order.
     """
-    return -(G @ p + c)[W.indices]
+    return -c[W.indices]

@@ -156,14 +156,14 @@ class TestScalarDuals:
         assert_allclose(rep.mu_star, [-1.5], rtol=0, atol=1e-9)
 
     def test_zero_step_solution_is_optimal(self):
-        # the gradient 5e-7 is above the stationarity test, but the
-        # step -5e-13 it solves to counts as zero: optimal at mu = 0
-        # after one refinement, without stepping
+        # the gradient 5e-7 is above the stationarity test; the step
+        # -5e-13 it solves to is taken like any other, and the next
+        # iteration finds the subspace minimizer
         qp = DualQP(G=np.array([[1e6]]), h=np.array([5e-7]), m_eq=1, m_in=0)
         rep = solve_dual(qp)
         assert rep.status is SolveStatus.OPTIMAL
-        assert rep.mu_star.tolist() == [0.0]
-        assert rep.outer_iters == 1 and rep.refine_calls == 1
+        assert abs(rep.mu_star[0]) <= 1e-12
+        assert rep.outer_iters == 2 and rep.refine_calls == 1
 
 
 class TestAgainstEnumeration:
@@ -268,6 +268,29 @@ class TestReporting:
         assert rep.stationarity_residual <= 1e-8
         assert rep.complementarity_residual <= 1e-8
 
+    @pytest.mark.parametrize("row_scale", [1.0, 1e5], ids=["plain", "1e5"])
+    def test_feasibility_residual_is_the_primal_row_violation(self,
+                                                               row_scale):
+        # capped at one or two iterations, rows are violated; the
+        # report reads the violation off the dual gradient, in row units
+        primal = random_qp(12, n=4, m_eq=1, m_in=6)
+        primal = PrimalQP(P=primal.P, q=primal.q, A=row_scale * primal.A,
+                          b=row_scale * primal.b, C=row_scale * primal.C,
+                          d=row_scale * primal.d)
+        dual, pf = build_dual(primal)
+        for cap in (1, 2, None):
+            rep = solve_dual(dual, cfg=SolverConfig(smartstart=False,
+                                                    max_outer_iters=cap))
+            sol = recover_primal(primal, pf, rep.mu_star)
+            want = max(sol.eq_violation, sol.ineq_violation)
+            if cap is None:
+                assert rep.status is SolveStatus.OPTIMAL
+                assert rep.feasibility_residual <= 1e-9 * row_scale
+            else:
+                assert want > 1e-3 * row_scale
+                assert rep.feasibility_residual == pytest.approx(
+                    want, rel=1e-9, abs=0)
+
 
 class TestDowndateFallback:
 
@@ -329,7 +352,8 @@ class TestSalvageRejections:
 
         monkeypatch.setattr(active_set, "refine_solve", fail)
         # the shift starts at the floor, so nothing escalates
-        rep = solve_dual(projection_dual(), cfg=SolverConfig(epsilon=1e-12))
+        monkeypatch.setattr(active_set, "_SHIFT_START", 1e-12)
+        rep = solve_dual(projection_dual())
         assert calls == [1e-12]
         assert rep.status is SolveStatus.NUMERICAL_FAILURE
         assert rep.shift_retries == 0
@@ -701,6 +725,11 @@ class TestBoundary:
             with pytest.raises(ValueError, match="s must be a positive"):
                 DualQP(G=np.eye(2), h=np.zeros(2), m_eq=0, m_in=2, s=s)
 
+    def test_row_scale_defaults_to_ones(self):
+        qp = DualQP(G=np.eye(3), h=-np.ones(3), m_eq=1, m_in=2)
+        assert_array_equal(qp.s, np.ones(3))
+        assert qp.s.dtype == float
+
     @pytest.mark.parametrize("m_eq, m_in, match", [
         (0.5, 1.5, "m_eq must be an integer"),
         (True, 1, "m_eq must be an integer"),
@@ -746,23 +775,14 @@ class TestSolverConfig:
         # tolerances, the refinement budget and the shift policy are
         # module constants
         assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-            "epsilon", "max_outer_iters", "smartstart"]
+            "max_outer_iters", "smartstart"]
 
-    # A shift above 1 makes refinement steps underflow its tests (wrong
-    # optima at 1e200), and an infinite one escalates forever; a cap
-    # must be an integer for range().
+    # a cap must be an integer for range()
     @pytest.mark.parametrize("field, value, match", [
         ("max_outer_iters", 0, "max_outer_iters"),
         ("max_outer_iters", -3, "max_outer_iters"),
         ("max_outer_iters", 2.5, "max_outer_iters"),
         ("max_outer_iters", True, "max_outer_iters"),
-        ("epsilon", 0.0, "epsilon"),
-        ("epsilon", np.inf, "epsilon"),
-        ("epsilon", np.nan, "epsilon"),
-        ("epsilon", 1e200, "epsilon"),
-        ("epsilon", True, "epsilon"),
-        ("epsilon", np.True_, "epsilon"),
-        ("epsilon", "1e-7", "epsilon"),
         ("smartstart", "off", "smartstart"),
     ])
     def test_bad_value_raises_before_any_factorization(

@@ -1,11 +1,13 @@
+import inspect
 import json
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import dualqp.active_set as active_set
-from dualqp import PrimalQP, load_problem, save_problem
+from dualqp import PrimalQP, cli, load_problem, save_problem
 from dualqp.cli import ProblemFormatError, main
 from dualqp.kernel import CholeskyDowndateError
 from dualqp.refine import RefinementError, refine_solve
@@ -331,13 +333,6 @@ class TestSolveCommand:
         assert doc["timings"]["recover_primal"] is None
         assert doc["mu_in"] == pytest.approx([1.0], abs=1e-9)
 
-    def test_epsilon_flag(self, tmp_path):
-        prob = write_json(tmp_path / "p.json", projection_doc())
-        assert main(["solve", prob, "--epsilon", "1e-9"]) == 0
-        assert main(["solve", prob, "--epsilon", "-1"]) == 2
-        # an infinite shift never gets sharper: rejected, not run
-        assert main(["solve", prob, "--epsilon", "inf"]) == 2
-
     def test_max_iters_flag(self, tmp_path):
         prob = write_json(tmp_path / "p.json", projection_doc())
         assert main(["solve", prob, "--max-iters", "5"]) == 0
@@ -352,3 +347,16 @@ class TestCommands:
             main(["bench", "mpc"])
         assert err.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    def test_the_start_shift_is_not_a_flag(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "p.json", "--epsilon", "1e-9"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
+
+    def test_reads_no_dual_data(self):
+        # the report's row violation comes from SolveReport: the CLI
+        # does not apply the row scale itself
+        source = inspect.getsource(cli)
+        for attr in (".s", ".G", ".h"):
+            assert not re.search(re.escape(attr) + r"\b", source), attr

@@ -49,12 +49,18 @@ class TestMpcSpec:
         ({"a_dyn": [[1.0, 0.0]]}, "a_dyn must be square"),
         ({"b_dyn": [[1.0], [1.0]]}, "b_dyn must have one row per state"),
         ({"horizon": 0}, "horizon must be at least 1"),
+        ({"horizon": True}, "horizon must be an integer"),
+        ({"horizon": 2.5}, "horizon must be an integer"),
+        ({"horizon": np.float64(3.0)}, "horizon must be an integer"),
         ({"r_weight": np.eye(2)}, "weight shapes must match the dynamics"),
         ({"q_weight": [[-1.0]]}, "q_weight must be positive semidefinite"),
+        ({"r_weight": [[np.inf]]}, "r_weight must be finite"),
+        ({"q_weight": [[np.nan]]}, "q_weight must be finite"),
         ({"x0": [1.0, 2.0]}, "x0 must have length 1"),
         ({"state_bound": 0.0}, "state_bound must be positive"),
-    ], ids=["a_dyn", "b_dyn", "horizon", "weight_shape", "indefinite_weight",
-            "x0_length", "state_bound"])
+    ], ids=["a_dyn", "b_dyn", "horizon", "bool_horizon", "float_horizon",
+            "numpy_float_horizon", "weight_shape", "indefinite_weight",
+            "infinite_weight", "nan_weight", "x0_length", "state_bound"])
     def test_rejects_invalid_description(self, change, message):
         fields = dict(a_dyn=[[2.0]], b_dyn=[[1.0]], horizon=3,
                       q_weight=[[1.0]], r_weight=[[1.0]], x0=[1.0],
@@ -67,8 +73,22 @@ class TestMpcSpec:
         with pytest.raises(ValueError, match="x0 must have length 4"):
             afti16_spec(horizon=4, x0=[0.1, 0.0])
 
+    def test_afti16_rejects_a_fractional_horizon(self):
+        # no silent truncation to 2
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            afti16_spec(horizon=2.5)
+
     def test_asymmetric_weight(self):
         q = np.array([[1.0, 0.5], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="q_weight must be symmetric"):
+            MpcSpec(a_dyn=np.eye(2), b_dyn=np.ones((2, 1)), horizon=2,
+                    q_weight=q, r_weight=[[1.0]], x0=np.zeros(2),
+                    state_bound=1.0)
+
+    def test_weight_asymmetric_above_rounding(self):
+        # 4e-6 of asymmetry: within allclose's default rtol, far above
+        # the rounding check_symmetric allows
+        q = np.array([[1.0, 0.5], [0.500004, 1.0]])
         with pytest.raises(ValueError, match="q_weight must be symmetric"):
             MpcSpec(a_dyn=np.eye(2), b_dyn=np.ones((2, 1)), horizon=2,
                     q_weight=q, r_weight=[[1.0]], x0=np.zeros(2),
@@ -186,6 +206,21 @@ class TestBuildPolytope:
     def test_requires_m_below_n(self):
         with pytest.raises(ValueError):
             PolytopeSpec(n=10, m=10, seed=0)
+
+    @pytest.mark.parametrize("fields, name", [
+        ({"n": 1000.5, "m": 5}, "n"),
+        ({"n": 10, "m": 5.0}, "m"),
+        ({"n": 10, "m": True}, "m"),
+        ({"n": 10, "m": 5, "seed": 1.5}, "seed"),
+    ])
+    def test_rejects_non_integer_sizes_and_seed(self, fields, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            PolytopeSpec(**fields)
+
+    def test_numpy_integers_are_accepted(self):
+        spec = PolytopeSpec(n=np.int64(30), m=np.int32(5), seed=np.int64(9))
+        assert (spec.n, spec.m, spec.seed) == (30, 5, 9)
+        assert type(spec.n) is int
 
     def test_projection_is_closer_than_any_feasible_sample(self):
         primal = build_polytope(PolytopeSpec(n=20, m=4, seed=13))
