@@ -5,14 +5,16 @@ constrained QP (build_dual), run the dual active-set method with masked
 Cholesky updates and proximal-point refinement (solve_dual), and map the
 multipliers back to the primal point (recover_primal).  solve() chains
 the three.  The masked-factor kernel and the refinement loop are
-internals, importable from dualqp.kernel and dualqp.refine.
+internals, importable from dualqp.kernel and dualqp.refine; so are
+build_dual's outputs DualQP and PFactor, from dualqp.active_set and
+dualqp.transform.
 """
 
 from .kernel import WorkingSet
-from .active_set import (DualQP, SolveReport, SolveStatus, SolverConfig,
+from .active_set import (SolveReport, SolveStatus, SolverConfig,
                          UnboundedDualError, smartstart, solve_dual)
-from .transform import (InvalidProblemError, PFactor, PrimalQP,
-                        PrimalSolution, build_dual, recover_primal)
+from .transform import (InvalidProblemError, PrimalQP, PrimalSolution,
+                        build_dual, recover_primal)
 from .oracle import (InfeasibleProblemError, OracleResult, enumerate_solve,
                      random_qp)
 from .generators import (MpcSpec, PolytopeSpec, afti16_spec, build_mpc,
@@ -35,8 +37,8 @@ def solve(primal, cfg=None, w0=None):
 
 
 __all__ = [
-    "solve", "PrimalQP", "PrimalSolution", "PFactor", "build_dual",
-    "recover_primal", "DualQP", "WorkingSet", "smartstart", "solve_dual",
+    "solve", "PrimalQP", "PrimalSolution", "build_dual", "recover_primal",
+    "WorkingSet", "smartstart", "solve_dual",
     "SolverConfig", "SolveReport", "SolveStatus",
     "UnboundedDualError", "InvalidProblemError",
     "enumerate_solve", "random_qp", "OracleResult", "InfeasibleProblemError",

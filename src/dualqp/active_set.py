@@ -10,16 +10,17 @@ The subspace-minimizer test allows for the rounding in G mu (the
 _ROUNDING_TOL term): at a large mu that rounding is all the gradient
 has left, and a test without it would never pass.
 
-This module alone applies DualQP's row scale s: multipliers and rays
-leave solve_dual times s, and row violations are the gradient over s.
+solve_dual runs on the DualQP that build_dual returns, and checks its
+data no further.  This module alone applies the dual's row scale s:
+multipliers and rays leave solve_dual times s, and row violations are
+the gradient over s.
 
 Unbounded descent (a zero-curvature direction with no blocking bound)
 means the original inequality-constrained problem is infeasible; that
 surfaces as UnboundedDualError, and only after the curvature along the
-direction is confirmed to be zero at machine level.  When the dual
-carries the primal problem it was built from (build_dual hands it
-over), the ray y = s p must also be a Farkas certificate on the primal
-rows M = [A; C] and offsets [b; d]:
+direction is confirmed to be zero at machine level.  The ray y = s p
+must also be a Farkas certificate on the rows M = [A; C] and offsets
+[b; d] of the primal the dual was built from:
 
     ||M'y||_inf <= _RAY_TOL ||M||_inf ||y||_inf   and   [b; d]'y < 0,
 
@@ -75,9 +76,8 @@ class UnboundedDualError(RuntimeError):
     admits no feasible point.
 
     `ray` is the direction y = s p of unbounded dual descent, in the
-    caller's row units.  For a dual built by build_dual it is a checked
-    Farkas certificate: [A; C]'y ~ 0, y >= 0 on the inequality rows and
-    [b; d]'y < 0."""
+    caller's row units.  It is a checked Farkas certificate:
+    [A; C]'y ~ 0, y >= 0 on the inequality rows and [b; d]'y < 0."""
 
     def __init__(self, message, ray):
         super().__init__(message)
@@ -90,60 +90,27 @@ class SolveStatus(Enum):
     NUMERICAL_FAILURE = "numerical_failure"
 
 
-def check_symmetric(name, M):
-    """Raise ValueError unless the finite square matrix M is symmetric
-    to rounding: max |M - M'| <= 1e-12 (1 + max |M|).
-
-    Callers check finiteness first; a NaN would pass this test."""
-    scale = 1.0 + np.max(np.abs(M), initial=0.0)
-    asym = M - M.T
-    np.abs(asym, out=asym)  # in place: one m x m temporary, not two
-    if np.max(asym, initial=0.0) > 1e-12 * scale:
-        raise ValueError(f"{name} must be symmetric")
-
-
 @dataclass
 class DualQP:
-    """Lower QP data: quadratic term G, linear term h, and the split of
-    the variable vector into m_eq free coordinates followed by m_in
-    bound (>= 0) coordinates.
-
-    s is the row scale: G and h are those of the rows s_i [A; C]_i and
-    offsets s_i [b; d]_i, and solve_dual reports mu and rays times s,
-    in the caller's row units.  It defaults to ones.  build_dual also
-    passes the PrimalQP behind G and h, by reference (a stacked copy of
-    its rows would stay in memory with the dual); solve_dual checks an
-    infeasibility ray on its rows.  A hand-built dual without a primal
-    gets no ray check."""
+    """What build_dual returns: G and h of the rows s_i [A; C]_i and
+    offsets s_i [b; d]_i, the PrimalQP behind them (by reference, not a
+    stacked copy of its rows), and the row scale s.  The first m_eq
+    coordinates, one per equality row, are free; the other m_in are
+    bounded below by 0.  solve_dual reports mu and rays times s, in the
+    caller's row units, and checks an infeasibility ray on the primal."""
 
     G: np.ndarray
     h: np.ndarray
-    m_eq: int
-    m_in: int
-    primal: object = field(default=None, repr=False)
-    s: np.ndarray | None = field(default=None, repr=False)
+    primal: object = field(repr=False)
+    s: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        self.G = np.asarray(self.G, dtype=float)
-        self.h = np.asarray(self.h, dtype=float)
-        if min(as_integer("m_eq", self.m_eq),
-               as_integer("m_in", self.m_in)) < 0:
-            raise ValueError("m_eq and m_in must be nonnegative")
-        m = self.m_eq + self.m_in
-        if self.G.shape != (m, m):
-            raise ValueError(f"G must have shape ({m}, {m}), got {self.G.shape}")
-        if self.h.shape != (m,):
-            raise ValueError(f"h must have shape ({m},), got {self.h.shape}")
-        if not (np.isfinite(self.G).all() and np.isfinite(self.h).all()):
-            raise ValueError("G and h must be finite")
-        check_symmetric("G", self.G)
-        if self.primal is not None and (
-                (self.primal.m_eq, self.primal.m_in) != (self.m_eq, self.m_in)):
-            raise ValueError("primal must have m_eq equality and m_in "
-                             "inequality rows")
-        self.s = np.ones(m) if self.s is None else np.asarray(self.s, float)
-        if not (self.s.shape == (m,) and np.all(self.s > 0)):
-            raise ValueError(f"s must be a positive vector of length {m}")
+    @property
+    def m_eq(self):
+        return self.primal.m_eq
+
+    @property
+    def m_in(self):
+        return self.primal.m_in
 
     @property
     def m(self):
@@ -287,8 +254,7 @@ def _directed_step(qp, f, c_bar, mu, g_scale):
     salvage fails, a flat salvaged direction that no bound blocks, or a
     ray that fails the primal check.  Raises UnboundedDualError only for
     a classified direction whose curvature is zero at machine level
-    while no bound blocks it, and that passes the primal check when qp
-    carries its primal.
+    while no bound blocks it, and that passes the primal check.
     """
     retries = 0
     salvaged = False
@@ -335,11 +301,8 @@ def _directed_step(qp, f, c_bar, mu, g_scale):
 
 def _ray_check(qp, p):
     # None when p, in row units, is a Farkas certificate on the primal
-    # rows (module docstring) or the dual carries no primal; else the
-    # failure message.  p >= 0 on the inequality rows holds already: no
-    # bound blocks p.
-    if qp.primal is None:
-        return None
+    # rows (module docstring); else the failure message.  p >= 0 on the
+    # inequality rows holds already: no bound blocks p.
     M = qp.primal.stacked()
     resid = _inf_norm(M.T @ p)
     gap = float(np.concatenate([qp.primal.b, qp.primal.d]) @ p)
@@ -373,7 +336,7 @@ def solve_dual(qp, W0=None, cfg=None):
 
     Parameters
     ----------
-    qp : DualQP
+    qp : DualQP, as build_dual returns it.
     W0 : optional WorkingSet of bounds to pin initially (any subset of
         the inequality block is valid at mu = 0).  Defaults to
         smartstart(qp) when cfg.smartstart, else the empty set.
@@ -411,6 +374,8 @@ def solve_dual(qp, W0=None, cfg=None):
     h_scale = 1.0 + _inf_norm(qp.h)
 
     mu = np.zeros(m)
+    # in [1, 2] up to rounding, as build_dual bounds max|G| by 1; read
+    # off G rather than fixed at 2 so that results stay bit-identical
     g_scale = 1.0 + _inf_norm(qp.G)
     refine_iters = []
     descent_count = 0

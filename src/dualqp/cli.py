@@ -210,7 +210,7 @@ def _run_once(primal, cfg, dual_only):
     try:
         dual, pf = timed("build_dual", build_dual, primal)
         rep = timed("solve_dual", solve_dual, dual, cfg=cfg)
-    except InvalidProblemError as err:  # from build_dual: P not PD
+    except InvalidProblemError as err:  # build_dual: P not PD, overflow
         doc.update(status="numerical_failure", message=str(err))
         return doc, EXIT_NUMERICAL
     except UnboundedDualError as err:

@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .active_set import check_symmetric
 from .kernel import as_integer
-from .transform import InvalidProblemError, PrimalQP
+from .transform import InvalidProblemError, PrimalQP, check_symmetric
 
 AFTI16_A = np.array([
     [0.999, -3.008, -0.113, -1.608],

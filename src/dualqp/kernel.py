@@ -212,8 +212,9 @@ def factorize(G, W, epsilon):
     epsilon : float, > 0.  Regularization added after masking, so masked
         diagonal entries hold 1 + epsilon.
 
-    The arguments are trusted: DualQP checks G and W once at the public
-    boundary, and the shift is one of active_set's fixed rules.
+    The arguments are trusted: build_dual makes G symmetric with
+    max|G| <= 1 and checks what can overflow, WorkingSet checks W where
+    it is built, and the shift is one of active_set's fixed rules.
 
     Returns
     -------

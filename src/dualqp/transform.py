@@ -21,12 +21,24 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .active_set import DualQP, check_symmetric
+from .active_set import DualQP
 
 
 class InvalidProblemError(ValueError):
     """The problem data violate a structural requirement (e.g. P not
-    positive definite)."""
+    positive definite), or overflow in the dual's arithmetic."""
+
+
+def check_symmetric(name, M):
+    """Raise ValueError unless the finite square matrix M is symmetric
+    to rounding: max |M - M'| <= 1e-12 (1 + max |M|).
+
+    Callers check finiteness first; a NaN would pass this test."""
+    scale = 1.0 + np.max(np.abs(M), initial=0.0)
+    asym = M - M.T
+    np.abs(asym, out=asym)  # in place: one m x m temporary, not two
+    if np.max(asym, initial=0.0) > 1e-12 * scale:
+        raise ValueError(f"{name} must be symmetric")
 
 
 def _as_2d(name, M, ncols=None):
@@ -147,11 +159,12 @@ def build_dual(primal):
 
     Returns (DualQP, PFactor).  Each row of [A; C] and its offset in
     [b; d] is scaled by s_i = 1/sqrt(max(1, G_ii)), G_ii read off the
-    unscaled rows, so max|G| <= 1.  The DualQP keeps s, and a reference
-    to primal for the primal check of an infeasibility ray.  G is
-    symmetrized after assembly; its pre-symmetrization asymmetry is at
-    rounding level.  Raises InvalidProblemError when Cholesky of P
-    breaks down (P not PD).
+    unscaled rows, so max|G| <= 1; G is then symmetrized, so nothing
+    checks it again.  The checks are O(m), on what the arithmetic can
+    break: every s_i finite and > 0 (else G_ii overflowed) and h
+    finite; given the first, |G_ij| <= 1 by Cauchy-Schwarz.  A failed
+    check raises InvalidProblemError naming the first bad row, as does
+    a Cholesky breakdown of P (P not PD).
     """
     M = primal.stacked()
     offsets = np.concatenate([primal.b, primal.d])
@@ -168,14 +181,23 @@ def build_dual(primal):
         Y = cho_solve(chol, M.T, check_finite=False)
         p_inv_q = cho_solve(chol, primal.q, check_finite=False)
     s = 1.0 / np.sqrt(np.maximum(1.0, np.einsum("ij,ji->i", M, Y)))
+    if not np.all(s > 0.0):  # s <= 1, so this fails only for 0 or NaN
+        i = int(np.argmin(s > 0.0))
+        raise InvalidProblemError(
+            f"row {i} of [A; C] overflows: its P^-1 norm squared is not "
+            f"finite")
     M *= s[:, None]
     if not primal.identity_p:
         Y *= s
     G = M @ Y
     G = 0.5 * (G + G.T)
-    h = M @ p_inv_q + s * offsets
-    dual = DualQP(G=G, h=h, m_eq=primal.m_eq, m_in=primal.m_in,
-                  primal=primal, s=s)
+    with np.errstate(over="ignore"):  # checked next
+        h = M @ p_inv_q + s * offsets
+    if not np.isfinite(h).all():
+        i = int(np.argmin(np.isfinite(h)))
+        raise InvalidProblemError(
+            f"row {i} of h = [A; C] P^-1 q + [b; d], scaled, overflows")
+    dual = DualQP(G=G, h=h, primal=primal, s=s)
     return dual, pf
 
 

@@ -5,33 +5,52 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import dualqp.active_set as active_set
-from dualqp import (DualQP, SolveStatus, SolverConfig, UnboundedDualError,
+import dualqp.transform as transform
+from dualqp import (SolveStatus, SolverConfig, UnboundedDualError,
                     WorkingSet, build_dual, enumerate_solve, random_qp,
                     recover_primal, smartstart, solve, solve_dual)
-from dualqp.active_set import step_length
+from dualqp.active_set import DualQP, step_length
 from dualqp.kernel import CholeskyDowndateError, factorize
 from dualqp.refine import OutcomeKind, RefineOutcome, RefinementError
 from dualqp.transform import PrimalQP
 
 
+def identity_dual(h, m_eq=0):
+    # build_dual of the projection of 0 onto the rows of I with offsets
+    # h: G = I and h exactly, s = 1, the first m_eq rows equalities
+    h = np.asarray(h, dtype=float)
+    rows = np.eye(h.size)
+    primal = PrimalQP(P=None, identity_p=True, q=np.zeros(h.size),
+                      A=rows[:m_eq], b=h[:m_eq], C=rows[m_eq:], d=h[m_eq:])
+    return build_dual(primal)[0]
+
+
+def unscaled_dual(primal):
+    # the DualQP record, built by keyword, of a P = I primal on its rows
+    # as given, which build_dual would scale down: G = M M',
+    # h = M q + [b; d], s = 1
+    M = primal.stacked()
+    G = M @ M.T
+    return DualQP(G=0.5 * (G + G.T),
+                  h=M @ primal.q + np.concatenate([primal.b, primal.d]),
+                  primal=primal, s=np.ones(M.shape[0]))
+
+
 class TestSmartstart:
 
     def test_pins_nonnegative_gradient_coordinates(self):
-        qp = DualQP(G=np.eye(4), h=np.array([0.5, -1.0, 0.0, -2.0]),
-                    m_eq=0, m_in=4)
+        qp = identity_dual([0.5, -1.0, 0.0, -2.0])
         W = smartstart(qp)
         assert tuple(W) == (0, 2)
 
     def test_never_pins_equalities(self):
-        qp = DualQP(G=np.eye(3), h=np.array([1.0, 1.0, -1.0]),
-                    m_eq=2, m_in=1)
+        qp = identity_dual([1.0, 1.0, -1.0], m_eq=2)
         assert tuple(smartstart(qp)) == ()
 
     def test_matches_scalar_optima(self):
         # per coordinate of a diagonal dual: mu_i* > 0 iff h_i < 0, so
         # exactly the h_i >= 0 coordinates belong in the initial set
-        h = np.array([-3.0, 0.25, -0.5, 1.0])
-        qp = DualQP(G=np.eye(4), h=h, m_eq=0, m_in=4)
+        qp = identity_dual([-3.0, 0.25, -0.5, 1.0])
         rep = solve_dual(qp)
         W = smartstart(qp)
         for i in range(4):
@@ -45,7 +64,7 @@ def directed_step(monkeypatch, mu, c_bar, outcome):
     # _directed_step on G = I with no bound pinned, refinement patched
     # to return `outcome`; returns (alpha, blocking)
     m = len(mu)
-    qp = DualQP(G=np.eye(m), h=np.zeros(m), m_eq=0, m_in=m)
+    qp = identity_dual(np.zeros(m))
     f = factorize(qp.G, WorkingSet(0, m), 1e-7)
     monkeypatch.setattr(active_set, "refine_solve", lambda f, c_bar: outcome)
     _, alpha, blocking, salvaged, retries, failure = (
@@ -139,27 +158,31 @@ class TestStepLength:
 class TestScalarDuals:
 
     def test_active_bound(self):
-        qp = DualQP(G=np.array([[1.0]]), h=np.array([-2.0]), m_eq=0, m_in=1)
-        rep = solve_dual(qp)
+        rep = solve_dual(identity_dual([-2.0]))
         assert rep.status is SolveStatus.OPTIMAL
         assert_allclose(rep.mu_star, [2.0], rtol=0, atol=1e-9)
 
     def test_inactive_bound(self):
-        qp = DualQP(G=np.array([[1.0]]), h=np.array([2.0]), m_eq=0, m_in=1)
-        rep = solve_dual(qp)
+        rep = solve_dual(identity_dual([2.0]))
         assert rep.status is SolveStatus.OPTIMAL
         assert_allclose(rep.mu_star, [0.0], rtol=0, atol=1e-12)
 
     def test_equality_coordinate_goes_negative(self):
-        qp = DualQP(G=np.array([[2.0]]), h=np.array([3.0]), m_eq=1, m_in=0)
-        rep = solve_dual(qp)
+        # min x^2 / 4 subject to x = 3: the dual G = 2 is scaled to 1,
+        # and the multiplier comes back in the row's units
+        primal = PrimalQP(P=np.array([[0.5]]), q=np.zeros(1),
+                          A=np.array([[1.0]]), b=np.array([3.0]))
+        rep = solve_dual(build_dual(primal)[0])
         assert_allclose(rep.mu_star, [-1.5], rtol=0, atol=1e-9)
 
     def test_zero_step_solution_is_optimal(self):
-        # the gradient 5e-7 is above the stationarity test; the step
-        # -5e-13 it solves to is taken like any other, and the next
-        # iteration finds the subspace minimizer
-        qp = DualQP(G=np.array([[1e6]]), h=np.array([5e-7]), m_eq=1, m_in=0)
+        # G = 1e6, h = 5e-7, on the unscaled row 1e3: the gradient is
+        # above the stationarity test; the step -5e-13 it solves to is
+        # taken like any other, and the next iteration finds the
+        # subspace minimizer
+        qp = unscaled_dual(PrimalQP(P=np.eye(1), q=np.zeros(1),
+                                    A=np.array([[1e3]]),
+                                    b=np.array([5e-7])))
         rep = solve_dual(qp)
         assert rep.status is SolveStatus.OPTIMAL
         assert abs(rep.mu_star[0]) <= 1e-12
@@ -383,7 +406,10 @@ class TestSalvageRejections:
             raise RefinementError("forced", np.array([1.0]), 20, 1.0)
 
         monkeypatch.setattr(active_set, "refine_solve", fail)
-        qp = DualQP(G=np.zeros((1, 1)), h=np.array([-1.0]), m_eq=0, m_in=1)
+        # the row 0 <= -1: G = 0, h = -1
+        qp = build_dual(PrimalQP(P=None, identity_p=True, q=np.zeros(1),
+                                 C=np.zeros((1, 1)),
+                                 d=np.array([-1.0])))[0]
         rep = solve_dual(qp)
         assert rep.status is SolveStatus.NUMERICAL_FAILURE
         assert rep.message == ("refinement failed at iteration 1: flat "
@@ -402,22 +428,12 @@ def large_rows_qp(s):
     return PrimalQP(P=np.eye(3), q=q, C=C, d=d)
 
 
-def unscaled_dual(primal):
-    # the dual of a P = I primal on its rows as given, which build_dual
-    # would scale down: G = M M', h = M q + [b; d]
-    M = primal.stacked()
-    G = M @ M.T
-    return DualQP(G=0.5 * (G + G.T),
-                  h=M @ primal.q + np.concatenate([primal.b, primal.d]),
-                  m_eq=primal.m_eq, m_in=primal.m_in, primal=primal)
-
-
 class TestAbsoluteShift:
     """The shift and its floor are absolute: on a dual whose rows are
     not scaled, once max|G| is large, a rank-deficient masked G can
     round to indefinite at the shift, and its factorization fails
     inside the solve.  build_dual's row scaling keeps max|G| <= 1, so
-    the duals here are built by hand."""
+    the duals here are unscaled DualQP records, built by keyword."""
 
     def test_unfactorable_sharper_shift_salvages(self, monkeypatch):
         failed = []
@@ -527,6 +543,14 @@ def scripted_refinement(monkeypatch, fails, iterate, unfactorable=()):
 COLD = SolverConfig(smartstart=False)
 
 
+def unit_rows_dual(h):
+    # the DualQP record, built by keyword, of G = I and h: the unscaled
+    # dual of the rows of I with offsets h
+    m = len(h)
+    return unscaled_dual(PrimalQP(P=np.eye(m), q=np.zeros(m), C=np.eye(m),
+                                  d=np.asarray(h, dtype=float)))
+
+
 class TestHomeShift:
     """Each iteration that needs refinement starts at the home shift:
     the shift of the last subproblem classified without salvage."""
@@ -538,8 +562,7 @@ class TestHomeShift:
         # the configured shift, one factorization later.
         seen, factorizations = scripted_refinement(
             monkeypatch, fails={1, 2, 3, 4}, iterate=[1.0, -2.0])
-        qp = DualQP(G=np.eye(2), h=np.array([-1.0, 2.0]), m_eq=0, m_in=2)
-        rep = solve_dual(qp, cfg=COLD)
+        rep = solve_dual(unit_rows_dual([-1.0, 2.0]), cfg=COLD)
         assert seen == pytest.approx([1e-7, 1e-9, 1e-11, 1e-12, 1e-7],
                                      rel=1e-12)
         # the start, three escalations, and one return home
@@ -558,9 +581,7 @@ class TestHomeShift:
         # the configured 1e-7.
         seen, factorizations = scripted_refinement(
             monkeypatch, fails={1, 3, 4, 5}, iterate=[1.0, 0.0, 0.0])
-        qp = DualQP(G=np.eye(3), h=np.array([-1.0, -1.0, 2.0]),
-                    m_eq=0, m_in=3)
-        rep = solve_dual(qp, cfg=COLD)
+        rep = solve_dual(unit_rows_dual([-1.0, -1.0, 2.0]), cfg=COLD)
         assert seen == pytest.approx([1e-7, 1e-9, 1e-9, 1e-11, 1e-12, 1e-9],
                                      rel=1e-12)
         assert factorizations[-1] == pytest.approx(1e-9, rel=1e-12)
@@ -576,8 +597,7 @@ class TestHomeShift:
         seen, factorizations = scripted_refinement(
             monkeypatch, fails={1, 2, 3, 4}, iterate=[1.0, -2.0],
             unfactorable={1e-7})
-        qp = DualQP(G=np.eye(2), h=np.array([-1.0, 2.0]), m_eq=0, m_in=2)
-        rep = solve_dual(qp, cfg=COLD)
+        rep = solve_dual(unit_rows_dual([-1.0, 2.0]), cfg=COLD)
         assert seen == pytest.approx([1e-7, 1e-9, 1e-11, 1e-12, 1e-12],
                                      rel=1e-12)
         assert len(factorizations) == 5  # the last one failed
@@ -677,15 +697,11 @@ class TestInfeasibilityRay:
         dual, _ = build_dual(PrimalQP(P=np.eye(3), q=q, C=C,
                                       d=np.array([-1.0, 0.0])))
         feasible = PrimalQP(P=np.eye(3), q=q, C=C, d=np.array([1.0, 0.0]))
-        false = DualQP(G=dual.G, h=dual.h, m_eq=0, m_in=2, primal=feasible)
+        false = DualQP(G=dual.G, h=dual.h, primal=feasible, s=dual.s)
         rep = solve_dual(false, cfg=SolverConfig(smartstart=warm))
         assert rep.status is SolveStatus.NUMERICAL_FAILURE
         assert "infeasibility ray failed the primal check" in rep.message
         assert "||M'p||_inf" in rep.message and "[b; d]'p" in rep.message
-        # a hand-built dual carries no primal and gets no check
-        bare = DualQP(G=dual.G, h=dual.h, m_eq=dual.m_eq, m_in=dual.m_in)
-        with pytest.raises(UnboundedDualError):
-            solve_dual(bare, cfg=SolverConfig(smartstart=warm))
 
     def test_all_rows_tight_family_claims_no_infeasibility(self):
         # every problem of the family is feasible: each ends OPTIMAL,
@@ -694,52 +710,10 @@ class TestInfeasibilityRay:
             for warm in (True, False):
                 solve_row_feasible(all_rows_tight_qp(seed), warm)
 
-    def test_primal_of_other_dimensions_is_rejected(self):
-        primal = PrimalQP(P=np.eye(1), q=np.zeros(1),
-                          C=np.array([[1.0], [-1.0]]), d=np.zeros(2))
-        with pytest.raises(ValueError, match="primal"):
-            DualQP(G=np.eye(2), h=np.zeros(2), m_eq=1, m_in=1,
-                   primal=primal)
-
 
 class TestBoundary:
-    """DualQP and solve_dual own the checks on the dual data."""
-
-    def test_dualqp_rejects_asymmetric_g(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            DualQP(G=np.arange(9.0).reshape(3, 3), h=np.zeros(3),
-                   m_eq=0, m_in=3)
-
-    def test_dualqp_rejects_non_finite_g(self):
-        G = np.eye(2)
-        G[0, 0] = np.inf
-        with pytest.raises(ValueError, match="finite"):
-            DualQP(G=G, h=np.zeros(2), m_eq=0, m_in=2)
-
-    def test_dualqp_rejects_misshaped_data(self):
-        with pytest.raises(ValueError, match="h must"):
-            DualQP(G=np.eye(3), h=np.zeros(2), m_eq=0, m_in=3)
-        with pytest.raises(ValueError, match="G must"):
-            DualQP(G=np.eye(3), h=np.zeros(4), m_eq=1, m_in=3)
-        for s in ([1.0], [1.0, 0.0], [1.0, -1.0], [1.0, np.nan]):
-            with pytest.raises(ValueError, match="s must be a positive"):
-                DualQP(G=np.eye(2), h=np.zeros(2), m_eq=0, m_in=2, s=s)
-
-    def test_row_scale_defaults_to_ones(self):
-        qp = DualQP(G=np.eye(3), h=-np.ones(3), m_eq=1, m_in=2)
-        assert_array_equal(qp.s, np.ones(3))
-        assert qp.s.dtype == float
-
-    @pytest.mark.parametrize("m_eq, m_in, match", [
-        (0.5, 1.5, "m_eq must be an integer"),
-        (True, 1, "m_eq must be an integer"),
-        (0, np.float64(2.0), "m_in must be an integer"),
-        (-1, 3, "nonnegative"),
-        (3, -1, "nonnegative"),
-    ])
-    def test_dualqp_rejects_bad_dimensions(self, m_eq, m_in, match):
-        with pytest.raises(ValueError, match=match):
-            DualQP(G=np.eye(2), h=-np.ones(2), m_eq=m_eq, m_in=m_in)
+    """The checks left around the solve: W0 in solve_dual, and the
+    symmetry test that PrimalQP runs on P."""
 
     def test_symmetry_check_matches_allclose_reference(self):
         rng = np.random.default_rng(8)
@@ -756,14 +730,14 @@ class TestBoundary:
             expect = np.allclose(M, M.T, rtol=0.0,
                                  atol=1e-12 * (1.0 + scale))
             try:
-                active_set.check_symmetric("M", M)
+                transform.check_symmetric("M", M)
                 got = True
             except ValueError:
                 got = False
             assert got == expect
 
     def test_solve_dual_rejects_w0_of_other_dimensions(self):
-        qp = DualQP(G=np.eye(3), h=-np.ones(3), m_eq=1, m_in=2)
+        qp = identity_dual(-np.ones(3), m_eq=1)
         for W0 in (WorkingSet(0, 4), WorkingSet(0, 3), WorkingSet(2, 1)):
             with pytest.raises(ValueError, match="W0"):
                 solve_dual(qp, W0=W0)
@@ -791,6 +765,6 @@ class TestSolverConfig:
             raise AssertionError("factorized under an invalid config")
 
         monkeypatch.setattr(active_set, "factorize", unreachable)
-        qp = DualQP(G=np.eye(2), h=-np.ones(2), m_eq=0, m_in=2)
+        qp = identity_dual(-np.ones(2))
         with pytest.raises(ValueError, match=match):
             solve_dual(qp, cfg=SolverConfig(**{field: value}))

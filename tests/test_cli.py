@@ -158,6 +158,22 @@ class TestSolveCommand:
         prob = write_json(tmp_path / "p.json", doc)
         assert main(["solve", prob]) == 3
 
+    # s_0 collapses to 0 when the row's norm squared overflows, and h
+    # overflows with q: both end before the solve, as P not PD does
+    @pytest.mark.parametrize("doc", [
+        {"schema_version": "1", "P": [[1.0, 0.0], [0.0, 1.0]],
+         "q": [0.0, 0.0], "C": [[1e160, 0.0]], "d": [-1e160]},
+        {"schema_version": "1", "P": [[1.0, 0.0], [0.0, 1.0]],
+         "q": [1.5e308, 1.5e308], "C": [[1.0, 1.0]], "d": [0.0]},
+    ], ids=["row", "h"])
+    def test_overflowing_data_exit(self, tmp_path, doc):
+        prob = write_json(tmp_path / "p.json", doc)
+        report = tmp_path / "r.json"
+        assert main(["solve", prob, "--report", str(report)]) == 3
+        rep = json.loads(report.read_text())
+        assert rep["status"] == "numerical_failure"
+        assert "overflows" in rep["message"]
+
     def test_iteration_limit_exit(self, tmp_path):
         prob = write_json(tmp_path / "p.json", iteration_limit_doc())
         code = main(["solve", prob, "--max-iters", "1", "--smartstart", "off"])

@@ -92,7 +92,7 @@ class TestBuildDual:
         assert_allclose(dual.h,
                         s * (M @ Pinv @ p.q + np.concatenate([p.b, p.d])),
                         rtol=0, atol=1e-12)
-        assert dual.m_eq == 1 and dual.m_in == 2
+        assert dual.primal is p and dual.m_eq == 1 and dual.m_in == 2
         # the retained factor solves against P
         rhs = np.array([1.0, 2.0])
         assert_allclose(pf.solve(rhs), Pinv @ rhs, rtol=0, atol=1e-12)
@@ -113,6 +113,24 @@ class TestBuildDual:
         p = PrimalQP(P=np.array([[1.0, 2.0], [2.0, 1.0]]), q=np.zeros(2))
         with pytest.raises(InvalidProblemError):
             build_dual(p)
+
+    # rows whose arithmetic overflows: a P^-1 norm of 1e160 squares to
+    # inf, which would make s_i = 0, and a q of 1.5e308 overflows h
+    @pytest.mark.parametrize("q, C, d, match", [
+        ([0.0, 0.0], [[1e160, 0.0]], [-1e160], r"row 0 of \[A; C\]"),
+        ([0.0, 0.0], [[1.0, 0.0], [1e160, 0.0]], [0.0, -1e160],
+         r"row 1 of \[A; C\]"),
+        ([1.5e308, 1.5e308], [[1.0, 1.0]], [0.0], r"row 0 of h"),
+    ], ids=["row-0", "row-1", "h"])
+    @pytest.mark.parametrize("identity", [False, True],
+                             ids=["P", "identity"])
+    def test_overflow_is_an_invalid_problem(self, q, C, d, match, identity):
+        p = PrimalQP(P=None if identity else np.eye(2), q=np.array(q),
+                     C=np.array(C), d=np.array(d), identity_p=identity)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # reported once, as the error
+            with pytest.raises(InvalidProblemError, match=match):
+                build_dual(p)
 
     def test_g_is_symmetric(self):
         rng = np.random.default_rng(10)
