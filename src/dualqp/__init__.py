@@ -24,14 +24,14 @@ from .cli import ProblemFormatError, load_problem, save_problem
 __version__ = "0.1.0"
 
 
-def solve(primal, cfg=None, w0=None):
+def solve(primal, cfg=None):
     """Solve a PrimalQP end to end.
 
     Returns (PrimalSolution, SolveReport).  Raises UnboundedDualError
     when the primal is infeasible.
     """
     dual, pf = build_dual(primal)
-    report = solve_dual(dual, W0=w0, cfg=cfg)
+    report = solve_dual(dual, cfg=cfg)
     solution = recover_primal(primal, pf, report.mu_star)
     return solution, report
 

@@ -32,19 +32,24 @@ cutoff: eigenvalues far below it act as zeros, far above it as regular
 curvature, and eigenvalues near it are ambiguous.  build_dual scales
 the rows so that max|G| <= 1, so one cutoff means the same on every
 problem, and the shift policy is a fixed rule of this module, not a
-setting: the first factor is built at _SHIFT_START, and when
-refinement cannot classify a subproblem the loop refactorizes in place
-at a shift _SHIFT_SHRINK times smaller and retries, down to
-_SHIFT_FLOOR.  At the floor the last refinement iterate is salvaged as
-an uncertified descent direction.
+setting.  When refinement cannot classify a subproblem the loop
+refactorizes in place at a shift _SHIFT_SHRINK times smaller and
+retries, down to _SHIFT_FLOOR.  At the floor the last refinement
+iterate is salvaged as an uncertified descent direction.
 
 The shift comes back after a hard subproblem.  The loop keeps a home
 shift: _SHIFT_START at the start, then the shift of the last
-subproblem that refinement classified without salvage.  Each outer
-iteration that needs refinement first refactorizes in place at home
-when the factor's shift is below it.  Classification happens at or
-below home, so home never rises.  When the factorization at home
-fails, the loop keeps the sharper factor it has.
+subproblem that refinement classified without salvage.  Classification
+happens at or below home, so home never rises.
+
+One rule builds the factor: each outer iteration that needs
+refinement first factorizes in place at home when there is no factor
+or the factor's shift is below home.  So the first factor is built on
+the first step, at _SHIFT_START; a solve whose start set is already
+optimal never factorizes.  A collapsed downdate drops the factor, and
+the next step rebuilds it.  When a build at home fails, the loop keeps
+the sharper factor it has; with none, the solve ends as
+NUMERICAL_FAILURE.
 """
 
 from __future__ import annotations
@@ -55,9 +60,9 @@ from enum import Enum
 
 import numpy as np
 
-from .kernel import (CholeskyDowndateError, WorkingSet, add_index,
-                     as_integer, factorize, lambda_from_direction,
-                     mask_vector, remove_index)
+from .kernel import (CholeskyDowndateError, MaskedFactor, WorkingSet,
+                     add_index, as_integer, factorize,
+                     lambda_from_direction, mask_vector, remove_index)
 from .refine import (OutcomeKind, RefineOutcome, RefinementError,
                      refine_solve)
 
@@ -196,22 +201,23 @@ def step_length(mu, p, inequality_indices, W):
 
 
 def _reshift(qp, f, epsilon):
-    # Refactorize f in place at epsilon; False, with f untouched, when
+    # (Re)factorize f in place at epsilon, the one place that builds a
+    # factor.  Returns None, or the LinAlgError with f untouched when
     # the shifted block does not factor (on a G with large entries a
     # rank-deficient block can round to indefinite at a small shift).
     try:
         fresh = factorize(qp.G, f.mask, epsilon)
-    except np.linalg.LinAlgError:
-        return False
+    except np.linalg.LinAlgError as err:
+        return err
     f.factor, f.epsilon = fresh.factor, fresh.epsilon
-    return True
+    return None
 
 
 def _sharpen(qp, f):
     # Refactorize f in place at the next shift down; False, with f
     # untouched, at the floor or when the sharper shift does not factor.
     return f.epsilon > _SHIFT_FLOOR and _reshift(
-        qp, f, max(f.epsilon * _SHIFT_SHRINK, _SHIFT_FLOOR))
+        qp, f, max(f.epsilon * _SHIFT_SHRINK, _SHIFT_FLOOR)) is None
 
 
 def _salvage(err, c_bar):
@@ -342,11 +348,11 @@ def solve_dual(qp, W0=None, cfg=None):
         smartstart(qp) when cfg.smartstart, else the empty set.
     cfg : SolverConfig, validated here before any work.
 
-    The first factor is built at _SHIFT_START, the first home shift; the
-    shift then follows the policy in the module docstring.
-
-    The working set lives in the factor: f.mask is the only copy, and
-    add_index/remove_index move it together with the factor.
+    The factor is built when a step first needs it, at the home shift
+    (module docstring).  The working set lives in the factor record:
+    f.mask is the only copy, and add_index/remove_index move it
+    together with the factor; with no factor built, a drop edits the
+    mask alone.
 
     Returns
     -------
@@ -382,67 +388,64 @@ def solve_dual(qp, W0=None, cfg=None):
     salvaged_steps = 0
     shift_retries = 0
     k = 0
-    W, shift = W0, _SHIFT_START  # what a failed start reports
+    f = MaskedFactor(qp.G, W0, _SHIFT_START, factor=None)
     home = _SHIFT_START
     status = SolveStatus.ITERATION_LIMIT
     message = "outer iteration cap reached"
 
-    try:
-        f = factorize(qp.G, W0, shift)
-    except np.linalg.LinAlgError as err:
-        status = SolveStatus.NUMERICAL_FAILURE
-        message = f"start factorization failed at shift {shift:g}: {err}"
-    else:
-        for k in range(1, max_outer + 1):
-            c = qp.G @ mu + qp.h
-            c_bar = mask_vector(c, f.mask)
-            if _inf_norm(c_bar) <= (_STATIONARITY_TOL * h_scale
-                                    + _ROUNDING_TOL * g_scale * _inf_norm(mu)):
-                # at this subspace's minimizer: check the bound multipliers
-                sigma = -lambda_from_direction(c, f.mask)
-                if sigma.size == 0 or np.min(sigma) >= -_LAMBDA_TOL * h_scale:
-                    status = SolveStatus.OPTIMAL
-                    message = (f"optimal, but {salvaged_steps} step(s) "
-                               f"took salvaged, uncertified directions"
-                               if salvaged_steps else "")
-                    break
-                j = int(f.mask.indices[int(np.argmin(sigma))])
-                try:
-                    f = remove_index(f, j)
-                except CholeskyDowndateError:
-                    try:
-                        f = factorize(qp.G, f.mask.remove(j), f.epsilon)
-                    except np.linalg.LinAlgError as err:
-                        status = SolveStatus.NUMERICAL_FAILURE
-                        message = (f"refactorization failed at iteration "
-                                   f"{k}, shift {f.epsilon:g}: {err}")
-                        break
-                continue
-
-            if f.epsilon < home:
-                _reshift(qp, f, home)  # on failure f stays sharper
-            (outcome, alpha, blocking, salvaged, retries,
-             failure) = _directed_step(qp, f, c_bar, mu, g_scale)
-            shift_retries += retries
-            if failure is not None:
-                status = SolveStatus.NUMERICAL_FAILURE
-                message = f"refinement failed at iteration {k}: {failure}"
+    for k in range(1, max_outer + 1):
+        c = qp.G @ mu + qp.h
+        c_bar = mask_vector(c, f.mask)
+        if _inf_norm(c_bar) <= (_STATIONARITY_TOL * h_scale
+                                + _ROUNDING_TOL * g_scale * _inf_norm(mu)):
+            # at this subspace's minimizer: check the bound multipliers
+            sigma = -lambda_from_direction(c, f.mask)
+            if sigma.size == 0 or np.min(sigma) >= -_LAMBDA_TOL * h_scale:
+                status = SolveStatus.OPTIMAL
+                message = (f"optimal, but {salvaged_steps} step(s) "
+                           f"took salvaged, uncertified directions"
+                           if salvaged_steps else "")
                 break
-            if salvaged:
-                salvaged_steps += 1
-            else:
-                home = f.epsilon
-            refine_iters.append(outcome.iters)
-            if not outcome.is_solution:
-                descent_count += 1
-            mu = mu + alpha * outcome.p
-            np.maximum(mu[qp.m_eq:], 0.0, out=mu[qp.m_eq:])
-            if blocking is not None:
-                mu[blocking] = 0.0
-                f = add_index(f, blocking)
-        W, shift = f.mask, f.epsilon
+            j = int(f.mask.indices[int(np.argmin(sigma))])
+            if f.factor is None:
+                f.mask = f.mask.remove(j)
+                continue
+            try:
+                f = remove_index(f, j)
+            except CholeskyDowndateError:
+                # the downdate spoiled the factor: the next step rebuilds
+                # it at home
+                f.factor, f.epsilon, f.mask = None, home, f.mask.remove(j)
+            continue
 
-    stat, comp, feas = _kkt_summary(qp, mu, W)
+        if f.factor is None or f.epsilon < home:
+            err = _reshift(qp, f, home)  # on failure a sharper f is kept
+            if f.factor is None:
+                status = SolveStatus.NUMERICAL_FAILURE
+                message = (f"factorization failed at iteration {k}, "
+                           f"shift {home:g}: {err}")
+                break
+        (outcome, alpha, blocking, salvaged, retries,
+         failure) = _directed_step(qp, f, c_bar, mu, g_scale)
+        shift_retries += retries
+        if failure is not None:
+            status = SolveStatus.NUMERICAL_FAILURE
+            message = f"refinement failed at iteration {k}: {failure}"
+            break
+        if salvaged:
+            salvaged_steps += 1
+        else:
+            home = f.epsilon
+        refine_iters.append(outcome.iters)
+        if not outcome.is_solution:
+            descent_count += 1
+        mu = mu + alpha * outcome.p
+        np.maximum(mu[qp.m_eq:], 0.0, out=mu[qp.m_eq:])
+        if blocking is not None:
+            mu[blocking] = 0.0
+            f = add_index(f, blocking)
+
+    stat, comp, feas = _kkt_summary(qp, mu, f.mask)
     iters = refine_iters or [0]
     return SolveReport(
         mu_star=qp.s * mu,
@@ -456,7 +459,7 @@ def solve_dual(qp, W0=None, cfg=None):
         descent_count=descent_count,
         salvaged_steps=salvaged_steps,
         shift_retries=shift_retries,
-        final_shift=shift,
+        final_shift=f.epsilon,
         stationarity_residual=stat,
         complementarity_residual=comp,
         feasibility_residual=feas,

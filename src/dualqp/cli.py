@@ -69,28 +69,23 @@ def _as_vector(obj, field, length=None):
     return np.array([float(v) for v in obj], dtype=float)
 
 
-def _as_matrix(obj, field, cols=None):
+def _as_matrix(obj, field, cols):
     if not isinstance(obj, list):
         raise ProblemFormatError("expected a nested array", field)
     data = []
-    width = cols
     for i, row in enumerate(obj):
         if not isinstance(row, list):
             raise ProblemFormatError("expected an array of numbers",
                                      field, row=i)
-        if width is None:
-            width = len(row)
-        if len(row) != width:
+        if len(row) != cols:
             raise ProblemFormatError(
-                f"has {len(row)} entries, expected {width}", field, row=i)
+                f"has {len(row)} entries, expected {cols}", field, row=i)
         for j, v in enumerate(row):
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ProblemFormatError(f"entry {j} is not a number",
                                          field, row=i)
         data.append([float(v) for v in row])
-    if width is None:
-        width = 0
-    return np.array(data, dtype=float).reshape(len(data), width)
+    return np.array(data, dtype=float).reshape(len(data), cols)
 
 
 def load_problem(path):

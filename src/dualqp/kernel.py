@@ -187,7 +187,8 @@ class MaskedFactor:
     `base` is the unmasked symmetric matrix and is never modified; the
     mask and the factor move together through add_index/remove_index,
     and shift escalation in active_set replaces factor and epsilon
-    together.
+    together.  `factor` is None until it is built: active_set starts
+    from such a record and factorizes it when a step first needs it.
     Single-writer semantics: updates mutate `factor` in place, which
     requires it to be Fortran-ordered (see the module docstring).
     """
@@ -195,7 +196,7 @@ class MaskedFactor:
     base: np.ndarray
     mask: WorkingSet
     epsilon: float
-    factor: np.ndarray
+    factor: np.ndarray | None
 
     @property
     def n(self):

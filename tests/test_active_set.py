@@ -320,7 +320,8 @@ class TestDowndateFallback:
     def test_collapsed_downdate_refactorizes(self, monkeypatch):
         # Every inequality starts pinned, so the solve must unpin; the
         # first unpin raises as a collapsed downdate pivot would, and
-        # solve_dual refactorizes from scratch and carries on.
+        # solve_dual drops the factor, rebuilds it from scratch on the
+        # next step and carries on.
         primal = random_qp(0, n=6, m_eq=1, m_in=8)
         dual, _ = build_dual(primal)
         W0 = WorkingSet(1, 8, range(1, 9))
@@ -343,10 +344,49 @@ class TestDowndateFallback:
         monkeypatch.setattr(active_set, "factorize", counting_factorize)
         got = solve_dual(dual, W0=W0)
         assert calls["remove"] > 1
-        assert calls["factorize"] == 2  # the start and the fallback
+        assert calls["factorize"] == 2  # the first build and the rebuild
         assert got.status is SolveStatus.OPTIMAL
         assert got.outer_iters == want.outer_iters
         assert_allclose(got.mu_star, want.mu_star, rtol=0, atol=1e-10)
+
+
+class TestFirstBuild:
+    """The factor is built when a step first needs it."""
+
+    def test_optimal_start_never_factorizes(self, monkeypatch):
+        # smartstart pins both bounds of h >= 0, which is optimal at
+        # mu = 0: the solve ends before any step, so a factor that
+        # would not build is never asked for
+        calls = []
+
+        def unfactorable(G, W, epsilon):
+            calls.append(epsilon)
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(active_set, "factorize", unfactorable)
+        rep = solve_dual(identity_dual([1.0, 0.5]))
+        assert calls == []
+        assert rep.status is SolveStatus.OPTIMAL and rep.outer_iters == 1
+        assert rep.final_shift == 1e-7
+        assert_array_equal(rep.mu_star, [0.0, 0.0])
+
+    def test_drop_before_the_first_build_edits_the_mask(self, monkeypatch):
+        # both bounds pinned at h = [-1, -1]: the start set is
+        # stationary with negative multipliers, so bound 0 drops before
+        # any step, and the first factor is built on the set {1}
+        masks = []
+        factorize = active_set.factorize
+
+        def recording_factorize(G, W, epsilon):
+            masks.append((tuple(W), epsilon))
+            return factorize(G, W, epsilon)
+
+        monkeypatch.setattr(active_set, "factorize", recording_factorize)
+        qp = identity_dual([-1.0, -1.0])
+        rep = solve_dual(qp, W0=WorkingSet(0, 2, [0, 1]))
+        assert masks == [((1,), 1e-7)]
+        assert rep.status is SolveStatus.OPTIMAL
+        assert_allclose(rep.mu_star, [1.0, 1.0], rtol=0, atol=1e-12)
 
 
 def projection_dual():
@@ -456,26 +496,27 @@ class TestAbsoluteShift:
         ref = enumerate_solve(primal).x
         assert_allclose(x, ref, rtol=1e-6, atol=0)
 
-    # fallback: the factor is back at the home shift 1e-7 when the
-    # refactorization after a collapsed downdate meets the indefinite
-    # block (at 1e3 the home shift solves the problem, see below)
-    @pytest.mark.parametrize("s, message, shift", [
-        (10 ** 4.45, "refactorization failed at iteration", 1e-7),
-        (1e5, "start factorization failed", 1e-7),
+    # fallback: a downdate collapses, and the rebuild at the home shift
+    # 1e-7 on the next step meets the indefinite block; start: the
+    # first build, on the first step, does (at 1e3 the home shift
+    # solves the problem, see below)
+    @pytest.mark.parametrize("s, first", [
+        (10 ** 4.45, False),
+        (1e5, True),
     ], ids=["fallback", "start"])
-    def test_unfactorable_shift_is_a_numerical_failure(self, s, message,
-                                                       shift):
+    def test_unfactorable_shift_is_a_numerical_failure(self, s, first):
         dual = unscaled_dual(large_rows_qp(s))
         for warm in (True, False):
             rep = solve_dual(dual, cfg=SolverConfig(smartstart=warm))
             assert rep.status is SolveStatus.NUMERICAL_FAILURE
-            assert rep.message.startswith(message)
-            assert f"shift {shift:g}" in rep.message
-            assert rep.final_shift == shift
+            assert rep.message.startswith(
+                f"factorization failed at iteration {rep.outer_iters}, "
+                f"shift 1e-07: masked matrix is not positive definite")
+            assert rep.final_shift == 1e-7
             assert np.isfinite(rep.mu_star).all()
-            if message.startswith("start"):
-                # nothing ran: the report is of mu = 0 on the start set W0
-                assert rep.outer_iters == 0 and rep.objective == 0.0
+            if first:
+                # no step ran: the report is of mu = 0 on the start set W0
+                assert rep.outer_iters == 1 and rep.objective == 0.0
                 assert rep.refine_calls == 0 and rep.refine_iters_mean == 0.0
                 assert rep.refine_iters_min == rep.refine_iters_max == 0
                 assert rep.descent_count == 0 and rep.shift_retries == 0
@@ -516,7 +557,7 @@ def scripted_refinement(monkeypatch, fails, iterate, unfactorable=()):
     # refine_solve patched: call number k (from 1) raises, leaving
     # `iterate`, when k is in `fails`; every other call refines for
     # real.  factorize is counted, and raises LinAlgError for a shift
-    # in `unfactorable` after the start factorization.  Returns the
+    # in `unfactorable` after the first factorization.  Returns the
     # shift each refinement call saw and the shift of each
     # factorization attempt.
     seen, factorizations = [], []
@@ -605,6 +646,47 @@ class TestHomeShift:
         assert_allclose(rep.mu_star, [1.0, 0.0], rtol=0, atol=1e-12)
         assert rep.final_shift == 1e-12
         assert rep.salvaged_steps == 1
+
+    # G = I, h = [-1, -1], bound 1 pinned.  The first subproblem fails
+    # down to the floor and its iterate [1, 0] is salvaged: a step to
+    # mu = [1, 0] that leaves the factor at 1e-12 and home at 1e-7.
+    # There the set is stationary and bound 1 drops, but the downdate
+    # collapses: the factor is dropped, and the next step rebuilds it
+    # at home, not at the floor.
+    def collapsed_after_salvage(self, monkeypatch, unfactorable=()):
+        seen, factorizations = scripted_refinement(
+            monkeypatch, fails={1, 2, 3, 4}, iterate=[1.0, 0.0],
+            unfactorable=unfactorable)
+
+        def collapse(f, i):
+            raise CholeskyDowndateError("forced")
+
+        monkeypatch.setattr(active_set, "remove_index", collapse)
+        rep = solve_dual(unit_rows_dual([-1.0, -1.0]),
+                         W0=WorkingSet(0, 2, [1]))
+        assert factorizations == pytest.approx(
+            [1e-7, 1e-9, 1e-11, 1e-12, 1e-7], rel=1e-12)
+        return seen, rep
+
+    def test_collapse_rebuilds_at_home(self, monkeypatch):
+        seen, rep = self.collapsed_after_salvage(monkeypatch)
+        assert seen == pytest.approx([1e-7, 1e-9, 1e-11, 1e-12, 1e-7],
+                                     rel=1e-12)
+        assert rep.status is SolveStatus.OPTIMAL
+        assert_allclose(rep.mu_star, [1.0, 1.0], rtol=0, atol=1e-12)
+        assert rep.final_shift == 1e-7 and rep.salvaged_steps == 1
+
+    def test_unfactorable_rebuild_is_a_numerical_failure(self, monkeypatch):
+        # as above, but the rebuild at home fails, and there is no
+        # sharper factor to keep
+        seen, rep = self.collapsed_after_salvage(monkeypatch,
+                                                 unfactorable={1e-7})
+        assert len(seen) == 4
+        assert rep.status is SolveStatus.NUMERICAL_FAILURE
+        assert rep.message == ("factorization failed at iteration 3, "
+                               "shift 1e-07: forced")
+        assert rep.outer_iters == 3 and rep.final_shift == 1e-7
+        assert_allclose(rep.mu_star, [1.0, 0.0], rtol=0, atol=1e-12)
 
 
 def row_violation(primal, x):

@@ -90,6 +90,18 @@ class TestProblemFiles:
         (lambda d: d.pop("d"), "d"),
         (lambda d: d.update(d=[1.0, 2.0]), "d"),
         (lambda d: d.update(C=[[1.0, 0.0, 0.0]]), "C"),
+        pytest.param(lambda d: d.update(C="nope"), "C", id="C_not_a_list"),
+        pytest.param(lambda d: d.update(C=[1.0]), "C", id="row_not_a_list"),
+        pytest.param(lambda d: d.update(C=[[1.0, "x"]]), "C",
+                     id="entry_not_a_number"),
+        pytest.param(lambda d: d.update(P=[[1.0, 0.0]]), "P",
+                     id="P_rows"),
+        # PrimalQP's own checks, reported with no field
+        pytest.param(lambda d: d.update(identity_P=False,
+                                        P=[[1.0, 0.5], [0.0, 1.0]]),
+                     None, id="asymmetric_P"),
+        pytest.param(lambda d: d.update(q=[float("nan"), 0.0]), None,
+                     id="nan_q"),
     ])
     def test_structural_errors(self, tmp_path, mutate, field):
         doc = projection_doc()
@@ -109,6 +121,8 @@ class TestProblemFiles:
         path.write_text("{not json")
         with pytest.raises(ProblemFormatError):
             load_problem(str(path))
+        with pytest.raises(ProblemFormatError, match="top level"):
+            load_problem(write_json(path, [projection_doc()]))
 
     def test_missing_file(self):
         with pytest.raises(ProblemFormatError):
@@ -145,6 +159,12 @@ class TestSolveCommand:
         prob = write_json(tmp_path / "bad.json", doc)
         assert main(["solve", prob]) == 2
         assert "field 'd'" in capsys.readouterr().err
+        # a file that PrimalQP rejects is a format error too
+        doc = dict(projection_doc(), identity_P=False,
+                   P=[[1.0, 0.5], [0.0, 1.0]])
+        prob = write_json(tmp_path / "asym.json", doc)
+        assert main(["solve", prob]) == 2
+        assert "P must be symmetric" in capsys.readouterr().err
 
     def test_infeasible_exit(self, tmp_path, capsys):
         prob = write_json(tmp_path / "p.json", infeasible_doc())
@@ -245,9 +265,10 @@ class TestSolveCommand:
 
     def test_unfactorable_shift_exit(self, tmp_path, monkeypatch):
         # the solve of this problem unpins from either start; every
-        # downdate collapses, and every factorization after the start
+        # downdate collapses, and every factorization after the first
         # one fails, as on a masked G that rounds to indefinite at the
-        # shift, so the fallback refactorization ends the solve
+        # shift, so the rebuild on the step after the collapse ends
+        # the solve
         rng = np.random.default_rng(0)
         s = 10 ** 4.45
         C = s * rng.standard_normal((5, 3))
@@ -282,7 +303,7 @@ class TestSolveCommand:
             assert len(calls) == 2
             rep = json.loads(report.read_text())
             assert rep["status"] == "numerical_failure"
-            assert rep["message"].startswith("refactorization failed")
+            assert rep["message"].startswith("factorization failed")
             assert report_shape(rep) == report_shape(
                 json.loads(optimal.read_text()))
 

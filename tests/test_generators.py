@@ -206,6 +206,8 @@ class TestBuildPolytope:
     def test_requires_m_below_n(self):
         with pytest.raises(ValueError):
             PolytopeSpec(n=10, m=10, seed=0)
+        with pytest.raises(ValueError, match="n and m must be positive"):
+            PolytopeSpec(n=10, m=0, seed=0)
 
     @pytest.mark.parametrize("fields, name", [
         ({"n": 1000.5, "m": 5}, "n"),

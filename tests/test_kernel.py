@@ -138,7 +138,9 @@ class TestWorkingSet:
         b = WorkingSet(1, 3, [3, 2])
         assert a == b
         assert a != WorkingSet(1, 3, [2])
+        assert a != (2, 3)  # not a WorkingSet
         assert tuple(a) == (2, 3)
+        assert repr(a) == "WorkingSet(m_eq=1, m_in=3, indices=[2, 3])"
 
 
 class TestMasking:

@@ -57,6 +57,17 @@ class TestPrimalQP:
         with pytest.raises(ValueError):
             PrimalQP(P=np.eye(2), q=np.zeros(2), C=np.ones((1, 2)),
                      d=np.zeros(2))
+        with pytest.raises(ValueError, match="q must be a vector"):
+            PrimalQP(P=np.eye(2), q=np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="A must be a 2-D array"):
+            PrimalQP(P=np.eye(2), q=np.zeros(2), A=np.ones(2), b=np.zeros(1))
+        with pytest.raises(ValueError, match="A and C must have n columns"):
+            PrimalQP(P=np.eye(2), q=np.zeros(2), C=np.ones((1, 3)),
+                     d=np.zeros(1))
+        p = PrimalQP(P=np.eye(2), q=np.zeros(2), C=np.ones((1, 2)),
+                     d=np.zeros(1))
+        with pytest.raises(ValueError, match="mu must have length 1"):
+            recover_primal(p, build_dual(p)[1], np.zeros(2))
 
     def test_rejects_asymmetric_p(self):
         P = np.array([[1.0, 0.5], [0.0, 1.0]])

@@ -3,6 +3,8 @@
 Runs the first pass of each workload in perfbench/ at tiny size and
 seed 1, feeding answers back as the benchmark's first pass does, and
 compares each QP's work counts (FIELDS) with tests/work_counts.json.
+factorizations counts the calls to dualqp.active_set.factorize, through
+a wrapper put in place of that name for the pass.
 perfbench/workloads.py is loaded from its file and left unchanged.  The
 pass runs in a fresh process with BLAS pinned to one thread, because
 the BLAS thread count changes the bits of the result and with them the
@@ -24,13 +26,21 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "work_counts.json")
 SEED = 1
 FIELDS = ("outer_iters", "descent_count", "shift_retries", "refine_calls",
-          "refine_iters", "salvaged_steps")
+          "refine_iters", "salvaged_steps", "factorizations")
 
 
 def first_pass_counts():
     """{workload: [[count per FIELDS] per QP]} for the first pass."""
-    from dualqp import (PrimalQP, SolveStatus, build_dual, recover_primal,
-                        solve_dual)
+    from dualqp import (PrimalQP, SolveStatus, active_set, build_dual,
+                        recover_primal, solve_dual)
+    factorize = active_set.factorize
+    calls = [0]
+
+    def counted_factorize(*args, **kwargs):
+        calls[0] += 1
+        return factorize(*args, **kwargs)
+
+    active_set.factorize = counted_factorize
     spec = importlib.util.spec_from_file_location(
         "_perfbench_workloads",
         os.path.join(ROOT, "perfbench", "workloads.py"))
@@ -42,6 +52,7 @@ def first_pass_counts():
         rows = counts[name] = []
         for _ in range(wl.pass_size):
             data = wl.inputs(wl.next())
+            calls[0] = 0
             primal = PrimalQP(**data)
             dual, pf = build_dual(primal)
             rep = solve_dual(dual, cfg=wl.cfg)
@@ -52,7 +63,7 @@ def first_pass_counts():
             rows.append([rep.outer_iters, rep.descent_count,
                          rep.shift_retries, rep.refine_calls,
                          round(rep.refine_iters_mean * rep.refine_calls),
-                         rep.salvaged_steps])
+                         rep.salvaged_steps, calls[0]])
     return counts
 
 
