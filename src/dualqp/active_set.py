@@ -66,14 +66,14 @@ from .kernel import (CholeskyDowndateError, MaskedFactor, WorkingSet,
 from .refine import (OutcomeKind, RefineOutcome, RefinementError,
                      refine_solve)
 
-_LAMBDA_TOL = 1e-8        # bound-multiplier slack, times 1+||h||
-_STATIONARITY_TOL = 1e-8  # subspace-minimizer test, same scaling
-_ROUNDING_TOL = 1e-13     # rounding in G mu, times (1+max|G|)||mu||_inf
-_FLAT_TOL = 1e-12         # certified-flat curvature, times 1+max|G|
-_SHIFT_START = 1e-7       # first shift and first home shift
-_SHIFT_SHRINK = 1e-2      # shift reduction per escalation
-_SHIFT_FLOOR = 1e-12      # smallest shift worth factorizing with
-_RAY_TOL = 1e-10          # primal check on a ray, times ||M||_inf ||p||_inf
+_LAMBDA_TOL = 1e-10        # bound-multiplier slack, times 1+||h||
+_STATIONARITY_TOL = 1e-10  # subspace-minimizer test, same scaling
+_ROUNDING_TOL = 1e-13      # rounding in G mu, times (1+max|G|)||mu||_inf
+_FLAT_TOL = 1e-12          # certified-flat curvature, times 1+max|G|
+_SHIFT_START = 1e-7        # first shift and first home shift
+_SHIFT_SHRINK = 1e-2       # shift reduction per escalation
+_SHIFT_FLOOR = 1e-12       # smallest shift worth factorizing with
+_RAY_TOL = 1e-10           # primal check on a ray, times ||M||_inf ||p||_inf
 
 
 class UnboundedDualError(RuntimeError):
@@ -380,9 +380,10 @@ def solve_dual(qp, W0=None, cfg=None):
     h_scale = 1.0 + _inf_norm(qp.h)
 
     mu = np.zeros(m)
-    # in [1, 2] up to rounding, as build_dual bounds max|G| by 1; read
-    # off G rather than fixed at 2 so that results stay bit-identical
-    g_scale = 1.0 + _inf_norm(qp.G)
+    # 1 + max|G|, read off the diagonal in O(m): G is PSD, so its
+    # largest entry is a diagonal one; in [1, 2], as build_dual bounds
+    # max|G| by 1
+    g_scale = 1.0 + _inf_norm(np.diagonal(qp.G))
     refine_iters = []
     descent_count = 0
     salvaged_steps = 0

@@ -17,9 +17,9 @@ is the proximal-point method with step 1/eps.  Two regimes:
 Classification reads the iterate statistics.  A small residual with a
 collapsing step means a solution; settled second differences with a
 step that stays large relative to ||x_k|| mean a descent direction.
-The returned direction is normalized, polished by a null-space
-contraction pass when that converges, then oriented so its slope on
-c_bar is negative (the sign of the raw limit is not trusted).
+The returned direction is the normalized limit step, oriented so its
+slope on c_bar is negative (the sign of the raw limit is not trusted),
+then checked for curvature and slope.
 
 The shift eps is read off the factor.  Which shift a factor carries,
 and when to sharpen it after a failed classification, is the policy of
@@ -41,7 +41,6 @@ _CURVATURE_TOL = 1e-6   # runtime guarantee on returned descent directions
 _RES_TOL = 1e-11        # on ||masked(G) x + c_bar|| / (1 + ||c_bar||)
 _STAGNATION_TOL = 1e-3  # step ratio separating the two regimes
 _DD_TOL = 1e-7          # on ||second difference|| / ||x||
-_NULL_TOL = 1e-8        # contraction stop: ||masked(G) x|| <= tol * ||x0||
 
 
 class RefinementError(RuntimeError):
@@ -132,31 +131,14 @@ def refine_solve(f, c_bar):
 
 
 def _extract_direction(f, c_bar, step, iters, residual):
-    # Normalize, strip the range-space tail, orient downhill; the
-    # contraction is linear, so the sign can wait until after it.
     p = step / np.linalg.norm(step)
-    q = _null_contract(f, p)
-    if q is not None:
-        p = q / np.linalg.norm(q)
     if c_bar @ p > 0:
         p = -p
 
     curvature = np.linalg.norm(matvec_masked(f.base, f.mask, p))
     slope = c_bar @ p
-    if curvature > _CURVATURE_TOL * np.linalg.norm(p) or not slope < 0:
+    if curvature > _CURVATURE_TOL or not slope < 0:
         raise RefinementError(
             f"extracted direction failed verification: curvature "
             f"{curvature:.6g}, slope {slope:.6g}", step, iters, residual)
     return p
-
-
-def _null_contract(f, x):
-    # x <- eps * (masked(G) + eps*I)^{-1} x kills range-space components
-    # geometrically, leaves null ones untouched; None if the budget ends.
-    tol = _NULL_TOL * np.linalg.norm(x)
-    for _ in range(_MAX_ITERS + 1):
-        if np.linalg.norm(matvec_masked(f.base, f.mask, x)) <= tol:
-            return x
-        x = f.epsilon * solve_with_factor(f, x)
-    return None
-

@@ -733,11 +733,13 @@ class TestWideRowScales:
                 assert np.max(np.abs(x - ref)) <= 1e-5 * np.max(np.abs(ref)), (
                     seed, warm)
 
-    @pytest.mark.xfail(strict=True, reason="OPTIMAL that violates a row by "
-                       "1.2e-5; a KKT check on the primal data (ROADMAP "
-                       "item 2) is what refuses it")
-    def test_seed_114_warm(self):
-        solve_row_feasible(wide_row_scales_qp(114), True)
+    # The subspace-minimizer slacks scale with 1 + ||h||; on these
+    # seeds a slack of 1e-8 hid a row violation of up to 1.2e-5.
+    @pytest.mark.parametrize("seed, warm", [(114, True), (281, True),
+                                            (281, False)],
+                             ids=["114_warm", "281_warm", "281_cold"])
+    def test_large_h_seed_is_row_feasible(self, seed, warm):
+        solve_row_feasible(wide_row_scales_qp(seed), warm)
 
 
 def all_rows_tight_qp(seed):

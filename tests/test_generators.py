@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dualqp import (InvalidProblemError, MpcSpec, PolytopeSpec,
-                    UnboundedDualError, afti16_spec, build_dual, build_mpc,
-                    build_polytope, solve)
+from dualqp import (InvalidProblemError, MpcSpec, PolytopeSpec, SolverConfig,
+                    SolveStatus, UnboundedDualError, afti16_spec, build_dual,
+                    build_mpc, build_polytope, solve)
 from dualqp.generators import prediction_matrices
 
 
@@ -163,6 +163,22 @@ class TestBuildMpc:
         assert np.all(p >= 0.0) and d @ p < 0.0
         assert np.max(np.abs(C.T @ p)) <= (
             1e-10 * np.linalg.norm(C, np.inf) * np.max(np.abs(p)))
+
+    @pytest.mark.xfail(strict=True, reason="ends OPTIMAL at ||mu||_inf of "
+                       "1.4e19 with a row violated by 6.4e4: the rounding "
+                       "term of the stationarity test admits any gradient "
+                       "there; a KKT check on the primal data (ROADMAP "
+                       "item 1(b)) is what refuses it")
+    def test_infeasible_x0_is_not_optimal_from_a_cold_start(self):
+        # the same infeasible problem: it must raise, or end with a
+        # status other than OPTIMAL
+        primal = build_mpc(afti16_spec(horizon=3, x0=[-1.25, -1.36, 1.33,
+                                                      1.86]))
+        try:
+            _, rep = solve(primal, SolverConfig(smartstart=False))
+        except UnboundedDualError:
+            return
+        assert rep.status is not SolveStatus.OPTIMAL
 
     def test_singular_condensed_hessian_is_rejected(self):
         # no input moves the state and inputs cost nothing: F = 0

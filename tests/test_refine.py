@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from dualqp import WorkingSet
 from dualqp.kernel import factorize
 from dualqp.refine import (OutcomeKind, RefinementError, _extract_direction,
-                           _null_contract, refine_solve)
+                           refine_solve)
 
 
 def diag_factor(diag, masked=(), epsilon=1e-7):
@@ -137,12 +137,11 @@ class TestConfig:
 class TestExtractDirection:
     """_extract_direction on hand-built steps, one per branch."""
 
-    def test_unconverged_polish_keeps_the_step_and_fails_verification(self):
-        # eigenvalue 5e-5 against shift 1e-3: the contraction factor is
-        # 0.95, so the polish cannot converge within the budget of 20
+    def test_curved_step_fails_verification_and_keeps_the_step(self):
+        # eigenvalue 5e-5 is above the curvature tolerance: the step
+        # [1, 1] is not a null-space direction
         G, f = diag_factor([0.0, 5e-5], epsilon=1e-3)
         step, c_bar = np.array([1.0, 1.0]), np.array([-1.0, -1.0])
-        assert _null_contract(f, step / np.sqrt(2.0)) is None
         with pytest.raises(RefinementError,
                            match="extracted direction failed verification") \
                 as info:
@@ -150,23 +149,15 @@ class TestExtractDirection:
         err = info.value
         assert (err.iters, err.residual) == (7, 0.5)
         assert_array_equal(err.iterate, step)
-        # the curvature checked is the unpolished step's
+        # the curvature checked is the normalized step's
         curvature = float(re.search(r"curvature (\S+),", str(err)).group(1))
         assert curvature == pytest.approx(5e-5 / np.sqrt(2.0), rel=1e-5)
 
-    # The sign is read off the polished direction: [-1, -1] is uphill,
-    # but its null-space part [-1, 0] is downhill and is kept as it is.
-    @pytest.mark.parametrize("step", [[1.0, 0.0], [-1.0, -1.0]],
-                             ids=["uphill_step", "downhill_after_polish"])
+    # An uphill step is flipped; a downhill one is kept as it is.
+    @pytest.mark.parametrize("step", [[1.0, 0.0], [-1.0, 0.0]],
+                             ids=["uphill_step", "downhill_step"])
     def test_direction_is_oriented_downhill(self, step):
         G, f = diag_factor([0.0, 1.0])
         p = _extract_direction(f, np.array([1.0, -3.0]), np.array(step), 2,
                                0.0)
         assert_allclose(p, [-1.0, 0.0], rtol=0, atol=1e-12)
-
-
-def test_null_contract():
-    G, f = diag_factor([0.0, 1.0])
-    z = _null_contract(f, np.array([1.0, -0.5]))
-    assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-9)
-    assert np.linalg.norm(G @ z) <= 1e-8
