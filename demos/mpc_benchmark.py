@@ -32,8 +32,8 @@ def run():
         rep = solve_dual(dual, cfg=SolverConfig(smartstart=smart))
         dt = time.perf_counter() - t0
         sol = recover_primal(primal, pf, rep.mu_star)
-        kkt = max(sol.stationarity_residual, sol.ineq_violation,
-                  sol.complementarity_residual)
+        kkt = max(sol.stationarity_residual, sol.eq_violation,
+                  sol.ineq_violation, sol.complementarity_residual)
         refine = f"{rep.refine_iters_min}-{rep.refine_iters_max}"
         print(f"{name:<12} {rep.outer_iters:>6} {rep.descent_count:>8} "
               f"{refine:>8} {1e3 * dt:>6.0f} ms {kkt:>9.1e}")

@@ -12,8 +12,7 @@ has left, and a test without it would never pass.
 
 solve_dual runs on the DualQP that build_dual returns, and checks its
 data no further.  This module alone applies the dual's row scale s:
-multipliers and rays leave solve_dual times s, and row violations are
-the gradient over s.
+multipliers and rays leave solve_dual times s.
 
 Unbounded descent (a zero-curvature direction with no blocking bound)
 means the original inequality-constrained problem is infeasible; that
@@ -130,18 +129,17 @@ class DualQP:
         return 0.5 * mu @ (self.G @ mu) + self.h @ mu
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """The caller's budget and start; the solver's rules are constants."""
+    """The caller's budget and start; the solver's rules are constants.
+
+    Checked when built (ValueError for a setting the solver cannot run
+    with) and frozen, so nothing downstream re-checks it."""
 
     max_outer_iters: int | None = None  # default 10 * (m_eq + m_in)
     smartstart: bool = True
 
-    def validate(self):
-        """Raise ValueError for a setting the solver cannot run with.
-
-        solve_dual calls this once on entry; nothing downstream
-        re-checks the config."""
+    def __post_init__(self):
         if not isinstance(self.smartstart, (bool, np.bool_)):
             raise ValueError("smartstart must be a bool")
         n = self.max_outer_iters
@@ -152,6 +150,10 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
+    """What solve_dual returns: mu_star in row units, the status, the
+    dual objective and the work of the loop.  It carries no residuals:
+    recover_primal measures them on the primal data."""
+
     mu_star: np.ndarray
     status: SolveStatus
     objective: float
@@ -164,9 +166,6 @@ class SolveReport:
     salvaged_steps: int              # descent steps on uncertified directions
     shift_retries: int               # escalations to a sharper shift
     final_shift: float               # shift in effect at termination
-    stationarity_residual: float     # ||(G mu + h)_free||_inf / (1 + ||h||_inf)
-    complementarity_residual: float
-    feasibility_residual: float      # largest row violation, in row units
     message: str = ""
 
 
@@ -323,20 +322,6 @@ def _inf_norm(v):
     return float(np.max(np.abs(v), initial=0.0))
 
 
-def _kkt_summary(qp, mu, W):
-    # (stationarity, complementarity, feasibility); g / s is the row
-    # slack [b; d] - [A; C] x at the x that s mu recovers.
-    g = qp.G @ mu + qp.h
-    h_scale = 1.0 + _inf_norm(qp.h)
-    stat = _inf_norm(g[~W.member]) / h_scale
-    comp = _inf_norm(mu[qp.m_eq:] * g[qp.m_eq:])
-    comp /= h_scale * (1.0 + _inf_norm(mu[qp.m_eq:]))
-    slack = g / qp.s
-    feas = max(_inf_norm(slack[:qp.m_eq]),
-               -np.min(slack[qp.m_eq:], initial=0.0))
-    return stat, comp, float(feas)
-
-
 def solve_dual(qp, W0=None, cfg=None):
     """Run the dual active-set method from mu = 0.
 
@@ -346,7 +331,7 @@ def solve_dual(qp, W0=None, cfg=None):
     W0 : optional WorkingSet of bounds to pin initially (any subset of
         the inequality block is valid at mu = 0).  Defaults to
         smartstart(qp) when cfg.smartstart, else the empty set.
-    cfg : SolverConfig, validated here before any work.
+    cfg : SolverConfig, checked when it was built.
 
     The factor is built when a step first needs it, at the home shift
     (module docstring).  The working set lives in the factor record:
@@ -359,18 +344,16 @@ def solve_dual(qp, W0=None, cfg=None):
     SolveReport.  status OPTIMAL carries the certified multipliers,
     and its message names the count of salvaged steps, if any;
     ITERATION_LIMIT and NUMERICAL_FAILURE report the best iterate with
-    a diagnostic message.  mu_star is s mu and feasibility_residual the
-    largest row violation, both in row units; the other residuals are
-    those of qp as given.
+    a diagnostic message.  mu_star is s mu, in row units; its KKT
+    residuals are measured on the primal data, by recover_primal.
 
     Raises
     ------
-    ValueError for an invalid cfg or a W0 of other dimensions than qp.
+    ValueError for a W0 of other dimensions than qp.
     UnboundedDualError when a zero-curvature descent direction meets no
     blocking bound and passes the primal check (primal infeasible).
     """
     cfg = cfg or SolverConfig()
-    cfg.validate()
     if W0 is None:
         W0 = smartstart(qp) if cfg.smartstart else WorkingSet(qp.m_eq, qp.m_in)
     elif (W0.m_eq, W0.m_in) != (qp.m_eq, qp.m_in):
@@ -446,7 +429,6 @@ def solve_dual(qp, W0=None, cfg=None):
             mu[blocking] = 0.0
             f = add_index(f, blocking)
 
-    stat, comp, feas = _kkt_summary(qp, mu, f.mask)
     iters = refine_iters or [0]
     return SolveReport(
         mu_star=qp.s * mu,
@@ -461,8 +443,5 @@ def solve_dual(qp, W0=None, cfg=None):
         salvaged_steps=salvaged_steps,
         shift_retries=shift_retries,
         final_shift=f.epsilon,
-        stationarity_residual=stat,
-        complementarity_residual=comp,
-        feasibility_residual=feas,
         message=message,
     )

@@ -183,14 +183,14 @@ _STAGES = ("build_dual", "solve_dual", "recover_primal")
 _KKT_KEYS = ("stationarity", "primal_feasibility", "complementarity")
 
 
-def _run_once(primal, cfg, dual_only):
-    """One timed pipeline pass: build, solve, optionally recover.
+def _run_once(primal, cfg):
+    """One timed pipeline pass: build, solve, recover.
 
     Returns (report dict, exit code).  The only code that maps
     SolveReport and PrimalSolution fields to report keys: every outcome
-    gets the same keys, None where a stage did not run.  With
-    `dual_only` the objective and residuals are the dual's, and the
-    primal feasibility is SolveReport's row violation.
+    gets the same keys, None where a stage did not run.  Every solve
+    that returns a report is recovered, and its KKT residuals are the
+    primal ones.
     """
     doc = dict.fromkeys(_REPORT_KEYS)
     timings = doc["timings"] = dict.fromkeys(_STAGES)
@@ -212,12 +212,14 @@ def _run_once(primal, cfg, dual_only):
         doc.update(status="primal_infeasible", message=str(err))
         return doc, EXIT_NUMERICAL
 
+    sol = timed("recover_primal", recover_primal, primal, pf, rep.mu_star)
     doc.update(
         status=rep.status.value,
         message=rep.message,
-        objective=rep.objective,
-        mu_eq=rep.mu_star[:dual.m_eq].tolist(),
-        mu_in=rep.mu_star[dual.m_eq:].tolist(),
+        objective=float(primal.objective(sol.x)),
+        x=sol.x.tolist(),
+        mu_eq=sol.mu_eq.tolist(),
+        mu_in=sol.mu_in.tolist(),
         outer_iters=rep.outer_iters,
         refine_iter_stats={"min": rep.refine_iters_min,
                            "max": rep.refine_iters_max,
@@ -225,30 +227,22 @@ def _run_once(primal, cfg, dual_only):
         descent_steps=rep.descent_count,
         salvaged_steps=rep.salvaged_steps,
         shift_retries=rep.shift_retries,
-        dual_objective=rep.objective)
-    if dual_only:
-        kkt = (rep.stationarity_residual, rep.feasibility_residual,
-               rep.complementarity_residual)
-    else:
-        sol = timed("recover_primal", recover_primal, primal, pf, rep.mu_star)
-        doc.update(objective=float(primal.objective(sol.x)), x=sol.x.tolist())
-        kkt = (sol.stationarity_residual,
-               max(sol.eq_violation, sol.ineq_violation),
-               sol.complementarity_residual)
-    doc["kkt_residuals"] = dict(zip(_KKT_KEYS, kkt))
+        dual_objective=rep.objective,
+        kkt_residuals=dict(zip(_KKT_KEYS, (
+            sol.stationarity_residual,
+            max(sol.eq_violation, sol.ineq_violation),
+            sol.complementarity_residual))))
     return doc, _STATUS_EXIT[rep.status]
 
 
 def cmd_solve(args):
     primal = load_problem(args.problem)
-    cfg = SolverConfig(smartstart=args.smartstart == "on")
-    if args.max_iters is not None:
-        cfg.max_outer_iters = args.max_iters
     try:
-        cfg.validate()
+        cfg = SolverConfig(max_outer_iters=args.max_iters,
+                           smartstart=args.smartstart == "on")
     except ValueError as err:
         raise ProblemFormatError(str(err))
-    doc, code = _run_once(primal, cfg, args.dual_only)
+    doc, code = _run_once(primal, cfg)
 
     print(f"status         {doc['status']}")
     if doc["outer_iters"] is not None:
@@ -262,8 +256,7 @@ def cmd_solve(args):
               f"  complementarity {kkt['complementarity']:.2e}")
         t = doc["timings"]
         parts = [f"{label} {1e3 * t[key]:.1f} ms" for label, key in
-                 zip(("build", "solve", "recover"), _STAGES)
-                 if t[key] is not None]
+                 zip(("build", "solve", "recover"), _STAGES)]
         print(f"time           {'  '.join(parts)}")
     if doc["message"]:
         print(f"message        {doc['message']}")
@@ -288,9 +281,6 @@ def _build_parser():
                          help="write a JSON report here")
     p_solve.add_argument("--max-iters", type=int, metavar="N",
                          help="outer iteration cap")
-    p_solve.add_argument("--dual-only", action="store_true",
-                         help="skip primal recovery; objective and "
-                              "residuals then refer to the dual")
     p_solve.set_defaults(func=cmd_solve)
 
     return parser

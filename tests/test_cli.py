@@ -207,7 +207,6 @@ class TestSolveCommand:
             ("primal_infeasible", infeasible_doc(), [], 3),
             ("iteration_limit", iteration_limit_doc(),
              ["--max-iters", "1", "--smartstart", "off"], 4),
-            ("optimal", projection_doc(), ["--dual-only"], 0),
         ]
         shapes = set()
         for i, (status, doc, flags, code) in enumerate(cases):
@@ -321,20 +320,7 @@ class TestSolveCommand:
                     "shift_retries", "dual_objective"):
             assert rep[key] is None
 
-    def test_dual_only_feasibility_matches_full_report(self, tmp_path):
-        prob = write_json(tmp_path / "p.json", iteration_limit_doc())
-        flags = ["--max-iters", "1", "--smartstart", "off"]
-        feas = []
-        for i, extra in enumerate(([], ["--dual-only"])):
-            report = tmp_path / f"r{i}.json"
-            assert main(["solve", prob, "--report", str(report)]
-                        + flags + extra) == 4
-            rep = json.loads(report.read_text())
-            feas.append(rep["kkt_residuals"]["primal_feasibility"])
-        assert feas[1] > 0
-        assert feas[1] == pytest.approx(feas[0], rel=1e-9, abs=0)
-
-    def test_dual_only_matches_full_report_on_scaled_rows(self, tmp_path):
+    def test_full_report_on_scaled_rows(self, tmp_path):
         # rows of norm near 1e5, which build_dual scales down: solved to
         # optimality, and stopped after one iteration with rows violated
         rng = np.random.default_rng(0)
@@ -346,29 +332,12 @@ class TestSolveCommand:
         for flags, status in (([], "optimal"),
                               (["--max-iters", "1", "--smartstart", "off"],
                                "iteration_limit")):
-            reps = []
-            for i, extra in enumerate(([], ["--dual-only"])):
-                report = tmp_path / f"r{i}.json"
-                main(["solve", prob, "--report", str(report)] + flags + extra)
-                reps.append(json.loads(report.read_text()))
-            full, dual_only = reps
-            assert full["status"] == dual_only["status"] == status
-            assert dual_only["mu_eq"] == full["mu_eq"]
-            assert dual_only["mu_in"] == full["mu_in"]
-            assert any(full["mu_in"]) == (status == "optimal")
-            feas = [r["kkt_residuals"]["primal_feasibility"] for r in reps]
-            assert feas[1] == pytest.approx(feas[0], rel=1e-9, abs=1e-6)
-        assert feas[0] > 1.0
-
-    def test_dual_only_skips_recovery(self, tmp_path):
-        prob = write_json(tmp_path / "p.json", projection_doc())
-        report = tmp_path / "r.json"
-        assert main(["solve", prob, "--dual-only",
-                     "--report", str(report)]) == 0
-        doc = json.loads(report.read_text())
-        assert doc["x"] is None
-        assert doc["timings"]["recover_primal"] is None
-        assert doc["mu_in"] == pytest.approx([1.0], abs=1e-9)
+            report = tmp_path / "r.json"
+            main(["solve", prob, "--report", str(report)] + flags)
+            rep = json.loads(report.read_text())
+            assert rep["status"] == status
+            assert any(rep["mu_in"]) == (status == "optimal")
+        assert rep["kkt_residuals"]["primal_feasibility"] > 1.0
 
     def test_max_iters_flag(self, tmp_path):
         prob = write_json(tmp_path / "p.json", projection_doc())
