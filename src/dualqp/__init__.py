@@ -5,9 +5,10 @@ constrained QP (build_dual), run the dual active-set method with masked
 Cholesky updates and proximal-point refinement (solve_dual), and map the
 multipliers back to the primal point (recover_primal).  solve() chains
 the three.  The masked-factor kernel and the refinement loop are
-internals, importable from dualqp.kernel and dualqp.refine; so are
-build_dual's outputs DualQP and PFactor, from dualqp.active_set and
-dualqp.transform.
+internals, importable from dualqp.kernel and dualqp.refine; so is
+build_dual's DualQP, from dualqp.active_set.  Its other output, the
+factor of P that recover_primal takes, is scipy's cho_factor pair, or
+None when identity_p is set.
 """
 
 from .kernel import WorkingSet

@@ -308,11 +308,13 @@ def _ray_check(qp, p):
     # None when p, in row units, is a Farkas certificate on the primal
     # rows (module docstring); else the failure message.  p >= 0 on the
     # inequality rows holds already: no bound blocks p.
-    M = qp.primal.stacked()
-    resid = _inf_norm(M.T @ p)
+    A, C, m_eq = qp.primal.A, qp.primal.C, qp.m_eq
+    resid = _inf_norm(A.T @ p[:m_eq] + C.T @ p[m_eq:])
     gap = float(np.concatenate([qp.primal.b, qp.primal.d]) @ p)
-    if resid <= _RAY_TOL * np.linalg.norm(M, np.inf) * _inf_norm(p) \
-            and gap < 0.0:
+    # ||M||_inf, the largest absolute row sum over both blocks
+    m_norm = max(_inf_norm(np.abs(A).sum(axis=1)),
+                 _inf_norm(np.abs(C).sum(axis=1)))
+    if resid <= _RAY_TOL * m_norm * _inf_norm(p) and gap < 0.0:
         return None
     return (f"infeasibility ray failed the primal check: "
             f"||M'p||_inf {resid:.3g}, [b; d]'p {gap:.3g}")

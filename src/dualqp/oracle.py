@@ -79,7 +79,8 @@ def enumerate_solve(primal):
     n = primal.n
     P = np.eye(n) if primal.identity_p else primal.P
     A, b, C, d = primal.A, primal.b, primal.C, primal.d
-    norms = np.linalg.norm(primal.stacked(), axis=1)
+    norms = np.concatenate([np.linalg.norm(A, axis=1),
+                            np.linalg.norm(C, axis=1)])
     norms[norms == 0.0] = 1.0  # a zero row is tested as it is
     offsets = np.concatenate([b, d]) / norms
     ftol = _FEAS_TOL * (1.0 + np.max(np.abs(offsets), initial=0.0))

@@ -41,9 +41,9 @@ def check_symmetric(name, M):
         raise ValueError(f"{name} must be symmetric")
 
 
-def _as_2d(name, M, ncols=None):
+def _as_2d(name, M, ncols):
     if M is None:
-        M = np.zeros((0, ncols)) if ncols is not None else np.zeros((0, 0))
+        M = np.zeros((0, ncols))
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError(f"{name} must be a 2-D array, got ndim={M.ndim}")
@@ -117,30 +117,11 @@ class PrimalQP:
     def m_in(self):
         return self.C.shape[0]
 
-    def stacked(self):
-        """[A; C] as one (m_eq + m_in, n) block."""
-        return np.vstack([self.A, self.C])
-
     def objective(self, x):
         x = np.asarray(x, dtype=float)
         if self.identity_p:
             return 0.5 * x @ x + self.q @ x
         return 0.5 * x @ (self.P @ x) + self.q @ x
-
-
-class PFactor:
-    """Retained Cholesky factor of P (or the identity shortcut)."""
-
-    def __init__(self, chol=None, identity=False):
-        self._chol = chol
-        self.identity = bool(identity)
-
-    def solve(self, rhs):
-        """P^{-1} rhs through triangular solves."""
-        rhs = np.asarray(rhs, dtype=float)
-        if self.identity:
-            return rhs.copy()
-        return cho_solve(self._chol, rhs, check_finite=False)
 
 
 @dataclass
@@ -157,7 +138,9 @@ class PrimalSolution:
 def build_dual(primal):
     """Assemble the dual QP and the retained factor of P.
 
-    Returns (DualQP, PFactor).  Each row of [A; C] and its offset in
+    Returns (DualQP, pf): pf is cho_factor's pair for P, or None with
+    identity_p.  [A; C] is stacked here, into the copy that is scaled in
+    place, and nowhere else.  Each row of [A; C] and its offset in
     [b; d] is scaled by s_i = 1/sqrt(max(1, G_ii)), G_ii read off the
     unscaled rows, so max|G| <= 1; G is then symmetrized, so nothing
     checks it again.  The checks are O(m), on what the arithmetic can
@@ -166,20 +149,19 @@ def build_dual(primal):
     check raises InvalidProblemError naming the first bad row, as does
     a Cholesky breakdown of P (P not PD).
     """
-    M = primal.stacked()
+    M = np.vstack([primal.A, primal.C])
     offsets = np.concatenate([primal.b, primal.d])
     if primal.identity_p:
-        pf = PFactor(identity=True)
+        pf = None
         Y = M.T  # a view: scaling M scales Y
         p_inv_q = primal.q
     else:
         try:
-            chol = cho_factor(primal.P, lower=True, check_finite=False)
+            pf = cho_factor(primal.P, lower=True, check_finite=False)
         except np.linalg.LinAlgError as err:
             raise InvalidProblemError(f"P is not positive definite: {err}")
-        pf = PFactor(chol=chol)
-        Y = cho_solve(chol, M.T, check_finite=False)
-        p_inv_q = cho_solve(chol, primal.q, check_finite=False)
+        Y = cho_solve(pf, M.T, check_finite=False)
+        p_inv_q = cho_solve(pf, primal.q, check_finite=False)
     s = 1.0 / np.sqrt(np.maximum(1.0, np.einsum("ij,ji->i", M, Y)))
     if not np.all(s > 0.0):  # s <= 1, so this fails only for 0 or NaN
         i = int(np.argmin(s > 0.0))
@@ -204,25 +186,25 @@ def build_dual(primal):
 def recover_primal(primal, pf, mu):
     """Recover the primal point x = -P^{-1} (q + A' mu_eq + C' mu_in).
 
-    mu stacks the equality multipliers first; its inequality part is
-    expected to be nonnegative (as produced by solve_dual).  Residuals
-    of the recovered point are reported alongside it.
+    pf is build_dual's factor of P (None with identity_p).  mu stacks
+    the equality multipliers first; its inequality part is expected to
+    be nonnegative (as produced by solve_dual).  Residuals of the
+    recovered point are reported alongside it.
     """
     mu = np.asarray(mu, dtype=float)
     m = primal.m_eq + primal.m_in
     if mu.shape != (m,):
         raise ValueError(f"mu must have length {m}, got {mu.shape}")
-    M = primal.stacked()
-    grad = primal.q + M.T @ mu
-    x = -pf.solve(grad)
     mu_eq = mu[:primal.m_eq]
     mu_in = mu[primal.m_eq:]
+    grad = primal.q + primal.A.T @ mu_eq + primal.C.T @ mu_in
+    x = -grad if pf is None else -cho_solve(pf, grad, check_finite=False)
     eq_violation = float(np.max(np.abs(primal.A @ x - primal.b), initial=0.0))
     slack = primal.C @ x - primal.d
     ineq_violation = float(max(0.0, np.max(slack, initial=0.0)))
     complementarity = float(np.max(np.abs(mu_in * slack), initial=0.0))
     px = x if primal.identity_p else primal.P @ x
-    stationarity = float(np.max(np.abs(px + grad)))
+    stationarity = float(np.max(np.abs(px + grad), initial=0.0))
     return PrimalSolution(x=x, mu_eq=mu_eq, mu_in=mu_in,
                           eq_violation=eq_violation,
                           ineq_violation=ineq_violation,

@@ -29,7 +29,7 @@ def unscaled_dual(primal):
     # the DualQP record, built by keyword, of a P = I primal on its rows
     # as given, which build_dual would scale down: G = M M',
     # h = M q + [b; d], s = 1
-    M = primal.stacked()
+    M = np.vstack([primal.A, primal.C])
     G = M @ M.T
     return DualQP(G=0.5 * (G + G.T),
                   h=M @ primal.q + np.concatenate([primal.b, primal.d]),

@@ -178,6 +178,30 @@ class TestSolveCommand:
         prob = write_json(tmp_path / "p.json", doc)
         assert main(["solve", prob]) == 3
 
+    # n = 0: with no rows, or with rows of no columns that 0 <= d meets
+    @pytest.mark.parametrize("doc", [
+        {"schema_version": "1", "identity_P": True, "q": []},
+        {"schema_version": "1", "P": [], "q": []},
+        {"schema_version": "1", "identity_P": True, "q": [],
+         "C": [[], []], "d": [1.0, 0.0]},
+    ], ids=["identity", "P", "rows"])
+    @pytest.mark.parametrize("start", ["on", "off"])
+    def test_empty_problem_is_optimal(self, tmp_path, doc, start):
+        prob = write_json(tmp_path / "p.json", doc)
+        report = tmp_path / "r.json"
+        assert main(["solve", prob, "--smartstart", start,
+                     "--report", str(report)]) == 0
+        rep = json.loads(report.read_text())
+        assert rep["status"] == "optimal" and rep["x"] == []
+
+    def test_empty_problem_with_a_violated_row_is_infeasible(self, tmp_path):
+        doc = {"schema_version": "1", "identity_P": True, "q": [],
+               "C": [[], []], "d": [1.0, -1.0]}
+        prob = write_json(tmp_path / "p.json", doc)
+        report = tmp_path / "r.json"
+        assert main(["solve", prob, "--report", str(report)]) == 3
+        assert json.loads(report.read_text())["status"] == "primal_infeasible"
+
     # s_0 collapses to 0 when the row's norm squared overflows, and h
     # overflows with q: both end before the solve, as P not PD does
     @pytest.mark.parametrize("doc", [

@@ -1,8 +1,10 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import cho_solve
 
 from dualqp import (InvalidProblemError, PrimalQP, build_dual, recover_primal,
                     solve, solve_dual)
@@ -23,12 +25,12 @@ class TestPrimalQP:
     def test_dimensions_and_blocks(self):
         p = small_problem()
         assert p.n == 2 and p.m_eq == 1 and p.m_in == 2
-        assert p.stacked().shape == (3, 2)
+        assert p.A.shape == (1, 2) and p.C.shape == (2, 2)
 
     def test_missing_blocks_become_empty(self):
         p = PrimalQP(P=np.eye(2), q=np.zeros(2))
         assert p.m_eq == 0 and p.m_in == 0
-        assert p.stacked().shape == (0, 2)
+        assert p.A.shape == (0, 2) and p.C.shape == (0, 2)
 
     def test_identity_flag(self):
         p = PrimalQP(P=None, q=np.array([1.0, 2.0]), identity_p=True)
@@ -106,7 +108,7 @@ class TestBuildDual:
         assert dual.primal is p and dual.m_eq == 1 and dual.m_in == 2
         # the retained factor solves against P
         rhs = np.array([1.0, 2.0])
-        assert_allclose(pf.solve(rhs), Pinv @ rhs, rtol=0, atol=1e-12)
+        assert_allclose(cho_solve(pf, rhs), Pinv @ rhs, rtol=0, atol=1e-12)
 
     def test_identity_shortcut_agrees(self):
         q = np.array([1.0, -1.0, 0.5])
@@ -118,7 +120,7 @@ class TestBuildDual:
         Gb, pf = build_dual(b)
         assert_allclose(Ga.G, Gb.G, rtol=0, atol=1e-14)
         assert_allclose(Ga.h, Gb.h, rtol=0, atol=1e-14)
-        assert pf.identity
+        assert pf is None
 
     def test_rejects_indefinite_p(self):
         p = PrimalQP(P=np.array([[1.0, 2.0], [2.0, 1.0]]), q=np.zeros(2))
@@ -190,3 +192,27 @@ class TestRecoverPrimal:
         assert_allclose(sol.x, [1.0, 2.0], rtol=0, atol=1e-10)
         assert rep.outer_iters <= 1
         assert sol.complementarity_residual == 0.0
+
+    # recovery reads A and C in place: one product per block and one
+    # solve, no stacked copy of the rows
+    @pytest.mark.parametrize("dense_p", [False, True], ids=["I", "dense"])
+    def test_recovery_copies_no_rows(self, dense_p):
+        n, m_eq, m_in = 2000, 20, 180
+        rng = np.random.default_rng(3)
+        U = rng.standard_normal((n, 10))
+        p = PrimalQP(P=np.eye(n) + U @ U.T if dense_p else None,
+                     q=rng.standard_normal(n),
+                     A=rng.standard_normal((m_eq, n)),
+                     b=rng.standard_normal(m_eq),
+                     C=rng.standard_normal((m_in, n)),
+                     d=rng.standard_normal(m_in), identity_p=not dense_p)
+        pf = build_dual(p)[1]
+        mu = np.abs(rng.standard_normal(m_eq + m_in))
+        row_bytes = p.A.nbytes + p.C.nbytes
+        tracemalloc.start()
+        try:
+            recover_primal(p, pf, mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * row_bytes
