@@ -13,7 +13,7 @@ None when identity_p is set.
 
 from .kernel import WorkingSet
 from .active_set import (SolveReport, SolveStatus, SolverConfig,
-                         UnboundedDualError, smartstart, solve_dual)
+                         smartstart, solve_dual)
 from .transform import (InvalidProblemError, PrimalQP, PrimalSolution,
                         build_dual, recover_primal)
 from .oracle import (InfeasibleProblemError, OracleResult, enumerate_solve,
@@ -28,8 +28,9 @@ __version__ = "0.1.0"
 def solve(primal, cfg=None):
     """Solve a PrimalQP end to end.
 
-    Returns (PrimalSolution, SolveReport).  Raises UnboundedDualError
-    when the primal is infeasible.
+    Returns (PrimalSolution, SolveReport).  An infeasible primal is
+    not an error: the report's status is PRIMAL_INFEASIBLE and its ray
+    the Farkas certificate.
     """
     dual, pf = build_dual(primal)
     report = solve_dual(dual, cfg=cfg)
@@ -41,7 +42,7 @@ __all__ = [
     "solve", "PrimalQP", "PrimalSolution", "build_dual", "recover_primal",
     "WorkingSet", "smartstart", "solve_dual",
     "SolverConfig", "SolveReport", "SolveStatus",
-    "UnboundedDualError", "InvalidProblemError",
+    "InvalidProblemError",
     "enumerate_solve", "random_qp", "OracleResult", "InfeasibleProblemError",
     "MpcSpec", "PolytopeSpec", "afti16_spec", "build_mpc", "build_polytope",
     "load_problem", "save_problem", "ProblemFormatError",

@@ -15,11 +15,12 @@ data no further.  This module alone applies the dual's row scale s:
 multipliers and rays leave solve_dual times s.
 
 Unbounded descent (a zero-curvature direction with no blocking bound)
-means the original inequality-constrained problem is infeasible; that
-surfaces as UnboundedDualError, and only after the curvature along the
-direction is confirmed to be zero at machine level.  The ray y = s p
-must also be a Farkas certificate on the rows M = [A; C] and offsets
-[b; d] of the primal the dual was built from:
+means the original inequality-constrained problem is infeasible; the
+solve then ends with status PRIMAL_INFEASIBLE and the ray on its
+report, but only once the curvature along the direction is confirmed
+to be zero at machine level and the ray y = s p is a Farkas
+certificate on the rows M = [A; C] and offsets [b; d] of the primal
+the dual was built from:
 
     ||M'y||_inf <= _RAY_TOL ||M||_inf ||y||_inf   and   [b; d]'y < 0,
 
@@ -75,23 +76,11 @@ _SHIFT_FLOOR = 1e-12       # smallest shift worth factorizing with
 _RAY_TOL = 1e-10           # primal check on a ray, times ||M||_inf ||p||_inf
 
 
-class UnboundedDualError(RuntimeError):
-    """The dual objective decreases without bound; the primal problem
-    admits no feasible point.
-
-    `ray` is the direction y = s p of unbounded dual descent, in the
-    caller's row units.  It is a checked Farkas certificate:
-    [A; C]'y ~ 0, y >= 0 on the inequality rows and [b; d]'y < 0."""
-
-    def __init__(self, message, ray):
-        super().__init__(message)
-        self.ray = ray
-
-
 class SolveStatus(Enum):
     OPTIMAL = "optimal"
     ITERATION_LIMIT = "iteration_limit"
     NUMERICAL_FAILURE = "numerical_failure"
+    PRIMAL_INFEASIBLE = "primal_infeasible"
 
 
 @dataclass
@@ -119,10 +108,6 @@ class DualQP:
     @property
     def m(self):
         return self.m_eq + self.m_in
-
-    @property
-    def inequality_indices(self):
-        return np.arange(self.m_eq, self.m)
 
     def objective(self, mu):
         mu = np.asarray(mu, dtype=float)
@@ -152,7 +137,10 @@ class SolverConfig:
 class SolveReport:
     """What solve_dual returns: mu_star in row units, the status, the
     dual objective and the work of the loop.  It carries no residuals:
-    recover_primal measures them on the primal data."""
+    recover_primal measures them on the primal data.  ray is the checked
+    Farkas certificate y = s p, in row units, when the status is
+    PRIMAL_INFEASIBLE: [A; C]'y ~ 0, y >= 0 on the inequality rows and
+    [b; d]'y < 0.  It is None for every other status."""
 
     mu_star: np.ndarray
     status: SolveStatus
@@ -167,6 +155,7 @@ class SolveReport:
     shift_retries: int               # escalations to a sharper shift
     final_shift: float               # shift in effect at termination
     message: str = ""
+    ray: np.ndarray | None = None
 
 
 def smartstart(qp):
@@ -178,20 +167,19 @@ def smartstart(qp):
     unconstrained step pushes into the interior, so the coordinate
     stays free.  On problems where few bounds end up inactive this
     leaves a small first subproblem and the loop mostly drops pins."""
-    idx = qp.inequality_indices[qp.h[qp.m_eq:] >= 0.0]
-    return WorkingSet(qp.m_eq, qp.m_in, idx)
+    m_eq = qp.m_eq
+    return WorkingSet(m_eq, qp.m_in,
+                      m_eq + np.flatnonzero(qp.h[m_eq:] >= 0.0))
 
 
-def step_length(mu, p, inequality_indices, W):
+def step_length(mu, p, W):
     """Largest feasible step along p from mu, and the blocking index.
 
     Only free inequality coordinates with (p)_i < 0 limit the step; ties
     pick the smallest index.  Returns (inf, None) when nothing blocks.
     """
-    mu = np.asarray(mu, dtype=float)
-    p = np.asarray(p, dtype=float)
-    ineq = np.asarray(inequality_indices, dtype=int)
-    cand = ineq[(p[ineq] < 0.0) & ~W.member[ineq]]
+    m_eq = W.m_eq
+    cand = m_eq + np.flatnonzero((p[m_eq:] < 0.0) & ~W.member[m_eq:])
     if not cand.size:
         return math.inf, None
     ratios = -mu[cand] / p[cand]
@@ -256,10 +244,10 @@ def _directed_step(qp, f, c_bar, mu, g_scale):
 
     failure is None, or the reason the subproblem gave no usable step,
     with (outcome, alpha, blocking) all None: the refinement error when
-    salvage fails, a flat salvaged direction that no bound blocks, or a
-    ray that fails the primal check.  Raises UnboundedDualError only for
-    a classified direction whose curvature is zero at machine level
-    while no bound blocks it, and that passes the primal check.
+    salvage fails, or a flat salvaged direction that no bound blocks.
+    A classified direction whose curvature is zero at machine level
+    while no bound blocks it comes back with alpha = inf and blocking
+    None, a ray for the caller to check on the primal.
     """
     retries = 0
     salvaged = False
@@ -277,7 +265,7 @@ def _directed_step(qp, f, c_bar, mu, g_scale):
         break
 
     p = outcome.p
-    alpha, blocking = step_length(mu, p, qp.inequality_indices, f.mask)
+    alpha, blocking = step_length(mu, p, f.mask)
     if outcome.is_solution:
         if alpha > 1.0:  # the subspace minimizer comes first
             alpha, blocking = 1.0, None
@@ -288,20 +276,10 @@ def _directed_step(qp, f, c_bar, mu, g_scale):
     alpha_min = math.inf if flat else -float(c_bar @ p) / curv
     if alpha_min < alpha:
         return outcome, alpha_min, None, salvaged, retries, None
-    if blocking is not None:
-        return outcome, alpha, blocking, salvaged, retries, None
-    # flat, and no bound blocks
-    if salvaged:
+    if blocking is None and salvaged:  # flat, and no bound blocks
         return (None, None, None, True, retries,
                 "flat uncertified direction with no blocking bound")
-    p = qp.s * p  # in row units
-    failure = _ray_check(qp, p)
-    if failure is not None:
-        return None, None, None, False, retries, failure
-    # certified: the dual objective is a descending ray
-    raise UnboundedDualError(
-        "unbounded descent direction with no blocking bound: "
-        "the primal problem is infeasible", p)
+    return outcome, alpha, blocking, salvaged, retries, None
 
 
 def _ray_check(qp, p):
@@ -345,6 +323,8 @@ def solve_dual(qp, W0=None, cfg=None):
     -------
     SolveReport.  status OPTIMAL carries the certified multipliers,
     and its message names the count of salvaged steps, if any;
+    PRIMAL_INFEASIBLE carries the ray of a zero-curvature descent
+    direction that meets no blocking bound and passes the primal check;
     ITERATION_LIMIT and NUMERICAL_FAILURE report the best iterate with
     a diagnostic message.  mu_star is s mu, in row units; its KKT
     residuals are measured on the primal data, by recover_primal.
@@ -352,8 +332,6 @@ def solve_dual(qp, W0=None, cfg=None):
     Raises
     ------
     ValueError for a W0 of other dimensions than qp.
-    UnboundedDualError when a zero-curvature descent direction meets no
-    blocking bound and passes the primal check (primal infeasible).
     """
     cfg = cfg or SolverConfig()
     if W0 is None:
@@ -378,6 +356,7 @@ def solve_dual(qp, W0=None, cfg=None):
     home = _SHIFT_START
     status = SolveStatus.ITERATION_LIMIT
     message = "outer iteration cap reached"
+    ray = None
 
     for k in range(1, max_outer + 1):
         c = qp.G @ mu + qp.h
@@ -414,6 +393,15 @@ def solve_dual(qp, W0=None, cfg=None):
         (outcome, alpha, blocking, salvaged, retries,
          failure) = _directed_step(qp, f, c_bar, mu, g_scale)
         shift_retries += retries
+        if alpha == math.inf:
+            # certified flat, and no bound blocks: a ray of the dual
+            y = qp.s * outcome.p  # in row units
+            failure = _ray_check(qp, y)
+            if failure is None:
+                status, ray = SolveStatus.PRIMAL_INFEASIBLE, y
+                message = ("unbounded descent direction with no blocking "
+                           "bound: the primal problem is infeasible")
+                break
         if failure is not None:
             status = SolveStatus.NUMERICAL_FAILURE
             message = f"refinement failed at iteration {k}: {failure}"
@@ -446,4 +434,5 @@ def solve_dual(qp, W0=None, cfg=None):
         shift_retries=shift_retries,
         final_shift=f.epsilon,
         message=message,
+        ray=ray,
     )

@@ -10,7 +10,8 @@ Problem files are JSON: ``schema_version`` (currently "1"), the cost
 true) and ``q``, optional equality pair ``A``/``b``, optional
 inequality pair ``C``/``d``.  Reports are JSON with one set of keys
 for every outcome: solver status, iterate statistics, wall-clock
-timings, and KKT residuals.
+timings, KKT residuals, and the Farkas certificate of an infeasible
+primal.
 
 Exit codes: 0 optimal, 2 parse error, 3 numerical failure or an
 infeasible primal, 4 iteration limit.
@@ -25,7 +26,7 @@ import time
 
 import numpy as np
 
-from .active_set import SolverConfig, SolveStatus, UnboundedDualError, solve_dual
+from .active_set import SolverConfig, SolveStatus, solve_dual
 from .transform import InvalidProblemError, PrimalQP, build_dual, recover_primal
 
 EXIT_OPTIMAL = 0
@@ -39,6 +40,7 @@ _STATUS_EXIT = {
     SolveStatus.OPTIMAL: EXIT_OPTIMAL,
     SolveStatus.ITERATION_LIMIT: EXIT_ITERATIONS,
     SolveStatus.NUMERICAL_FAILURE: EXIT_NUMERICAL,
+    SolveStatus.PRIMAL_INFEASIBLE: EXIT_NUMERICAL,
 }
 
 
@@ -178,7 +180,7 @@ def _write_json(path, doc, indent=None):
 _REPORT_KEYS = ("status", "objective", "x", "mu_eq", "mu_in", "outer_iters",
                 "refine_iter_stats", "descent_steps", "salvaged_steps",
                 "shift_retries", "dual_objective", "timings",
-                "kkt_residuals", "message")
+                "kkt_residuals", "message", "ray")
 _STAGES = ("build_dual", "solve_dual", "recover_primal")
 _KKT_KEYS = ("stationarity", "primal_feasibility", "complementarity")
 
@@ -188,9 +190,11 @@ def _run_once(primal, cfg):
 
     Returns (report dict, exit code).  The only code that maps
     SolveReport and PrimalSolution fields to report keys: every outcome
-    gets the same keys, None where a stage did not run.  Every solve
-    that returns a report is recovered, and its KKT residuals are the
-    primal ones.
+    gets the same keys, None where a stage did not run.  Only data that
+    build_dual refuses stops the pass early: every solve, an infeasible
+    one included, returns a report and is recovered, and its KKT
+    residuals are the primal ones.  ray is the report's Farkas
+    certificate, in row units, or None.
     """
     doc = dict.fromkeys(_REPORT_KEYS)
     timings = doc["timings"] = dict.fromkeys(_STAGES)
@@ -204,14 +208,11 @@ def _run_once(primal, cfg):
 
     try:
         dual, pf = timed("build_dual", build_dual, primal)
-        rep = timed("solve_dual", solve_dual, dual, cfg=cfg)
-    except InvalidProblemError as err:  # build_dual: P not PD, overflow
+    except InvalidProblemError as err:  # P not PD, overflow
         doc.update(status="numerical_failure", message=str(err))
         return doc, EXIT_NUMERICAL
-    except UnboundedDualError as err:
-        doc.update(status="primal_infeasible", message=str(err))
-        return doc, EXIT_NUMERICAL
 
+    rep = timed("solve_dual", solve_dual, dual, cfg=cfg)
     sol = timed("recover_primal", recover_primal, primal, pf, rep.mu_star)
     doc.update(
         status=rep.status.value,
@@ -231,7 +232,8 @@ def _run_once(primal, cfg):
         kkt_residuals=dict(zip(_KKT_KEYS, (
             sol.stationarity_residual,
             max(sol.eq_violation, sol.ineq_violation),
-            sol.complementarity_residual))))
+            sol.complementarity_residual))),
+        ray=None if rep.ray is None else rep.ray.tolist())
     return doc, _STATUS_EXIT[rep.status]
 
 

@@ -8,12 +8,11 @@ pytest shows for failures or under -rP.
 import time
 
 import numpy as np
-import pytest
 
-from dualqp import (PrimalQP, SolverConfig, SolveStatus, UnboundedDualError,
-                    WorkingSet, afti16_spec, build_dual, build_mpc,
-                    build_polytope, enumerate_solve, random_qp,
-                    recover_primal, solve, solve_dual, PolytopeSpec)
+from dualqp import (PrimalQP, SolverConfig, SolveStatus, WorkingSet,
+                    afti16_spec, build_dual, build_mpc, build_polytope,
+                    enumerate_solve, random_qp, recover_primal, solve,
+                    solve_dual, PolytopeSpec)
 from dualqp.kernel import add_index, build_masked, factorize, remove_index
 from dualqp.refine import OutcomeKind, refine_solve
 
@@ -234,7 +233,13 @@ def test_criterion_8_contradictory_equalities_report_infeasibility():
     prob = PrimalQP(P=np.eye(2), q=np.zeros(2),
                     A=np.array([[1.0, 0.0], [1.0, 0.0]]),
                     b=np.array([0.0, 1.0]))
-    with pytest.raises(UnboundedDualError):
-        solve(prob)
-    print("criterion 8: contradictory equalities raise the unbounded "
-          "dual error")
+    _, rep = solve(prob)
+    assert rep.status is SolveStatus.PRIMAL_INFEASIBLE
+    # the ray is a Farkas certificate on the equality rows: A'y ~ 0
+    # with b'y < 0, where y has either sign
+    A, b, y = prob.A, prob.b, rep.ray
+    assert b @ y < 0.0
+    assert np.max(np.abs(A.T @ y)) <= (
+        1e-10 * np.linalg.norm(A, np.inf) * np.max(np.abs(y)))
+    print(f"criterion 8: contradictory equalities end primal_infeasible, "
+          f"ray {y} with b'y = {b @ y:.3g}")

@@ -29,6 +29,12 @@ def infeasible_doc():
             "C": [[1.0], [-1.0]], "d": [-1.0, 0.0]}
 
 
+def not_pd_doc():
+    # P is indefinite: build_dual refuses it
+    return {"schema_version": "1", "P": [[1.0, 2.0], [2.0, 1.0]],
+            "q": [0.0, 0.0]}
+
+
 def report_shape(rep):
     return (frozenset(rep), frozenset(rep["timings"]),
             frozenset(rep["kkt_residuals"]))
@@ -167,15 +173,23 @@ class TestSolveCommand:
         assert "P must be symmetric" in capsys.readouterr().err
 
     def test_infeasible_exit(self, tmp_path, capsys):
-        prob = write_json(tmp_path / "p.json", infeasible_doc())
+        doc = infeasible_doc()
+        prob = write_json(tmp_path / "p.json", doc)
         report = tmp_path / "r.json"
         assert main(["solve", prob, "--report", str(report)]) == 3
-        assert json.loads(report.read_text())["status"] == "primal_infeasible"
+        rep = json.loads(report.read_text())
+        assert rep["status"] == "primal_infeasible"
+        # the solve ran: its stages are timed and its work reported
+        assert all(t >= 0 for t in rep["timings"].values())
+        assert rep["outer_iters"] >= 1
+        # the ray is a Farkas certificate on the file's rows
+        C, d, y = np.array(doc["C"]), np.array(doc["d"]), np.array(rep["ray"])
+        assert np.all(y >= 0.0) and d @ y < 0.0
+        assert np.max(np.abs(C.T @ y)) <= (
+            1e-10 * np.linalg.norm(C, np.inf) * np.max(np.abs(y)))
 
     def test_not_positive_definite_exit(self, tmp_path):
-        doc = {"schema_version": "1", "P": [[1.0, 2.0], [2.0, 1.0]],
-               "q": [0.0, 0.0]}
-        prob = write_json(tmp_path / "p.json", doc)
+        prob = write_json(tmp_path / "p.json", not_pd_doc())
         assert main(["solve", prob]) == 3
 
     # n = 0: with no rows, or with rows of no columns that 0 <= d meets
@@ -226,8 +240,7 @@ class TestSolveCommand:
     def test_every_outcome_has_one_report_shape(self, tmp_path):
         cases = [
             ("optimal", projection_doc(), [], 0),
-            ("numerical_failure", {"schema_version": "1", "q": [0.0, 0.0],
-                                   "P": [[1.0, 2.0], [2.0, 1.0]]}, [], 3),
+            ("numerical_failure", not_pd_doc(), [], 3),
             ("primal_infeasible", infeasible_doc(), [], 3),
             ("iteration_limit", iteration_limit_doc(),
              ["--max-iters", "1", "--smartstart", "off"], 4),
@@ -242,6 +255,7 @@ class TestSolveCommand:
             assert rep["status"] == status
             assert isinstance(rep["message"], str)
             assert (rep["message"] == "") == (status == "optimal")
+            assert (rep["ray"] is None) == (status != "primal_infeasible")
             shapes.add(report_shape(rep))
         assert len(shapes) == 1
 
@@ -331,17 +345,18 @@ class TestSolveCommand:
                 json.loads(optimal.read_text()))
 
     def test_stages_not_reached_are_none(self, tmp_path):
-        prob = write_json(tmp_path / "p.json", infeasible_doc())
+        # only data that build_dual refuses stops the pass before the
+        # solve, and then no stage finishes
+        prob = write_json(tmp_path / "p.json", not_pd_doc())
         report = tmp_path / "r.json"
         assert main(["solve", prob, "--report", str(report)]) == 3
         rep = json.loads(report.read_text())
-        assert rep["timings"]["build_dual"] >= 0
-        assert rep["timings"]["solve_dual"] is None
-        assert rep["timings"]["recover_primal"] is None
+        assert rep["status"] == "numerical_failure"
+        assert set(rep["timings"].values()) == {None}
         assert set(rep["kkt_residuals"].values()) == {None}
         for key in ("objective", "x", "mu_eq", "mu_in", "outer_iters",
                     "refine_iter_stats", "descent_steps", "salvaged_steps",
-                    "shift_retries", "dual_objective"):
+                    "shift_retries", "dual_objective", "ray"):
             assert rep[key] is None
 
     def test_full_report_on_scaled_rows(self, tmp_path):
