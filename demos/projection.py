@@ -10,8 +10,9 @@ import tempfile
 
 import numpy as np
 
-from dualqp import PrimalQP, enumerate_solve, save_problem, solve
+from dualqp import PrimalQP, enumerate_solve, solve
 from dualqp.cli import main as cli_main
+from dualqp.cli import save_problem
 
 
 def run():

@@ -5,22 +5,23 @@ constrained QP (build_dual), run the dual active-set method with masked
 Cholesky updates and proximal-point refinement (solve_dual), and map the
 multipliers back to the primal point (recover_primal).  solve() chains
 the three.  The masked-factor kernel and the refinement loop are
-internals, importable from dualqp.kernel and dualqp.refine; so is
-build_dual's DualQP, from dualqp.active_set.  Its other output, the
-factor of P that recover_primal takes, is scipy's cho_factor pair, or
-None when identity_p is set.
+internals, importable from dualqp.kernel and dualqp.refine; so are
+build_dual's DualQP and the smartstart rule, from dualqp.active_set.
+build_dual's other output, the factor of P that recover_primal takes,
+is scipy's cho_factor pair, or None when identity_p is set.  The
+problem-file format (load_problem, save_problem, ProblemFormatError)
+belongs to the command line and is imported from dualqp.cli; importing
+dualqp does not load it.
 """
 
 from .kernel import WorkingSet
-from .active_set import (SolveReport, SolveStatus, SolverConfig,
-                         smartstart, solve_dual)
+from .active_set import SolveReport, SolveStatus, SolverConfig, solve_dual
 from .transform import (InvalidProblemError, PrimalQP, PrimalSolution,
                         build_dual, recover_primal)
 from .oracle import (InfeasibleProblemError, OracleResult, enumerate_solve,
                      random_qp)
 from .generators import (MpcSpec, PolytopeSpec, afti16_spec, build_mpc,
                          build_polytope)
-from .cli import ProblemFormatError, load_problem, save_problem
 
 __version__ = "0.1.0"
 
@@ -40,10 +41,9 @@ def solve(primal, cfg=None):
 
 __all__ = [
     "solve", "PrimalQP", "PrimalSolution", "build_dual", "recover_primal",
-    "WorkingSet", "smartstart", "solve_dual",
+    "WorkingSet", "solve_dual",
     "SolverConfig", "SolveReport", "SolveStatus",
     "InvalidProblemError",
     "enumerate_solve", "random_qp", "OracleResult", "InfeasibleProblemError",
     "MpcSpec", "PolytopeSpec", "afti16_spec", "build_mpc", "build_polytope",
-    "load_problem", "save_problem", "ProblemFormatError",
 ]

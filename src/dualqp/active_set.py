@@ -302,16 +302,15 @@ def _inf_norm(v):
     return float(np.max(np.abs(v), initial=0.0))
 
 
-def solve_dual(qp, W0=None, cfg=None):
+def solve_dual(qp, cfg=None):
     """Run the dual active-set method from mu = 0.
 
     Parameters
     ----------
     qp : DualQP, as build_dual returns it.
-    W0 : optional WorkingSet of bounds to pin initially (any subset of
-        the inequality block is valid at mu = 0).  Defaults to
-        smartstart(qp) when cfg.smartstart, else the empty set.
-    cfg : SolverConfig, checked when it was built.
+    cfg : SolverConfig, checked when it was built.  The start set is
+        smartstart(qp) when cfg.smartstart, else the empty set; at
+        mu = 0 either is valid.
 
     The factor is built when a step first needs it, at the home shift
     (module docstring).  The working set lives in the factor record:
@@ -328,16 +327,9 @@ def solve_dual(qp, W0=None, cfg=None):
     ITERATION_LIMIT and NUMERICAL_FAILURE report the best iterate with
     a diagnostic message.  mu_star is s mu, in row units; its KKT
     residuals are measured on the primal data, by recover_primal.
-
-    Raises
-    ------
-    ValueError for a W0 of other dimensions than qp.
     """
     cfg = cfg or SolverConfig()
-    if W0 is None:
-        W0 = smartstart(qp) if cfg.smartstart else WorkingSet(qp.m_eq, qp.m_in)
-    elif (W0.m_eq, W0.m_in) != (qp.m_eq, qp.m_in):
-        raise ValueError("W0 dimensions do not match the dual problem")
+    W0 = smartstart(qp) if cfg.smartstart else WorkingSet(qp.m_eq, qp.m_in)
     m = qp.m
     max_outer = cfg.max_outer_iters or max(10 * m, 1)
     h_scale = 1.0 + _inf_norm(qp.h)

@@ -13,8 +13,9 @@ for every outcome: solver status, iterate statistics, wall-clock
 timings, KKT residuals, and the Farkas certificate of an infeasible
 primal.
 
-Exit codes: 0 optimal, 2 parse error, 3 numerical failure or an
-infeasible primal, 4 iteration limit.
+Exit codes: 0 optimal, 2 parse or usage error (a bad problem file or
+flag, or a report path that cannot be written, found before the
+solve), 3 numerical failure or an infeasible primal, 4 iteration limit.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -59,35 +61,23 @@ class ProblemFormatError(ValueError):
         super().__init__(where + message)
 
 
-def _as_vector(obj, field, length=None):
+def _as_vector(obj, field, length=None, row=None):
     if not isinstance(obj, list):
-        raise ProblemFormatError("expected an array of numbers", field)
+        raise ProblemFormatError("expected an array of numbers", field, row)
     for j, v in enumerate(obj):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ProblemFormatError(f"entry {j} is not a number", field)
+            raise ProblemFormatError(f"entry {j} is not a number", field, row)
     if length is not None and len(obj) != length:
         raise ProblemFormatError(
-            f"expected {length} entries, got {len(obj)}", field)
+            f"expected {length} entries, got {len(obj)}", field, row)
     return np.array([float(v) for v in obj], dtype=float)
 
 
 def _as_matrix(obj, field, cols):
     if not isinstance(obj, list):
         raise ProblemFormatError("expected a nested array", field)
-    data = []
-    for i, row in enumerate(obj):
-        if not isinstance(row, list):
-            raise ProblemFormatError("expected an array of numbers",
-                                     field, row=i)
-        if len(row) != cols:
-            raise ProblemFormatError(
-                f"has {len(row)} entries, expected {cols}", field, row=i)
-        for j, v in enumerate(row):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ProblemFormatError(f"entry {j} is not a number",
-                                         field, row=i)
-        data.append([float(v) for v in row])
-    return np.array(data, dtype=float).reshape(len(data), cols)
+    rows = [_as_vector(r, field, cols, row=i) for i, r in enumerate(obj)]
+    return np.array(rows, dtype=float).reshape(len(rows), cols)
 
 
 def load_problem(path):
@@ -150,7 +140,7 @@ def load_problem(path):
 
     try:
         return PrimalQP(P=P, q=q, A=A, b=b, C=C, d=d, identity_p=identity_p)
-    except (InvalidProblemError, ValueError) as err:
+    except ValueError as err:  # InvalidProblemError included
         raise ProblemFormatError(str(err))
 
 
@@ -168,13 +158,13 @@ def save_problem(primal, path):
     if primal.m_in:
         doc["C"] = primal.C.tolist()
         doc["d"] = primal.d.tolist()
-    _write_json(path, doc)
-
-
-def _write_json(path, doc, indent=None):
     with open(path, "w") as fp:
-        json.dump(doc, fp, indent=indent)
-        fp.write("\n")
+        _dump_json(fp, doc)
+
+
+def _dump_json(fp, doc, indent=None):
+    json.dump(doc, fp, indent=indent)
+    fp.write("\n")
 
 
 _REPORT_KEYS = ("status", "objective", "x", "mu_eq", "mu_in", "outer_iters",
@@ -244,26 +234,32 @@ def cmd_solve(args):
                            smartstart=args.smartstart == "on")
     except ValueError as err:
         raise ProblemFormatError(str(err))
-    doc, code = _run_once(primal, cfg)
-
-    print(f"status         {doc['status']}")
-    if doc["outer_iters"] is not None:
-        print(f"objective      {doc['objective']:.12e}")
-        st = doc["refine_iter_stats"]
-        print(f"outer iters    {doc['outer_iters']}"
-              f"  (refine {st['min']}-{st['max']}, mean {st['mean']:.1f})")
-        kkt = doc["kkt_residuals"]
-        print(f"kkt residuals  stationarity {kkt['stationarity']:.2e}"
-              f"  feasibility {kkt['primal_feasibility']:.2e}"
-              f"  complementarity {kkt['complementarity']:.2e}")
-        t = doc["timings"]
-        parts = [f"{label} {1e3 * t[key]:.1f} ms" for label, key in
-                 zip(("build", "solve", "recover"), _STAGES)]
-        print(f"time           {'  '.join(parts)}")
-    if doc["message"]:
-        print(f"message        {doc['message']}")
-    if args.report:
-        _write_json(args.report, doc, indent=2)
+    try:
+        # opened before the solve: a path that cannot be written is a
+        # usage error, not a crash after the work is done
+        report = open(args.report, "w") if args.report else nullcontext()
+    except OSError as err:
+        raise ProblemFormatError(f"cannot write the report: {err}")
+    with report:
+        doc, code = _run_once(primal, cfg)
+        print(f"status         {doc['status']}")
+        if doc["outer_iters"] is not None:
+            print(f"objective      {doc['objective']:.12e}")
+            st = doc["refine_iter_stats"]
+            print(f"outer iters    {doc['outer_iters']}"
+                  f"  (refine {st['min']}-{st['max']}, mean {st['mean']:.1f})")
+            kkt = doc["kkt_residuals"]
+            print(f"kkt residuals  stationarity {kkt['stationarity']:.2e}"
+                  f"  feasibility {kkt['primal_feasibility']:.2e}"
+                  f"  complementarity {kkt['complementarity']:.2e}")
+            t = doc["timings"]
+            parts = [f"{label} {1e3 * t[key]:.1f} ms" for label, key in
+                     zip(("build", "solve", "recover"), _STAGES)]
+            print(f"time           {'  '.join(parts)}")
+        if doc["message"]:
+            print(f"message        {doc['message']}")
+        if args.report:
+            _dump_json(report, doc, indent=2)
     return code
 
 

@@ -50,9 +50,10 @@ class WorkingSet:
 
     Indices are 0-based integer positions into the stacked dual vector
     (equalities first, inequalities after) and must lie in the
-    inequality block [m_eq, m_eq + m_in).  Instances are immutable;
-    add/remove return new sets.  Iteration order is ascending, and that
-    order is what lambda_from_direction reports multipliers in.
+    inequality block [m_eq, m_eq + m_in).  Instances are immutable:
+    the membership mask is read-only, and add/remove return new sets.
+    indices are ascending, and that order is what
+    lambda_from_direction reports multipliers in.
     """
 
     __slots__ = ("m_eq", "m_in", "_member")
@@ -76,6 +77,7 @@ class WorkingSet:
         if np.count_nonzero(self._member) != idx.size:
             s = np.sort(idx)
             self._pinnable(s[1:][s[1:] == s[:-1]][0])
+        self._member.flags.writeable = False
 
     @property
     def m(self):
@@ -89,28 +91,12 @@ class WorkingSet:
 
     @property
     def member(self):
-        """Boolean membership array of length m (copy)."""
-        return self._member.copy()
+        """Boolean membership array of length m (read-only)."""
+        return self._member
 
     def __contains__(self, i):
         i = as_integer("index", i)
         return 0 <= i < self.m and bool(self._member[i])
-
-    def __len__(self):
-        return int(self._member.sum())
-
-    def __iter__(self):
-        return iter(self.indices.tolist())
-
-    def __repr__(self):
-        return (f"WorkingSet(m_eq={self.m_eq}, m_in={self.m_in}, "
-                f"indices={self.indices.tolist()})")
-
-    def __eq__(self, other):
-        if not isinstance(other, WorkingSet):
-            return NotImplemented
-        return (self.m_eq == other.m_eq and self.m_in == other.m_in
-                and np.array_equal(self._member, other._member))
 
     def _pinnable(self, i):
         # i as an int, if it is a free index of the inequality block.
@@ -138,6 +124,7 @@ class WorkingSet:
         out.m_eq, out.m_in = self.m_eq, self.m_in
         out._member = self._member.copy()
         out._member[i] = member
+        out._member.flags.writeable = False
         return out
 
 

@@ -7,9 +7,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 import dualqp.active_set as active_set
 import dualqp.transform as transform
 from dualqp import (SolveStatus, SolverConfig, WorkingSet, build_dual,
-                    enumerate_solve, random_qp, recover_primal, smartstart,
-                    solve, solve_dual)
-from dualqp.active_set import DualQP, step_length
+                    enumerate_solve, random_qp, recover_primal, solve,
+                    solve_dual)
+from dualqp.active_set import DualQP, smartstart, step_length
 from dualqp.kernel import CholeskyDowndateError, factorize
 from dualqp.refine import OutcomeKind, RefineOutcome, RefinementError
 from dualqp.transform import PrimalQP
@@ -36,16 +36,22 @@ def unscaled_dual(primal):
                   primal=primal, s=np.ones(M.shape[0]))
 
 
+def start_from(monkeypatch, pins):
+    # solve_dual takes its start set from smartstart alone, so a test
+    # that needs another start set replaces the rule
+    monkeypatch.setattr(active_set, "smartstart",
+                        lambda qp: WorkingSet(qp.m_eq, qp.m_in, pins))
+
+
 class TestSmartstart:
 
     def test_pins_nonnegative_gradient_coordinates(self):
         qp = identity_dual([0.5, -1.0, 0.0, -2.0])
-        W = smartstart(qp)
-        assert tuple(W) == (0, 2)
+        assert_array_equal(smartstart(qp).indices, [0, 2])
 
     def test_never_pins_equalities(self):
         qp = identity_dual([1.0, 1.0, -1.0], m_eq=2)
-        assert tuple(smartstart(qp)) == ()
+        assert smartstart(qp).indices.size == 0
 
     def test_matches_scalar_optima(self):
         # per coordinate of a diagonal dual: mu_i* > 0 iff h_i < 0, so
@@ -206,12 +212,12 @@ class TestAgainstEnumeration:
                 scale = 1 + abs(want.objective)
                 assert abs(got - want.objective) <= 1e-6 * scale, (trial, smart)
 
-    def test_explicit_working_set_start(self):
+    def test_explicit_working_set_start(self, monkeypatch):
         primal = random_qp(123, n=4, m_eq=0, m_in=5)
         want = enumerate_solve(primal)
         dual, pf = build_dual(primal)
-        W0 = WorkingSet(0, 5, [1, 3])
-        rep = solve_dual(dual, W0=W0)
+        start_from(monkeypatch, [1, 3])
+        rep = solve_dual(dual)
         sol = recover_primal(primal, pf, rep.mu_star)
         assert primal.objective(sol.x) == pytest.approx(want.objective,
                                                         abs=1e-8)
@@ -301,8 +307,8 @@ class TestDowndateFallback:
         # next step and carries on.
         primal = random_qp(0, n=6, m_eq=1, m_in=8)
         dual, _ = build_dual(primal)
-        W0 = WorkingSet(1, 8, range(1, 9))
-        want = solve_dual(dual, W0=W0)
+        start_from(monkeypatch, range(1, 9))
+        want = solve_dual(dual)
 
         calls = {"remove": 0, "factorize": 0}
         remove, factorize = active_set.remove_index, active_set.factorize
@@ -319,7 +325,7 @@ class TestDowndateFallback:
 
         monkeypatch.setattr(active_set, "remove_index", collapse_once)
         monkeypatch.setattr(active_set, "factorize", counting_factorize)
-        got = solve_dual(dual, W0=W0)
+        got = solve_dual(dual)
         assert calls["remove"] > 1
         assert calls["factorize"] == 2  # the first build and the rebuild
         assert got.status is SolveStatus.OPTIMAL
@@ -355,13 +361,13 @@ class TestFirstBuild:
         factorize = active_set.factorize
 
         def recording_factorize(G, W, epsilon):
-            masks.append((tuple(W), epsilon))
+            masks.append((W.indices.tolist(), epsilon))
             return factorize(G, W, epsilon)
 
         monkeypatch.setattr(active_set, "factorize", recording_factorize)
-        qp = identity_dual([-1.0, -1.0])
-        rep = solve_dual(qp, W0=WorkingSet(0, 2, [0, 1]))
-        assert masks == [((1,), 1e-7)]
+        start_from(monkeypatch, [0, 1])
+        rep = solve_dual(identity_dual([-1.0, -1.0]))
+        assert masks == [([1], 1e-7)]
         assert rep.status is SolveStatus.OPTIMAL
         assert_allclose(rep.mu_star, [1.0, 1.0], rtol=0, atol=1e-12)
 
@@ -492,7 +498,7 @@ class TestAbsoluteShift:
             assert rep.final_shift == 1e-7
             assert np.isfinite(rep.mu_star).all()
             if first:
-                # no step ran: the report is of mu = 0 on the start set W0
+                # no step ran: the report is of mu = 0 on the start set
                 assert rep.outer_iters == 1 and rep.objective == 0.0
                 assert rep.refine_calls == 0 and rep.refine_iters_mean == 0.0
                 assert rep.refine_iters_min == rep.refine_iters_max == 0
@@ -633,8 +639,8 @@ class TestHomeShift:
             raise CholeskyDowndateError("forced")
 
         monkeypatch.setattr(active_set, "remove_index", collapse)
-        rep = solve_dual(unit_rows_dual([-1.0, -1.0]),
-                         W0=WorkingSet(0, 2, [1]))
+        start_from(monkeypatch, [1])
+        rep = solve_dual(unit_rows_dual([-1.0, -1.0]))
         assert factorizations == pytest.approx(
             [1e-7, 1e-9, 1e-11, 1e-12, 1e-7], rel=1e-12)
         return seen, rep
@@ -767,8 +773,8 @@ class TestInfeasibilityRay:
 
 
 class TestBoundary:
-    """The checks left around the solve: W0 in solve_dual, and the
-    symmetry test that PrimalQP runs on P."""
+    """The check left around the solve: the symmetry test that PrimalQP
+    runs on P."""
 
     def test_symmetry_check_matches_allclose_reference(self):
         rng = np.random.default_rng(8)
@@ -790,12 +796,6 @@ class TestBoundary:
             except ValueError:
                 got = False
             assert got == expect
-
-    def test_solve_dual_rejects_w0_of_other_dimensions(self):
-        qp = identity_dual(-np.ones(3), m_eq=1)
-        for W0 in (WorkingSet(0, 4), WorkingSet(0, 3), WorkingSet(2, 1)):
-            with pytest.raises(ValueError, match="W0"):
-                solve_dual(qp, W0=W0)
 
 
 class TestSolverConfig:

@@ -1,14 +1,18 @@
 import inspect
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import dualqp.active_set as active_set
-from dualqp import PrimalQP, cli, load_problem, save_problem
-from dualqp.cli import ProblemFormatError, main
+from dualqp import PrimalQP, cli
+from dualqp.cli import ProblemFormatError, load_problem, main, save_problem
 from dualqp.kernel import CholeskyDowndateError
 from dualqp.refine import RefinementError, refine_solve
 
@@ -382,6 +386,46 @@ class TestSolveCommand:
         prob = write_json(tmp_path / "p.json", projection_doc())
         assert main(["solve", prob, "--max-iters", "5"]) == 0
         assert main(["solve", prob, "--max-iters", "0"]) == 2
+
+    def test_unwritable_report_is_a_usage_error(self, tmp_path, capsys,
+                                                monkeypatch):
+        # found before the solve: nothing is solved or printed
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(cli, "solve_dual", no_solve)
+        prob = write_json(tmp_path / "p.json", projection_doc())
+        report = str(tmp_path / "missing" / "r.json")
+        assert main(["solve", prob, "--report", report]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("parse error: cannot write the report: ")
+        assert report in err
+
+
+def run_python(*args):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestModuleEntry:
+
+    def test_importing_the_package_leaves_the_cli_out(self):
+        proc = run_python("-c", "import sys, dualqp; "
+                                "print('dualqp.cli' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    def test_run_as_a_module_writes_no_warning(self, tmp_path):
+        prob = write_json(tmp_path / "p.json", projection_doc())
+        proc = run_python("-m", "dualqp.cli", "solve", prob)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout.startswith("status         optimal\n")
 
 
 class TestCommands:
