@@ -10,7 +10,7 @@ single-index working-set changes in O(n^2) instead of refactorizing.
 
 The factor is stored column-major (Fortran order), so LAPACK and BLAS
 work on it in place: potrf builds it, every column a rank-1 step
-touches is contiguous, and cho_solve reads it without a copy.  The
+touches is contiguous, and potrs reads it without a copy.  The
 layout is a correctness invariant, not a speed hint: f2py silently
 copies a non-contiguous argument, so an in-place BLAS step on a
 C-ordered factor would leave it unchanged.  factorize is the only
@@ -29,9 +29,9 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.linalg.blas import daxpy, drot, dscal
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 # Downdated pivots at or below _PIVOT_FLOOR * (1 + eps*n) abort the
 # incremental path; the caller refactorizes from scratch.
@@ -324,7 +324,9 @@ def remove_index(f, i):
 
 def solve_with_factor(f, rhs):
     """Solve (masked(base) + eps*I) x = rhs with the retained factor."""
-    return cho_solve((f.factor, True), rhs, check_finite=False)
+    if rhs.size == 0:  # f2py's potrs rejects a 0 x 0 factor
+        return np.zeros(rhs.shape)
+    return dpotrs(f.factor, rhs, lower=1)[0]  # info < 0: bad shapes only
 
 
 def lambda_from_direction(c, W):

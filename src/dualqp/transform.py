@@ -12,6 +12,10 @@ there, and h collects the constraint offsets, scaled alike.  P is
 factored once and the triangular factor is retained for every
 subsequent solve; no inverse is ever formed.  Projection problems
 (P = I) skip the factorization entirely via the identity_p flag.
+
+In condensed MPC only q and d change between QPs, so build_dual keeps
+the factor, s and G of its last build with m >= n and shares them,
+read-only, with the next build whose P and [A; C] repeat bit for bit.
 """
 
 from __future__ import annotations
@@ -135,6 +139,15 @@ class PrimalSolution:
     complementarity_residual: float
 
 
+_memo = None  # build_dual's ((P or None, [A; C]) copies, (pf, s, G))
+
+
+def _same_bits(a, b):
+    if a is None or b is None:
+        return a is b
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def build_dual(primal):
     """Assemble the dual QP and the retained factor of P.
 
@@ -148,31 +161,54 @@ def build_dual(primal):
     finite; given the first, |G_ij| <= 1 by Cauchy-Schwarz.  A failed
     check raises InvalidProblemError naming the first bad row, as does
     a Cholesky breakdown of P (P not PD).
+
+    pf, s and G do not depend on q, b or d.  A build that passes its
+    checks with m >= n (so copies of P and [A; C] cost no more than G)
+    keeps them, keyed on those copies; a call whose P (None with
+    identity_p) and [A; C] repeat bit for bit (-0.0 is not 0.0) reuses
+    them and forms h by the same operations, so bit-identically.  G, s
+    and pf[0] are read-only, as a hit shares them.
     """
+    global _memo
     M = np.vstack([primal.A, primal.C])
     offsets = np.concatenate([primal.b, primal.d])
-    if primal.identity_p:
-        pf = None
-        Y = M.T  # a view: scaling M scales Y
-        p_inv_q = primal.q
+    key = (None if primal.identity_p else primal.P, M)
+    memo = _memo  # read once: another thread may swap the entry
+    if memo is not None and all(map(_same_bits, key, memo[0])):
+        pf, s, G = memo[1]
+        M *= s[:, None]
     else:
-        try:
-            pf = cho_factor(primal.P, lower=True, check_finite=False)
-        except np.linalg.LinAlgError as err:
-            raise InvalidProblemError(f"P is not positive definite: {err}")
-        Y = cho_solve(pf, M.T, check_finite=False)
-        p_inv_q = cho_solve(pf, primal.q, check_finite=False)
-    s = 1.0 / np.sqrt(np.maximum(1.0, np.einsum("ij,ji->i", M, Y)))
-    if not np.all(s > 0.0):  # s <= 1, so this fails only for 0 or NaN
-        i = int(np.argmin(s > 0.0))
-        raise InvalidProblemError(
-            f"row {i} of [A; C] overflows: its P^-1 norm squared is not "
-            f"finite")
-    M *= s[:, None]
-    if not primal.identity_p:
-        Y *= s
-    G = M @ Y
-    G = 0.5 * (G + G.T)
+        _memo = None
+        keep = M.shape[0] >= M.shape[1]
+        if keep:
+            key = tuple(None if a is None else a.copy() for a in key)
+        if primal.identity_p:
+            pf = None
+            Y = M.T  # a view: scaling M scales Y
+        else:
+            try:
+                pf = cho_factor(primal.P, lower=True, check_finite=False)
+            except np.linalg.LinAlgError as err:
+                raise InvalidProblemError(
+                    f"P is not positive definite: {err}")
+            Y = cho_solve(pf, M.T, check_finite=False)
+        s = 1.0 / np.sqrt(np.maximum(1.0, np.einsum("ij,ji->i", M, Y)))
+        if not np.all(s > 0.0):  # s <= 1, so this fails only for 0 or NaN
+            i = int(np.argmin(s > 0.0))
+            raise InvalidProblemError(
+                f"row {i} of [A; C] overflows: its P^-1 norm squared is "
+                f"not finite")
+        M *= s[:, None]
+        if not primal.identity_p:
+            Y *= s
+        G = M @ Y
+        G = 0.5 * (G + G.T)
+        for a in (s, G) if pf is None else (s, G, pf[0]):
+            a.flags.writeable = False
+        if keep:
+            _memo = (key, (pf, s, G))
+    p_inv_q = (primal.q if pf is None
+               else cho_solve(pf, primal.q, check_finite=False))
     with np.errstate(over="ignore"):  # checked next
         h = M @ p_inv_q + s * offsets
     if not np.isfinite(h).all():

@@ -91,3 +91,26 @@ def test_gate_reads_multipliers_in_row_units():
     x = recover_primal(primal, pf, rep.mu_star).x
     tol = min(workloads.MPC_TOL, workloads.POLYTOPE_TOL)
     assert workloads.kkt_violation(data, x, rep.mu_star) <= tol
+
+
+def test_every_build_constructs_its_dual(monkeypatch):
+    # the tracer times transform.DualQP by rebinding that name; a
+    # build_dual that reuses P's factor, s and G must still construct
+    # the DualQP through it, so the span stays one per QP
+    module = "dualqp.transform"
+    (name, _), = load("tracing").HOOKS[module]
+    original = getattr(importlib.import_module(module), name)
+    made = []
+
+    def counting(*args, **kwargs):
+        made.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module + "." + name, counting)
+    rng = np.random.default_rng(1)
+    data = {"P": np.eye(3), "q": rng.standard_normal(3),
+            "C": rng.standard_normal((4, 3)), "d": np.ones(4)}
+    first = build_dual(PrimalQP(**data))[0]
+    second = build_dual(PrimalQP(**data))[0]
+    assert second.G is first.G  # the second build reused the first's G
+    assert len(made) == 2

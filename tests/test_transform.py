@@ -8,6 +8,7 @@ from scipy.linalg import cho_solve
 
 from dualqp import (InvalidProblemError, PrimalQP, build_dual, recover_primal,
                     solve, solve_dual)
+from dualqp import transform
 
 
 def small_problem():
@@ -152,6 +153,116 @@ class TestBuildDual:
                      C=rng.standard_normal((6, 4)), d=rng.standard_normal(6))
         dual, _ = build_dual(p)
         assert np.array_equal(dual.G, dual.G.T)
+
+
+def memo_problem(rng, n=4, m=9, dense_p=True, C=None, P=None):
+    """A problem with m >= n, so build_dual keeps its P and rows."""
+    if P is None and dense_p:
+        U = rng.standard_normal((n, n))
+        P = U @ U.T + np.eye(n)
+    return PrimalQP(P=P, q=rng.standard_normal(n),
+                    C=rng.standard_normal((m, n)) if C is None else C,
+                    d=rng.standard_normal(m), identity_p=not dense_p)
+
+
+def fresh_build(p):
+    """build_dual of a copy of p, after other rows evicted the memo."""
+    build_dual(PrimalQP(P=None, q=np.zeros(1), C=np.ones((1, 1)),
+                        d=np.zeros(1), identity_p=True))
+    return build_dual(PrimalQP(P=None if p.P is None else p.P.copy(),
+                               q=p.q, C=p.C.copy(), d=p.d,
+                               identity_p=p.identity_p))
+
+
+def bits(dual, pf):
+    return (dual.G.tobytes(), dual.s.tobytes(), dual.h.tobytes(),
+            None if pf is None else pf[0].tobytes())
+
+
+class TestBuildDualMemo:
+    """build_dual reuses pf, s and G when P and [A; C] repeat bit for
+    bit; a hit shares the kept G object, a miss builds a new one."""
+
+    @pytest.mark.parametrize("dense_p", [True, False], ids=["P", "identity"])
+    def test_hit_with_new_q_and_d_matches_a_fresh_build(self, dense_p):
+        rng = np.random.default_rng(30)
+        first = memo_problem(rng, dense_p=dense_p)
+        # new q and d, and fresh copies of P and C
+        again = memo_problem(rng, dense_p=dense_p, C=first.C.copy(),
+                             P=None if first.P is None else first.P.copy())
+        kept = build_dual(first)[0].G
+        hit = build_dual(again)
+        assert hit[0].G is kept
+        fresh = fresh_build(again)
+        assert fresh[0].G is not kept
+        assert bits(*hit) == bits(*fresh)
+
+    @pytest.mark.parametrize("block", ["C", "P"])
+    def test_caller_mutating_in_place_gets_a_fresh_build(self, block):
+        rng = np.random.default_rng(31)
+        p = memo_problem(rng)
+        kept = build_dual(p)[0].G
+        getattr(p, block)[0, 0] *= 2.0  # P stays symmetric and PD
+        mutated = build_dual(p)
+        assert mutated[0].G is not kept
+        assert bits(*mutated) == bits(*fresh_build(p))
+
+    def test_signed_zero_is_a_miss(self):
+        rng = np.random.default_rng(32)
+        p = memo_problem(rng)
+        p.C[0, 0] = 0.0
+        kept = build_dual(p)[0].G
+        C = p.C.copy()
+        C[0, 0] = -0.0
+        dual = build_dual(PrimalQP(P=p.P, q=p.q, C=C, d=p.d))[0]
+        assert dual.G is not kept
+        assert np.array_equal(dual.G, kept)
+
+    def test_toggling_identity_p_is_a_miss(self):
+        rng = np.random.default_rng(33)
+        p = memo_problem(rng, dense_p=False)
+        dense = PrimalQP(P=np.eye(p.n), q=p.q, C=p.C, d=p.d)
+        flagged = PrimalQP(P=np.eye(p.n), q=p.q, C=p.C, d=p.d,
+                           identity_p=True)
+        G0, pf0 = build_dual(dense)
+        G1, pf1 = build_dual(flagged)
+        G2, pf2 = build_dual(dense)
+        assert G1.G is not G0.G and G2.G is not G1.G
+        assert pf0 is not None and pf1 is None and pf2 is not None
+
+    def test_more_variables_than_rows_keeps_nothing(self):
+        rng = np.random.default_rng(34)
+        build_dual(memo_problem(rng))
+        assert transform._memo is not None
+        wide = memo_problem(rng, n=6, m=5)
+        G = build_dual(wide)[0].G
+        assert transform._memo is None
+        assert build_dual(wide)[0].G is not G
+
+    @pytest.mark.parametrize("P, C, match", [
+        ([[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]],
+         "not positive definite"),
+        (np.eye(2), [[1.0, 0.0], [1e160, 0.0]], r"row 1 of \[A; C\]"),
+    ], ids=["not-pd", "row-overflow"])
+    def test_a_failed_build_fails_again(self, P, C, match):
+        p = PrimalQP(P=np.array(P), q=np.zeros(2), C=np.array(C),
+                     d=np.zeros(2))
+        for _ in range(2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                with pytest.raises(InvalidProblemError, match=match):
+                    build_dual(p)
+
+    def test_shared_arrays_are_read_only(self):
+        rng = np.random.default_rng(35)
+        p = memo_problem(rng)
+        first, pf = build_dual(p)
+        hit, pf_hit = build_dual(p)
+        assert hit.G is first.G and hit.s is first.s
+        assert pf_hit[0] is pf[0]
+        for a in (hit.G, hit.s, pf_hit[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
 
 
 class TestRecoverPrimal:
