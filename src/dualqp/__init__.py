@@ -8,10 +8,10 @@ the three.  The masked-factor kernel and the refinement loop are
 internals, importable from dualqp.kernel and dualqp.refine; so are
 build_dual's DualQP and the smartstart rule, from dualqp.active_set.
 build_dual's other output, the factor of P that recover_primal takes,
-is scipy's cho_factor pair, or None when identity_p is set.  The
-problem-file format (load_problem, save_problem, ProblemFormatError)
-belongs to the command line and is imported from dualqp.cli; importing
-dualqp does not load it.
+is P's lower Cholesky factor (LAPACK's potrf, Fortran order, read-only),
+or None when identity_p is set.  The problem-file format (load_problem,
+save_problem, ProblemFormatError) belongs to the command line and is
+imported from dualqp.cli; importing dualqp does not load it.
 """
 
 from .kernel import WorkingSet

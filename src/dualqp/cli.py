@@ -64,13 +64,19 @@ class ProblemFormatError(ValueError):
 def _as_vector(obj, field, length=None, row=None):
     if not isinstance(obj, list):
         raise ProblemFormatError("expected an array of numbers", field, row)
+    values = []
     for j, v in enumerate(obj):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ProblemFormatError(f"entry {j} is not a number", field, row)
+        try:
+            values.append(float(v))
+        except OverflowError:  # an integer literal beyond the float range
+            raise ProblemFormatError(
+                f"entry {j} is too large for a float", field, row)
     if length is not None and len(obj) != length:
         raise ProblemFormatError(
             f"expected {length} entries, got {len(obj)}", field, row)
-    return np.array([float(v) for v in obj], dtype=float)
+    return np.array(values, dtype=float)
 
 
 def _as_matrix(obj, field, cols):
@@ -83,17 +89,20 @@ def _as_matrix(obj, field, cols):
 def load_problem(path):
     """Parse a problem file into a PrimalQP.
 
-    Structural problems (bad JSON, wrong types, inconsistent
-    dimensions) raise ProblemFormatError with the offending field and
-    row; numerical validity (P positive definite) is checked later,
-    during the solve.
+    Structural problems (bad JSON or bytes that are not UTF-8, wrong
+    types, numbers beyond the float range, inconsistent dimensions)
+    raise ProblemFormatError with the offending field and row where
+    there is one; numerical validity (P positive definite) is checked
+    later, during the solve.
     """
     try:
-        with open(path) as fp:
+        with open(path, encoding="utf-8") as fp:  # as JSON requires
             doc = json.load(fp)
     except OSError as err:
         raise ProblemFormatError(str(err))
-    except json.JSONDecodeError as err:
+    # ValueError: JSONDecodeError, bytes not UTF-8, an integer of over
+    # 4300 digits; RecursionError: arrays nested too deeply
+    except (ValueError, RecursionError) as err:
         raise ProblemFormatError(f"invalid JSON: {err}")
     if not isinstance(doc, dict):
         raise ProblemFormatError("top level must be an object")

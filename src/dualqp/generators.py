@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import as_integer
-from .transform import InvalidProblemError, PrimalQP, check_symmetric
+from .transform import PrimalQP, check_symmetric
 
 AFTI16_A = np.array([
     [0.999, -3.008, -0.113, -1.608],
@@ -138,8 +138,8 @@ def build_mpc(spec):
 
     The QP is  min 0.5 u' (2F) u + (2 G x0)' u  subject to the state
     bounds written as [Gamma; -Gamma] u <= offsets, with no equality
-    rows.  Raises InvalidProblemError if the condensed Hessian fails to
-    be positive definite.
+    rows.  build_dual refuses a condensed Hessian that is not positive
+    definite.
     """
     Phi, Gamma = prediction_matrices(spec)
     N = spec.horizon
@@ -147,10 +147,6 @@ def build_mpc(spec):
     Rbar = np.kron(np.eye(N), spec.r_weight)
     F = Gamma.T @ Qbar @ Gamma + Rbar
     F = 0.5 * (F + F.T)
-    try:
-        np.linalg.cholesky(F)
-    except np.linalg.LinAlgError:
-        raise InvalidProblemError("condensed Hessian is not positive definite")
     g_lin = Gamma.T @ Qbar @ Phi
     free = Phi @ spec.x0
     bound = np.full(N * spec.nx, spec.state_bound)

@@ -322,11 +322,16 @@ def remove_index(f, i):
     return f
 
 
-def solve_with_factor(f, rhs):
-    """Solve (masked(base) + eps*I) x = rhs with the retained factor."""
+def solve_cholesky(L, rhs):
+    """Solve L L' x = rhs, L a lower Cholesky factor in Fortran order."""
     if rhs.size == 0:  # f2py's potrs rejects a 0 x 0 factor
         return np.zeros(rhs.shape)
-    return dpotrs(f.factor, rhs, lower=1)[0]  # info < 0: bad shapes only
+    return dpotrs(L, rhs, lower=1)[0]  # info < 0: bad shapes only
+
+
+def solve_with_factor(f, rhs):
+    """Solve (masked(base) + eps*I) x = rhs with the retained factor."""
+    return solve_cholesky(f.factor, rhs)
 
 
 def lambda_from_direction(c, W):

@@ -23,9 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf
 
 from .active_set import DualQP
+from .kernel import solve_cholesky
 
 
 class InvalidProblemError(ValueError):
@@ -151,23 +152,24 @@ def _same_bits(a, b):
 def build_dual(primal):
     """Assemble the dual QP and the retained factor of P.
 
-    Returns (DualQP, pf): pf is cho_factor's pair for P, or None with
-    identity_p.  [A; C] is stacked here, into the copy that is scaled in
-    place, and nowhere else.  Each row of [A; C] and its offset in
-    [b; d] is scaled by s_i = 1/sqrt(max(1, G_ii)), G_ii read off the
-    unscaled rows, so max|G| <= 1; G is then symmetrized, so nothing
-    checks it again.  The checks are O(m), on what the arithmetic can
-    break: every s_i finite and > 0 (else G_ii overflowed) and h
-    finite; given the first, |G_ij| <= 1 by Cauchy-Schwarz.  A failed
-    check raises InvalidProblemError naming the first bad row, as does
-    a Cholesky breakdown of P (P not PD).
+    Returns (DualQP, pf): pf is P's lower Cholesky factor, in Fortran
+    order, or None with identity_p.  [A; C] is stacked here, into the
+    copy that is scaled in place, and nowhere else.  Each row of [A; C]
+    and its offset in [b; d] is scaled by s_i = 1/sqrt(max(1, G_ii)),
+    G_ii read off the unscaled rows, so max|G| <= 1; G is then
+    symmetrized, so nothing checks it again.  The checks are O(m), on
+    what the arithmetic can break: every s_i finite and > 0 (else G_ii
+    overflowed) and h finite; given the first, |G_ij| <= 1 by
+    Cauchy-Schwarz.  A failed check raises InvalidProblemError naming
+    the first bad row, as does a Cholesky breakdown of P: the package's
+    one check that P is positive definite.
 
     pf, s and G do not depend on q, b or d.  A build that passes its
     checks with m >= n (so copies of P and [A; C] cost no more than G)
     keeps them, keyed on those copies; a call whose P (None with
     identity_p) and [A; C] repeat bit for bit (-0.0 is not 0.0) reuses
     them and forms h by the same operations, so bit-identically.  G, s
-    and pf[0] are read-only, as a hit shares them.
+    and pf are read-only, as a hit shares them.
     """
     global _memo
     M = np.vstack([primal.A, primal.C])
@@ -186,12 +188,12 @@ def build_dual(primal):
             pf = None
             Y = M.T  # a view: scaling M scales Y
         else:
-            try:
-                pf = cho_factor(primal.P, lower=True, check_finite=False)
-            except np.linalg.LinAlgError as err:
+            # P's own lower triangle: PrimalQP allows asymmetry to 1e-12
+            pf, info = dpotrf(primal.P, lower=1)
+            if info > 0:
                 raise InvalidProblemError(
-                    f"P is not positive definite: {err}")
-            Y = cho_solve(pf, M.T, check_finite=False)
+                    f"P is not positive definite (leading minor {info})")
+            Y = solve_cholesky(pf, M.T)
         s = 1.0 / np.sqrt(np.maximum(1.0, np.einsum("ij,ji->i", M, Y)))
         if not np.all(s > 0.0):  # s <= 1, so this fails only for 0 or NaN
             i = int(np.argmin(s > 0.0))
@@ -203,12 +205,11 @@ def build_dual(primal):
             Y *= s
         G = M @ Y
         G = 0.5 * (G + G.T)
-        for a in (s, G) if pf is None else (s, G, pf[0]):
+        for a in (s, G) if pf is None else (s, G, pf):
             a.flags.writeable = False
         if keep:
             _memo = (key, (pf, s, G))
-    p_inv_q = (primal.q if pf is None
-               else cho_solve(pf, primal.q, check_finite=False))
+    p_inv_q = primal.q if pf is None else solve_cholesky(pf, primal.q)
     with np.errstate(over="ignore"):  # checked next
         h = M @ p_inv_q + s * offsets
     if not np.isfinite(h).all():
@@ -234,7 +235,7 @@ def recover_primal(primal, pf, mu):
     mu_eq = mu[:primal.m_eq]
     mu_in = mu[primal.m_eq:]
     grad = primal.q + primal.A.T @ mu_eq + primal.C.T @ mu_in
-    x = -grad if pf is None else -cho_solve(pf, grad, check_finite=False)
+    x = -grad if pf is None else -solve_cholesky(pf, grad)
     eq_violation = float(np.max(np.abs(primal.A @ x - primal.b), initial=0.0))
     slack = primal.C @ x - primal.d
     ineq_violation = float(max(0.0, np.max(slack, initial=0.0)))

@@ -114,3 +114,20 @@ def test_every_build_constructs_its_dual(monkeypatch):
     second = build_dual(PrimalQP(**data))[0]
     assert second.G is first.G  # the second build reused the first's G
     assert len(made) == 2
+
+
+def test_p_solves_are_not_counted_as_refinement():
+    # the tracer counts kernel.solve_with_factor spans under
+    # refine_solve as refinement iterations, so build_dual and
+    # recover_primal solve with P's factor through another name
+    tracer = load("tracing").Tracer()
+    rng = np.random.default_rng(2)
+    U = rng.standard_normal((4, 4))
+    primal = PrimalQP(P=U @ U.T + np.eye(4), q=rng.standard_normal(4),
+                      C=rng.standard_normal((5, 4)), d=np.ones(5))
+    with tracer.hooked():
+        dual, pf = build_dual(primal)
+        recover_primal(primal, pf, np.ones(5))
+    names = [tracer.span_name(sid) for sid in range(len(tracer))]
+    assert "transform.DualQP" in names  # the hooks were in place
+    assert "kernel.solve_with_factor" not in names

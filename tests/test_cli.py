@@ -134,6 +134,26 @@ class TestProblemFiles:
         with pytest.raises(ProblemFormatError, match="top level"):
             load_problem(write_json(path, [projection_doc()]))
 
+    # errors json.load and float() raise, each a parse error (exit 2)
+    @pytest.mark.parametrize("text, field, row", [
+        ('"q": [1' + "0" * 400 + ', 0.0]', "q", None),
+        ('"q": [0.0, 0.0], "C": [[1.0, 0.0], [-1' + "0" * 400 + ', 0.0]], '
+         '"d": [1.0, 1.0]', "C", 1),
+        ('"q": [1' + "0" * 5000 + ', 0.0]', None, None),
+        ('"q": ' + "[" * 100000 + "]" * 100000, None, None),
+        ('"q": [0.0, 0.0], "note": "\xe9"', None, None),
+    ], ids=["int-overflow", "int-overflow-row", "int-digits", "deep",
+            "latin-1"])
+    def test_malformed_files(self, tmp_path, capsys, text, field, row):
+        path = tmp_path / "bad.json"
+        path.write_bytes(('{"schema_version": "1", "identity_P": true, '
+                          + text + "}").encode("latin-1"))
+        with pytest.raises(ProblemFormatError) as info:
+            load_problem(str(path))
+        assert (info.value.field, info.value.row) == (field, row)
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("parse error: ")
+
     def test_missing_file(self):
         with pytest.raises(ProblemFormatError):
             load_problem("/nonexistent/problem.json")

@@ -183,8 +183,9 @@ class TestBuildMpc:
         spec = MpcSpec(a_dyn=[[1.0]], b_dyn=[[0.0]], horizon=2,
                        q_weight=[[1.0]], r_weight=[[0.0]], x0=[1.0],
                        state_bound=1.0)
+        primal = build_mpc(spec)  # P is checked once, by build_dual
         with pytest.raises(InvalidProblemError, match="not positive definite"):
-            build_mpc(spec)
+            build_dual(primal)
 
     def test_singular_dual_quadratic(self):
         # twice as many constraint rows as inputs: G cannot be full rank

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_factor, cho_solve
 
 from dualqp import (InvalidProblemError, PrimalQP, build_dual, recover_primal,
                     solve, solve_dual)
@@ -109,7 +109,8 @@ class TestBuildDual:
         assert dual.primal is p and dual.m_eq == 1 and dual.m_in == 2
         # the retained factor solves against P
         rhs = np.array([1.0, 2.0])
-        assert_allclose(cho_solve(pf, rhs), Pinv @ rhs, rtol=0, atol=1e-12)
+        assert_allclose(cho_solve((pf, True), rhs), Pinv @ rhs,
+                        rtol=0, atol=1e-12)
 
     def test_identity_shortcut_agrees(self):
         q = np.array([1.0, -1.0, 0.5])
@@ -146,6 +147,46 @@ class TestBuildDual:
             with pytest.raises(InvalidProblemError, match=match):
                 build_dual(p)
 
+    def test_factor_and_solves_are_bit_equal_to_scipys(self):
+        # P is symmetric only to one ulp; the factor reads P's own lower
+        # triangle, as cho_factor(P, lower=True) does, so every output
+        # keeps the bits of the cho_factor/cho_solve path
+        rng = np.random.default_rng(11)
+        n, m = 6, 8
+        B = rng.standard_normal((n, n))
+        P = B @ B.T + n * np.eye(n)
+        P[1, 0] = np.nextafter(P[1, 0], np.inf)
+        p = PrimalQP(P=P, q=rng.standard_normal(n),
+                     A=rng.standard_normal((2, n)), b=rng.standard_normal(2),
+                     C=rng.standard_normal((m - 2, n)),
+                     d=rng.standard_normal(m - 2))
+        dual, pf = build_dual(p)
+        mu = np.abs(rng.standard_normal(m))
+        x = recover_primal(p, pf, mu).x
+
+        c = cho_factor(P, lower=True, check_finite=False)
+        M = np.vstack([p.A, p.C])
+        Y = cho_solve(c, M.T, check_finite=False)
+        s = 1.0 / np.sqrt(np.maximum(1.0, np.einsum("ij,ji->i", M, Y)))
+        M *= s[:, None]
+        Y *= s
+        G = M @ Y
+        G = 0.5 * (G + G.T)
+        h = (M @ cho_solve(c, p.q, check_finite=False)
+             + s * np.concatenate([p.b, p.d]))
+        grad = p.q + p.A.T @ mu[:2] + p.C.T @ mu[2:]
+        x_ref = -cho_solve(c, grad, check_finite=False)
+        assert np.tril(pf).tobytes() == np.tril(c[0]).tobytes()
+        assert dual.G.tobytes() == G.tobytes()
+        assert dual.h.tobytes() == h.tobytes()
+        assert x.tobytes() == x_ref.tobytes()
+
+    def test_empty_dense_p_builds_and_recovers(self):
+        p = PrimalQP(P=np.zeros((0, 0)), q=np.zeros(0))
+        dual, pf = build_dual(p)
+        assert pf.shape == (0, 0) and dual.G.shape == (0, 0)
+        assert recover_primal(p, pf, np.zeros(0)).x.shape == (0,)
+
     def test_g_is_symmetric(self):
         rng = np.random.default_rng(10)
         M = rng.standard_normal((4, 4))
@@ -176,7 +217,7 @@ def fresh_build(p):
 
 def bits(dual, pf):
     return (dual.G.tobytes(), dual.s.tobytes(), dual.h.tobytes(),
-            None if pf is None else pf[0].tobytes())
+            None if pf is None else pf.tobytes())
 
 
 class TestBuildDualMemo:
@@ -259,8 +300,8 @@ class TestBuildDualMemo:
         first, pf = build_dual(p)
         hit, pf_hit = build_dual(p)
         assert hit.G is first.G and hit.s is first.s
-        assert pf_hit[0] is pf[0]
-        for a in (hit.G, hit.s, pf_hit[0]):
+        assert pf_hit is pf
+        for a in (hit.G, hit.s, pf_hit):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
 
