@@ -6,6 +6,8 @@ iteration pins the working set to zero, asks the refinement module for
 a direction, and either steps (with a ratio test against the bounds),
 grows the working set at a blocking bound, or, at a subspace minimizer,
 inspects the bound multipliers to drop an index or declare optimality.
+The loop carries mu, its product g_mu = G mu, formed anew only after a
+step, and the factor record f, which holds G and the working set.
 The subspace-minimizer test allows for the rounding in G mu (the
 _ROUNDING_TOL term): at a large mu that rounding is all the gradient
 has left, and a test without it would never pass.
@@ -109,10 +111,6 @@ class DualQP:
     def m(self):
         return self.m_eq + self.m_in
 
-    def objective(self, mu):
-        mu = np.asarray(mu, dtype=float)
-        return 0.5 * mu @ (self.G @ mu) + self.h @ mu
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -187,24 +185,24 @@ def step_length(mu, p, W):
     return float(ratios[j]), int(cand[j])
 
 
-def _reshift(qp, f, epsilon):
-    # (Re)factorize f in place at epsilon, the one place that builds a
-    # factor.  Returns None, or the LinAlgError with f untouched when
-    # the shifted block does not factor (on a G with large entries a
-    # rank-deficient block can round to indefinite at a small shift).
+def _reshift(f, epsilon):
+    # (Re)factorize f in place at epsilon on f.base, the one place that
+    # builds a factor.  Returns None, or the LinAlgError with f untouched
+    # when the shifted block does not factor (on a G with large entries,
+    # a rank-deficient block can round to indefinite at a small shift).
     try:
-        fresh = factorize(qp.G, f.mask, epsilon)
+        fresh = factorize(f.base, f.mask, epsilon)
     except np.linalg.LinAlgError as err:
         return err
     f.factor, f.epsilon = fresh.factor, fresh.epsilon
     return None
 
 
-def _sharpen(qp, f):
+def _sharpen(f):
     # Refactorize f in place at the next shift down; False, with f
     # untouched, at the floor or when the sharper shift does not factor.
     return f.epsilon > _SHIFT_FLOOR and _reshift(
-        qp, f, max(f.epsilon * _SHIFT_SHRINK, _SHIFT_FLOOR)) is None
+        f, max(f.epsilon * _SHIFT_SHRINK, _SHIFT_FLOOR)) is None
 
 
 def _salvage(err, c_bar):
@@ -227,7 +225,7 @@ def _salvage(err, c_bar):
                          err.residual)
 
 
-def _directed_step(qp, f, c_bar, mu, g_scale):
+def _directed_step(f, c_bar, mu, g_scale):
     """Classify the pinned subproblem and settle the step along the result.
 
     Returns (outcome, alpha, blocking, salvaged, retries, failure).
@@ -236,11 +234,11 @@ def _directed_step(qp, f, c_bar, mu, g_scale):
     retries counts those escalations.  Once the floor is reached the
     last iterate is salvaged as an uncertified descent direction, and
     salvaged is True: the caller's home shift then stays where it was
-    (module docstring).  Otherwise the subproblem was classified at
-    f.epsilon.  A solution steps at most to 1, the subspace minimizer.
-    Every descent step is capped at its exact line minimizer
-    -slope/curvature, so real curvature along a nominally flat direction
-    cannot break the monotone decrease of the objective.
+    (module docstring).  Otherwise it was classified at f.epsilon.  A
+    solution steps at most to 1, the subspace minimizer.  Every descent
+    step is capped at its exact line minimizer -slope/curvature, the
+    curvature p' G p read on f.base, so real curvature along a nominally
+    flat direction cannot break the monotone decrease of the objective.
 
     failure is None, or the reason the subproblem gave no usable step,
     with (outcome, alpha, blocking) all None: the refinement error when
@@ -255,7 +253,7 @@ def _directed_step(qp, f, c_bar, mu, g_scale):
         try:
             outcome = refine_solve(f, c_bar)
         except RefinementError as err:
-            if _sharpen(qp, f):
+            if _sharpen(f):
                 retries += 1
                 continue
             outcome = _salvage(err, c_bar)
@@ -271,7 +269,7 @@ def _directed_step(qp, f, c_bar, mu, g_scale):
             alpha, blocking = 1.0, None
         return outcome, alpha, blocking, salvaged, retries, None
 
-    curv = float(p @ (qp.G @ p))
+    curv = float(p @ (f.base @ p))
     flat = curv <= _FLAT_TOL * g_scale * float(p @ p)
     alpha_min = math.inf if flat else -float(c_bar @ p) / curv
     if alpha_min < alpha:
@@ -312,11 +310,11 @@ def solve_dual(qp, cfg=None):
         smartstart(qp) when cfg.smartstart, else the empty set; at
         mu = 0 either is valid.
 
-    The factor is built when a step first needs it, at the home shift
-    (module docstring).  The working set lives in the factor record:
-    f.mask is the only copy, and add_index/remove_index move it
-    together with the factor; with no factor built, a drop edits the
-    mask alone.
+    g_mu = G mu is formed at mu = 0 and after each step; the gradient
+    and the reported objective read it.  f is built when a step first
+    needs it, at the home shift (module docstring); f.mask is the only
+    copy of the working set, moved with the factor by add_index and
+    remove_index, and a drop with no factor built edits the mask alone.
 
     Returns
     -------
@@ -335,6 +333,7 @@ def solve_dual(qp, cfg=None):
     h_scale = 1.0 + _inf_norm(qp.h)
 
     mu = np.zeros(m)
+    g_mu = qp.G @ mu  # formed, not zeroed: c keeps G mu's signed zeros
     # 1 + max|G|, read off the diagonal in O(m): G is PSD, so its
     # largest entry is a diagonal one; in [1, 2], as build_dual bounds
     # max|G| by 1
@@ -351,7 +350,7 @@ def solve_dual(qp, cfg=None):
     ray = None
 
     for k in range(1, max_outer + 1):
-        c = qp.G @ mu + qp.h
+        c = g_mu + qp.h
         c_bar = mask_vector(c, f.mask)
         if _inf_norm(c_bar) <= (_STATIONARITY_TOL * h_scale
                                 + _ROUNDING_TOL * g_scale * _inf_norm(mu)):
@@ -376,14 +375,14 @@ def solve_dual(qp, cfg=None):
             continue
 
         if f.factor is None or f.epsilon < home:
-            err = _reshift(qp, f, home)  # on failure a sharper f is kept
+            err = _reshift(f, home)  # on failure a sharper f is kept
             if f.factor is None:
                 status = SolveStatus.NUMERICAL_FAILURE
                 message = (f"factorization failed at iteration {k}, "
                            f"shift {home:g}: {err}")
                 break
         (outcome, alpha, blocking, salvaged, retries,
-         failure) = _directed_step(qp, f, c_bar, mu, g_scale)
+         failure) = _directed_step(f, c_bar, mu, g_scale)
         shift_retries += retries
         if alpha == math.inf:
             # certified flat, and no bound blocks: a ray of the dual
@@ -410,17 +409,18 @@ def solve_dual(qp, cfg=None):
         if blocking is not None:
             mu[blocking] = 0.0
             f = add_index(f, blocking)
+        g_mu = qp.G @ mu
 
     iters = refine_iters or [0]
     return SolveReport(
         mu_star=qp.s * mu,
         status=status,
-        objective=float(qp.objective(mu)),
+        objective=float(0.5 * mu @ g_mu + qp.h @ mu),
         outer_iters=k,
         refine_calls=len(refine_iters),
         refine_iters_min=min(iters),
         refine_iters_max=max(iters),
-        refine_iters_mean=float(np.mean(iters)),
+        refine_iters_mean=sum(iters) / len(iters),
         descent_count=descent_count,
         salvaged_steps=salvaged_steps,
         shift_retries=shift_retries,

@@ -74,7 +74,7 @@ def directed_step(monkeypatch, mu, c_bar, outcome):
     f = factorize(qp.G, WorkingSet(0, m), 1e-7)
     monkeypatch.setattr(active_set, "refine_solve", lambda f, c_bar: outcome)
     _, alpha, blocking, salvaged, retries, failure = (
-        active_set._directed_step(qp, f, np.asarray(c_bar, dtype=float),
+        active_set._directed_step(f, np.asarray(c_bar, dtype=float),
                                   np.asarray(mu, dtype=float), 2.0))
     assert not salvaged and retries == 0 and failure is None
     return alpha, blocking
@@ -296,6 +296,76 @@ class TestReporting:
             <= rep.refine_iters_max
         assert rep.shift_retries == 0
         assert rep.final_shift == pytest.approx(1e-7)
+
+
+def stepping_dual():
+    # the unscaled dual of a P = I primal with one equality and eight
+    # inequality rows; cold, it takes 17 outer iterations: 13 steps,
+    # 3 drops and the final optimality check
+    rng = np.random.default_rng(0)
+    A, C, x = (rng.standard_normal(shape) for shape in ((1, 5), (8, 5), 5))
+    return unscaled_dual(PrimalQP(P=np.eye(5), q=rng.standard_normal(5),
+                                  A=A, b=A @ x, C=C,
+                                  d=C @ x + rng.uniform(0.1, 1.0, 8)))
+
+
+class TestDualObjective:
+    """The report's dual objective is 0.5 mu'G mu + h'mu at the final
+    mu, bit for bit, however the loop ends.  On an unscaled dual, s = 1,
+    so mu_star is that mu."""
+
+    @staticmethod
+    def assert_exact(qp, rep):
+        mu = rep.mu_star
+        assert rep.objective == 0.5 * mu @ (qp.G @ mu) + qp.h @ mu
+
+    def test_optimal_after_drops(self):
+        qp = stepping_dual()
+        rep = solve_dual(qp, cfg=SolverConfig(smartstart=False))
+        assert rep.status is SolveStatus.OPTIMAL
+        # every iteration steps, drops or ends the solve
+        assert rep.outer_iters - rep.refine_calls - 1 >= 1
+        self.assert_exact(qp, rep)
+
+    def test_iteration_limit_right_after_a_step(self):
+        qp = stepping_dual()
+        k = solve_dual(qp, cfg=SolverConfig(smartstart=False)).outer_iters - 1
+        before = solve_dual(qp, cfg=SolverConfig(smartstart=False,
+                                                 max_outer_iters=k - 1))
+        rep = solve_dual(qp, cfg=SolverConfig(smartstart=False,
+                                              max_outer_iters=k))
+        assert rep.status is SolveStatus.ITERATION_LIMIT
+        # iteration k took a step, and the step moved mu
+        assert rep.refine_calls == before.refine_calls + 1
+        assert not np.array_equal(rep.mu_star, before.mu_star)
+        self.assert_exact(qp, rep)
+
+    def test_a_drop_forms_no_product_with_g(self, monkeypatch):
+        # G = I on the rows of I with h = [-1, 2], refinement exact:
+        # from {0}, bound 1 blocks at once (a step of 0), bound 0 drops,
+        # the step to mu = [1, 0] is free, and the next check is optimal
+        products = []
+
+        class CountingG(np.ndarray):
+            def __matmul__(self, other):
+                products.append(1)
+                return np.asarray(self) @ other
+
+        h = np.array([-1.0, 2.0])
+        qp = DualQP(G=np.eye(2).view(CountingG), h=h,
+                    primal=PrimalQP(P=np.eye(2), q=np.zeros(2),
+                                    C=np.eye(2), d=h),
+                    s=np.ones(2))
+        monkeypatch.setattr(
+            active_set, "refine_solve",
+            lambda f, c_bar: RefineOutcome(OutcomeKind.SOLUTION, -c_bar,
+                                           1, 0.0))
+        start_from(monkeypatch, [0])
+        rep = solve_dual(qp)
+        assert rep.status is SolveStatus.OPTIMAL
+        assert rep.outer_iters == 4 and rep.refine_calls == 2
+        assert_array_equal(rep.mu_star, [1.0, 0.0])
+        assert len(products) == 1 + rep.refine_calls  # one per step
 
 
 class TestDowndateFallback:
