@@ -68,8 +68,7 @@ from .kernel import (CholeskyDowndateError, MaskedFactor, WorkingSet,
 from .refine import (OutcomeKind, RefineOutcome, RefinementError,
                      refine_solve)
 
-_LAMBDA_TOL = 1e-10        # bound-multiplier slack, times 1+||h||
-_STATIONARITY_TOL = 1e-10  # subspace-minimizer test, same scaling
+_KKT_TOL = 1e-10           # stationarity and multiplier tests, times 1+||h||
 _ROUNDING_TOL = 1e-13      # rounding in G mu, times (1+max|G|)||mu||_inf
 _FLAT_TOL = 1e-12          # certified-flat curvature, times 1+max|G|
 _SHIFT_START = 1e-7        # first shift and first home shift
@@ -208,12 +207,14 @@ def _sharpen(f):
 def _salvage(err, c_bar):
     """Turn a failed classification into an uncertified descent direction.
 
-    The final refinement iterate descends the subproblem objective by
-    construction, so when classification is out of reach (spectrum
-    crowding the shift from both sides) the iterate still drives the
-    outer loop: it selects a blocking bound, or gets cut at its exact
-    line minimizer.  Returns None when the iterate is zero, not finite
-    or fails the slope check.
+    err.iterate is the last refinement iterate, which descends the
+    subproblem objective by construction, or the unoriented limit step
+    of a direction that failed its checks (RefinementError).  When
+    classification is out of reach (spectrum crowding the shift from
+    both sides) it still drives the outer loop: it selects a blocking
+    bound, or gets cut at its exact line minimizer.  Returns None when
+    it is zero or not finite, or when it fails the slope check, as a
+    limit step that slopes uphill does.
     """
     nrm = np.linalg.norm(err.iterate)
     if not nrm > 0.0:
@@ -234,18 +235,18 @@ def _directed_step(f, c_bar, mu, g_scale):
     retries counts those escalations.  Once the floor is reached the
     last iterate is salvaged as an uncertified descent direction, and
     salvaged is True: the caller's home shift then stays where it was
-    (module docstring).  Otherwise it was classified at f.epsilon.  A
-    solution steps at most to 1, the subspace minimizer.  Every descent
-    step is capped at its exact line minimizer -slope/curvature, the
-    curvature p' G p read on f.base, so real curvature along a nominally
-    flat direction cannot break the monotone decrease of the objective.
+    (module docstring).  Otherwise it was classified at f.epsilon.
 
-    failure is None, or the reason the subproblem gave no usable step,
-    with (outcome, alpha, blocking) all None: the refinement error when
-    salvage fails, or a flat salvaged direction that no bound blocks.
-    A classified direction whose curvature is zero at machine level
-    while no bound blocks it comes back with alpha = inf and blocking
-    None, a ray for the caller to check on the primal.
+    The step stops at the first blocking bound or at a cap: 1 for a
+    solution, the subspace minimizer; for a descent direction its exact
+    line minimizer -slope/curvature, with p' G p read on f.base, so real
+    curvature along a nominally flat direction cannot break the
+    monotone decrease of the objective; inf when that curvature is zero
+    at machine level.  alpha = inf thus means a flat direction that no
+    bound blocks, salvaged or not, for the caller to judge.
+
+    failure is None, or the refinement error that salvage could not
+    use, with (outcome, alpha, blocking) all None.
     """
     retries = 0
     salvaged = False
@@ -263,20 +264,15 @@ def _directed_step(f, c_bar, mu, g_scale):
         break
 
     p = outcome.p
-    alpha, blocking = step_length(mu, p, f.mask)
     if outcome.is_solution:
-        if alpha > 1.0:  # the subspace minimizer comes first
-            alpha, blocking = 1.0, None
-        return outcome, alpha, blocking, salvaged, retries, None
-
-    curv = float(p @ (f.base @ p))
-    flat = curv <= _FLAT_TOL * g_scale * float(p @ p)
-    alpha_min = math.inf if flat else -float(c_bar @ p) / curv
-    if alpha_min < alpha:
-        return outcome, alpha_min, None, salvaged, retries, None
-    if blocking is None and salvaged:  # flat, and no bound blocks
-        return (None, None, None, True, retries,
-                "flat uncertified direction with no blocking bound")
+        cap = 1.0
+    else:
+        curv = float(p @ (f.base @ p))
+        flat = curv <= _FLAT_TOL * g_scale * float(p @ p)
+        cap = math.inf if flat else -float(c_bar @ p) / curv
+    alpha, blocking = step_length(mu, p, f.mask)
+    if cap < alpha:
+        alpha, blocking = cap, None
     return outcome, alpha, blocking, salvaged, retries, None
 
 
@@ -310,11 +306,12 @@ def solve_dual(qp, cfg=None):
         smartstart(qp) when cfg.smartstart, else the empty set; at
         mu = 0 either is valid.
 
-    g_mu = G mu is formed at mu = 0 and after each step; the gradient
-    and the reported objective read it.  f is built when a step first
-    needs it, at the home shift (module docstring); f.mask is the only
-    copy of the working set, moved with the factor by add_index and
-    remove_index, and a drop with no factor built edits the mask alone.
+    g_mu = G mu starts at 0, with mu, and is formed after each step;
+    the gradient and the reported objective read it.  f is built when a
+    step first needs it, at the home shift (module docstring); f.mask
+    is the only copy of the working set, moved with the factor by
+    add_index and remove_index.  A drop with no factor, built or left
+    by a collapsed downdate, edits the mask alone.
 
     Returns
     -------
@@ -333,7 +330,7 @@ def solve_dual(qp, cfg=None):
     h_scale = 1.0 + _inf_norm(qp.h)
 
     mu = np.zeros(m)
-    g_mu = qp.G @ mu  # formed, not zeroed: c keeps G mu's signed zeros
+    g_mu = np.zeros(m)  # G 0: +0 in every entry, as every G_ii >= 0
     # 1 + max|G|, read off the diagonal in O(m): G is PSD, so its
     # largest entry is a diagonal one; in [1, 2], as build_dual bounds
     # max|G| by 1
@@ -352,26 +349,26 @@ def solve_dual(qp, cfg=None):
     for k in range(1, max_outer + 1):
         c = g_mu + qp.h
         c_bar = mask_vector(c, f.mask)
-        if _inf_norm(c_bar) <= (_STATIONARITY_TOL * h_scale
+        if _inf_norm(c_bar) <= (_KKT_TOL * h_scale
                                 + _ROUNDING_TOL * g_scale * _inf_norm(mu)):
             # at this subspace's minimizer: check the bound multipliers
-            sigma = -lambda_from_direction(c, f.mask)
-            if sigma.size == 0 or np.min(sigma) >= -_LAMBDA_TOL * h_scale:
+            lam = lambda_from_direction(c, f.mask)
+            if np.min(lam, initial=math.inf) >= -_KKT_TOL * h_scale:
                 status = SolveStatus.OPTIMAL
                 message = (f"optimal, but {salvaged_steps} step(s) "
                            f"took salvaged, uncertified directions"
                            if salvaged_steps else "")
                 break
-            j = int(f.mask.indices[int(np.argmin(sigma))])
-            if f.factor is None:
-                f.mask = f.mask.remove(j)
-                continue
-            try:
-                f = remove_index(f, j)
-            except CholeskyDowndateError:
-                # the downdate spoiled the factor: the next step rebuilds
-                # it at home
-                f.factor, f.epsilon, f.mask = None, home, f.mask.remove(j)
+            j = int(f.mask.indices[int(np.argmin(lam))])
+            if f.factor is not None:
+                try:
+                    f = remove_index(f, j)
+                    continue
+                except CholeskyDowndateError:
+                    # the downdate spoiled the factor: the next step
+                    # rebuilds it at home
+                    f.factor, f.epsilon = None, home
+            f.mask = f.mask.remove(j)
             continue
 
         if f.factor is None or f.epsilon < home:
@@ -384,7 +381,9 @@ def solve_dual(qp, cfg=None):
         (outcome, alpha, blocking, salvaged, retries,
          failure) = _directed_step(f, c_bar, mu, g_scale)
         shift_retries += retries
-        if alpha == math.inf:
+        if alpha == math.inf and salvaged:
+            failure = "flat uncertified direction with no blocking bound"
+        elif alpha == math.inf:
             # certified flat, and no bound blocks: a ray of the dual
             y = qp.s * outcome.p  # in row units
             failure = _ray_check(qp, y)

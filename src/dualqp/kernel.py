@@ -335,9 +335,10 @@ def solve_with_factor(f, rhs):
 
 
 def lambda_from_direction(c, W):
-    """Working-set multipliers of the pinned subproblem at its minimizer.
+    """Bound multipliers of the pinned subproblem at its minimizer.
 
-    There the step is zero, so entry j is -c at the j-th working-set
-    index, c the gradient, in ascending index order.
+    There the step is zero, so entry j is c at the j-th working-set
+    index, c the gradient, in ascending index order: each is >= 0 at an
+    optimum of the dual.
     """
-    return -c[W.indices]
+    return c[W.indices]

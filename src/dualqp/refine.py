@@ -47,9 +47,11 @@ class RefinementError(RuntimeError):
     """Refinement failed to classify within the iteration budget, or a
     descent direction failed its runtime checks.
 
-    `iterate` is the last refinement iterate (callers may salvage it: it
-    is a strict descent direction for the subproblem whenever c_bar is
-    nonzero, even though it certifies neither regime); `iters` and
+    `iterate` is what callers may salvage, though it certifies neither
+    regime.  When the budget runs out it is the last refinement iterate,
+    a strict descent direction for the subproblem whenever c_bar is
+    nonzero.  When a descent direction fails its checks it is the
+    unoriented limit step, which may slope uphill.  `iters` and
     `residual` are the iteration count and ||masked(G) x + c_bar|| at
     the failure.
     """

@@ -340,10 +340,11 @@ class TestDualObjective:
         assert not np.array_equal(rep.mu_star, before.mu_star)
         self.assert_exact(qp, rep)
 
-    def test_a_drop_forms_no_product_with_g(self, monkeypatch):
-        # G = I on the rows of I with h = [-1, 2], refinement exact:
-        # from {0}, bound 1 blocks at once (a step of 0), bound 0 drops,
-        # the step to mu = [1, 0] is free, and the next check is optimal
+    @staticmethod
+    def counted_solve(monkeypatch, h):
+        # solve_dual on G = I over the rows of I with offsets h,
+        # refinement exact; returns the report and the number of
+        # products formed with G
         products = []
 
         class CountingG(np.ndarray):
@@ -351,7 +352,7 @@ class TestDualObjective:
                 products.append(1)
                 return np.asarray(self) @ other
 
-        h = np.array([-1.0, 2.0])
+        h = np.array(h)
         qp = DualQP(G=np.eye(2).view(CountingG), h=h,
                     primal=PrimalQP(P=np.eye(2), q=np.zeros(2),
                                     C=np.eye(2), d=h),
@@ -360,12 +361,24 @@ class TestDualObjective:
             active_set, "refine_solve",
             lambda f, c_bar: RefineOutcome(OutcomeKind.SOLUTION, -c_bar,
                                            1, 0.0))
+        return solve_dual(qp), len(products)
+
+    def test_a_drop_forms_no_product_with_g(self, monkeypatch):
+        # h = [-1, 2] from {0}: bound 1 blocks at once (a step of 0),
+        # bound 0 drops, the step to mu = [1, 0] is free, and the next
+        # check is optimal
         start_from(monkeypatch, [0])
-        rep = solve_dual(qp)
+        rep, products = self.counted_solve(monkeypatch, [-1.0, 2.0])
         assert rep.status is SolveStatus.OPTIMAL
         assert rep.outer_iters == 4 and rep.refine_calls == 2
         assert_array_equal(rep.mu_star, [1.0, 0.0])
-        assert len(products) == 1 + rep.refine_calls  # one per step
+        assert products == rep.refine_calls  # one per step
+        # h = [1, 2] from smartstart's {0, 1}, mpc_loop's common QP:
+        # mu = 0 is already optimal, so no step forms G mu
+        monkeypatch.undo()
+        rep, products = self.counted_solve(monkeypatch, [1.0, 2.0])
+        assert rep.status is SolveStatus.OPTIMAL and rep.outer_iters == 1
+        assert products == 0
 
 
 class TestDowndateFallback:

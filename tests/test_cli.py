@@ -1,3 +1,4 @@
+import importlib
 import inspect
 import json
 import os
@@ -446,6 +447,17 @@ class TestModuleEntry:
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert proc.stdout.startswith("status         optimal\n")
+
+    def test_console_script_is_the_cli_main(self):
+        # the `dualqp` command that installing the package creates; the
+        # tests run from the source tree, so nothing else resolves it
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        root = pathlib.Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        module, _, name = scripts["dualqp"].partition(":")
+        target = getattr(importlib.import_module(module), name)
+        assert callable(target) and target is main
 
 
 class TestCommands:

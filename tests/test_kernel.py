@@ -337,6 +337,6 @@ def test_lambda_from_direction():
     rng = np.random.default_rng(6)
     W = WorkingSet(0, 5, [0, 3])
     c = rng.standard_normal(5)
-    # at the subproblem's minimizer the step is zero: -c on the set
-    assert_array_equal(lambda_from_direction(c, W), -c[[0, 3]])
+    # at the subproblem's minimizer the step is zero: c on the set
+    assert_array_equal(lambda_from_direction(c, W), c[[0, 3]])
     assert lambda_from_direction(c, WorkingSet(0, 5)).shape == (0,)
