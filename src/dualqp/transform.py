@@ -14,8 +14,9 @@ subsequent solve; no inverse is ever formed.  Projection problems
 (P = I) skip the factorization entirely via the identity_p flag.
 
 In condensed MPC only q and d change between QPs, so build_dual keeps
-the factor, s and G of its last build with m >= n and shares them,
-read-only, with the next build whose P and [A; C] repeat bit for bit.
+the factor, s, G and the scaled rows of its last build with m >= n,
+keyed on P, A and C, and shares them, read-only, with the next build
+whose P, A and C repeat bit for bit: that build forms only h.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ class PrimalSolution:
     complementarity_residual: float
 
 
-_memo = None  # build_dual's ((P or None, [A; C]) copies, (pf, s, G))
+_memo = None  # build_dual's ((P or None, A, C) copies, (pf, s, G, M))
 
 
 def _same_bits(a, b):
@@ -164,26 +165,22 @@ def build_dual(primal):
     the first bad row, as does a Cholesky breakdown of P: the package's
     one check that P is positive definite.
 
-    pf, s and G do not depend on q, b or d.  A build that passes its
-    checks with m >= n (so copies of P and [A; C] cost no more than G)
-    keeps them, keyed on those copies; a call whose P (None with
-    identity_p) and [A; C] repeat bit for bit (-0.0 is not 0.0) reuses
-    them and forms h by the same operations, so bit-identically.  G, s
-    and pf are read-only, as a hit shares them.
+    pf, s, G and the scaled rows M do not depend on q, b or d.  A
+    build that passes its checks with m >= n (so M and copies of P, A
+    and C cost no more than G) keeps them, keyed on those copies; a
+    call whose P (None with identity_p), A and C each repeat bit for
+    bit (-0.0 is not 0.0) reuses them and forms only h, by the same
+    operations, so bit-identically.  G, s and pf are read-only, as a
+    hit shares them; M never leaves this function.
     """
     global _memo
-    M = np.vstack([primal.A, primal.C])
-    offsets = np.concatenate([primal.b, primal.d])
-    key = (None if primal.identity_p else primal.P, M)
+    key = (None if primal.identity_p else primal.P, primal.A, primal.C)
     memo = _memo  # read once: another thread may swap the entry
     if memo is not None and all(map(_same_bits, key, memo[0])):
-        pf, s, G = memo[1]
-        M *= s[:, None]
+        pf, s, G, M = memo[1]
     else:
         _memo = None
-        keep = M.shape[0] >= M.shape[1]
-        if keep:
-            key = tuple(None if a is None else a.copy() for a in key)
+        M = np.vstack([primal.A, primal.C])
         if primal.identity_p:
             pf = None
             Y = M.T  # a view: scaling M scales Y
@@ -207,8 +204,10 @@ def build_dual(primal):
         G = 0.5 * (G + G.T)
         for a in (s, G) if pf is None else (s, G, pf):
             a.flags.writeable = False
-        if keep:
-            _memo = (key, (pf, s, G))
+        if M.shape[0] >= M.shape[1]:
+            _memo = (tuple(None if a is None else a.copy() for a in key),
+                     (pf, s, G, M))
+    offsets = np.concatenate([primal.b, primal.d])
     p_inv_q = primal.q if pf is None else solve_cholesky(pf, primal.q)
     with np.errstate(over="ignore"):  # checked next
         h = M @ p_inv_q + s * offsets

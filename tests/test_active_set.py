@@ -750,9 +750,11 @@ class TestHomeShift:
 
 
 def row_violation(primal, x):
-    # largest violation of a row of C, over the row's norm
+    # largest violation of a row of A or C, over the row's norm
+    eq = np.abs(primal.A @ x - primal.b) / np.linalg.norm(primal.A, axis=1)
     slack = primal.C @ x - primal.d
-    return np.max(np.maximum(slack, 0.0) / np.linalg.norm(primal.C, axis=1))
+    ineq = np.maximum(slack, 0.0) / np.linalg.norm(primal.C, axis=1)
+    return max(np.max(eq, initial=0.0), np.max(ineq, initial=0.0))
 
 
 def wide_row_scales_qp(seed):

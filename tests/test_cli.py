@@ -1,17 +1,15 @@
 import importlib
 import inspect
 import json
-import os
 import pathlib
 import re
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import dualqp.active_set as active_set
+from child_python import run_python
 from dualqp import PrimalQP, cli
 from dualqp.cli import ProblemFormatError, load_problem, main, save_problem
 from dualqp.kernel import CholeskyDowndateError
@@ -422,15 +420,6 @@ class TestSolveCommand:
         assert out == ""
         assert err.startswith("parse error: cannot write the report: ")
         assert report in err
-
-
-def run_python(*args):
-    root = pathlib.Path(__file__).resolve().parent.parent
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True, timeout=120)
 
 
 class TestModuleEntry:

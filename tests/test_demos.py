@@ -1,21 +1,15 @@
 """Each script in demos/ runs to completion against the checkout."""
 
-import os
 import pathlib
-import subprocess
-import sys
 
 import pytest
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+from child_python import ROOT, run_python
+
+DEMOS = sorted(pathlib.Path(ROOT, "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
 def test_demo_runs(script):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(script)], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=300)
+    proc = run_python(str(script), cwd=ROOT)
     assert proc.returncode == 0, proc.stderr

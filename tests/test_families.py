@@ -1,22 +1,28 @@
 """Same outcomes: each correctness family ends as recorded.
 
-Solves three seeded families from both starts and compares the count
+Solves five seeded families from both starts and compares the count
 of each outcome with tests/families.json:
 - LR, seeds 0-299: wide_row_scales_qp, rows of norm 1 to 1e6;
 - AT, seeds 0-399: all_rows_tight_qp, cond(P) = 1e9, all 7 rows tight
   at one point;
 - AF, seeds 0-149: far-off AFTI-16 starts, horizon 2 + (s mod 7) and
-  x0 = default_rng([s, 5]).normal(0, 3, 4); most have no feasible point.
+  x0 = default_rng([s, 5]).normal(0, 3, 4); most have no feasible point;
+- RQ, seeds 0-299: random_qp with up to 2 equality rows, every other
+  seed with duplicated inequality rows;
+- DC, seeds 0-199: cond(P) from 1e6 to 1e10, every third row of C and
+  its gap a copy of the row before, about 30% of the rows tight.
 LR and AT are the generators of tests/test_active_set.py.
 
-An OPTIMAL solve is correct when its normalized row violation
-(row_violation) is at most 1e-6 (1 + ||x||), and violating otherwise;
-every other solve counts under its status value.  salvaged counts the
-solves with at least one salvaged step.  The golden records the
-counts as they stand, violating answers included.  The sweep runs in
-a fresh process with BLAS pinned to one thread, because the BLAS
-thread count changes the bits of the result and, on a few AT seeds,
-the outcome.
+An OPTIMAL solve is correct when its normalized row violation over
+both blocks (row_violation) is at most 1e-6 (1 + ||x||), and violating
+otherwise; every other solve counts under its status value.  salvaged
+counts the solves with at least one salvaged step.  The golden records
+the counts as they stand, violating answers included, and the OpenBLAS
+cores they were recorded with, which the comparison leaves out: a
+kernel of another core rounds differently and can move an outcome.
+The sweep runs in a fresh process with BLAS pinned to one thread,
+because the BLAS thread count changes the bits of the result and, on a
+few AT seeds, the outcome.
 
 Run as a script, it writes the counts to stdout and the largest
 ||mu*||_inf at OPTIMAL per family to stderr; that largest value is not
@@ -28,18 +34,18 @@ pinned.  A change meant to move an outcome records a new golden with
 
 import json
 import os
-import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from dualqp import (SolverConfig, SolveStatus, afti16_spec, build_dual,
-                    build_mpc, recover_primal, solve_dual)
+from child_python import ROOT, openblas_cores, run_python
+from dualqp import (PrimalQP, SolverConfig, SolveStatus, afti16_spec,
+                    build_dual, build_mpc, random_qp, recover_primal,
+                    solve_dual)
 from test_active_set import (all_rows_tight_qp, row_violation,
                              wide_row_scales_qp)
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "families.json")
 
 
@@ -48,9 +54,33 @@ def af_qp(seed):
     return build_mpc(afti16_spec(horizon=2 + seed % 7, x0=x0))
 
 
+def rq_qp(seed):
+    rng = np.random.default_rng([seed, 16])
+    n, m_eq, m_in = (int(rng.integers(1, 9)), int(rng.integers(0, 3)),
+                     int(rng.integers(2, 7)))
+    return random_qp(int(rng.integers(1 << 30)), n, m_eq, m_in,
+                     make_degenerate=seed % 2 == 1)
+
+
+def dc_qp(seed):
+    rng = np.random.default_rng([seed, 10])
+    n = int(rng.integers(2, 7))
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    P = Q @ np.diag(np.logspace(0, rng.uniform(6, 10), n)) @ Q.T
+    m = int(rng.integers(n, 2 * n + 3))
+    C = rng.standard_normal((m, n))
+    x = rng.standard_normal(n)
+    gaps = rng.uniform(0, 1, m)
+    gaps[rng.random(m) < 0.3] = 0.0
+    for k in range(1, m, 3):
+        C[k], gaps[k] = C[k - 1], gaps[k - 1]
+    return PrimalQP(P=0.5 * (P + P.T), q=rng.standard_normal(n), C=C,
+                    d=C @ x + gaps)
+
+
 # name: (problem of a seed, number of seeds)
 FAMILIES = {"LR": (wide_row_scales_qp, 300), "AT": (all_rows_tight_qp, 400),
-            "AF": (af_qp, 150)}
+            "AF": (af_qp, 150), "RQ": (rq_qp, 300), "DC": (dc_qp, 200)}
 
 
 def outcome_counts():
@@ -80,20 +110,15 @@ def outcome_counts():
 
 def dumps(counts):
     # one line per family, outcomes in name order
-    return "{\n" + ",\n".join(
-        f'  "{name}": {json.dumps(tally, sort_keys=True)}'
-        for name, tally in counts.items()) + "\n}\n"
+    lines = [f'  "openblas_core": {json.dumps(openblas_cores())}']
+    lines += [f'  "{name}": {json.dumps(tally, sort_keys=True)}'
+              for name, tally in counts.items()]
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 @pytest.fixture(scope="module")
 def swept():
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(ROOT, "src")]
-        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    out = subprocess.run([sys.executable, os.path.abspath(__file__)],
-                         env=env, capture_output=True, text=True, timeout=300)
+    out = run_python(os.path.abspath(__file__))
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout)
 
@@ -102,7 +127,9 @@ def swept():
 def test_family_outcomes_match_the_golden(swept, family):
     with open(GOLDEN) as fh:
         want = json.load(fh)
-    assert swept[family] == want[family]
+    assert swept[family] == want[family], (
+        f"recorded on OpenBLAS {want['openblas_core']}, "
+        f"running on {swept['openblas_core']}")
 
 
 if __name__ == "__main__":

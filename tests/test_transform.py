@@ -196,14 +196,19 @@ class TestBuildDual:
         assert np.array_equal(dual.G, dual.G.T)
 
 
-def memo_problem(rng, n=4, m=9, dense_p=True, C=None, P=None):
-    """A problem with m >= n, so build_dual keeps its P and rows."""
+def memo_problem(rng, n=4, m=9, dense_p=True, C=None, P=None, m_eq=0,
+                 A=None):
+    """A problem with m >= n inequality rows, so build_dual keeps its P
+    and rows, and m_eq equality rows (those of A if given)."""
     if P is None and dense_p:
         U = rng.standard_normal((n, n))
         P = U @ U.T + np.eye(n)
-    return PrimalQP(P=P, q=rng.standard_normal(n),
-                    C=rng.standard_normal((m, n)) if C is None else C,
-                    d=rng.standard_normal(m), identity_p=not dense_p)
+    q = rng.standard_normal(n)
+    C = rng.standard_normal((m, n)) if C is None else C
+    d = rng.standard_normal(m)
+    A = rng.standard_normal((m_eq, n)) if A is None else A
+    return PrimalQP(P=P, q=q, A=A, b=rng.standard_normal(len(A)), C=C, d=d,
+                    identity_p=not dense_p)
 
 
 def fresh_build(p):
@@ -211,8 +216,8 @@ def fresh_build(p):
     build_dual(PrimalQP(P=None, q=np.zeros(1), C=np.ones((1, 1)),
                         d=np.zeros(1), identity_p=True))
     return build_dual(PrimalQP(P=None if p.P is None else p.P.copy(),
-                               q=p.q, C=p.C.copy(), d=p.d,
-                               identity_p=p.identity_p))
+                               q=p.q, A=p.A.copy(), b=p.b, C=p.C.copy(),
+                               d=p.d, identity_p=p.identity_p))
 
 
 def bits(dual, pf):
@@ -221,16 +226,20 @@ def bits(dual, pf):
 
 
 class TestBuildDualMemo:
-    """build_dual reuses pf, s and G when P and [A; C] repeat bit for
-    bit; a hit shares the kept G object, a miss builds a new one."""
+    """build_dual reuses pf, s, G and the scaled rows when P, A and C
+    repeat bit for bit; a hit shares the kept G object, a miss builds a
+    new one."""
 
-    @pytest.mark.parametrize("dense_p", [True, False], ids=["P", "identity"])
-    def test_hit_with_new_q_and_d_matches_a_fresh_build(self, dense_p):
+    @pytest.mark.parametrize("dense_p, m_eq", [
+        (True, 0), (False, 0), (True, 3), (False, 3)],
+        ids=["P", "identity", "P-A", "identity-A"])
+    def test_hit_with_new_q_and_d_matches_a_fresh_build(self, dense_p, m_eq):
         rng = np.random.default_rng(30)
-        first = memo_problem(rng, dense_p=dense_p)
-        # new q and d, and fresh copies of P and C
+        first = memo_problem(rng, dense_p=dense_p, m_eq=m_eq)
+        # new q, b and d, and fresh copies of P, A and C
         again = memo_problem(rng, dense_p=dense_p, C=first.C.copy(),
-                             P=None if first.P is None else first.P.copy())
+                             P=None if first.P is None else first.P.copy(),
+                             A=first.A.copy())
         kept = build_dual(first)[0].G
         hit = build_dual(again)
         assert hit[0].G is kept
@@ -238,10 +247,10 @@ class TestBuildDualMemo:
         assert fresh[0].G is not kept
         assert bits(*hit) == bits(*fresh)
 
-    @pytest.mark.parametrize("block", ["C", "P"])
+    @pytest.mark.parametrize("block", ["C", "P", "A"])
     def test_caller_mutating_in_place_gets_a_fresh_build(self, block):
         rng = np.random.default_rng(31)
-        p = memo_problem(rng)
+        p = memo_problem(rng, m_eq=2)
         kept = build_dual(p)[0].G
         getattr(p, block)[0, 0] *= 2.0  # P stays symmetric and PD
         mutated = build_dual(p)
@@ -293,6 +302,23 @@ class TestBuildDualMemo:
                 warnings.simplefilter("ignore")
                 with pytest.raises(InvalidProblemError, match=match):
                     build_dual(p)
+
+    # a hit forms h from the kept rows: no stacked or scaled copy of A
+    # and C, only the comparison's bool temporary of their size / 8
+    @pytest.mark.parametrize("dense_p", [False, True], ids=["I", "dense"])
+    def test_hit_copies_no_rows(self, dense_p):
+        rng = np.random.default_rng(36)
+        p = memo_problem(rng, n=100, m=900, dense_p=dense_p, m_eq=100)
+        kept = build_dual(p)[0].G
+        row_bytes = p.A.nbytes + p.C.nbytes
+        tracemalloc.start()
+        try:
+            hit = build_dual(p)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hit.G is kept
+        assert peak < 0.5 * row_bytes
 
     def test_shared_arrays_are_read_only(self):
         rng = np.random.default_rng(35)

@@ -10,6 +10,10 @@ pass runs in a fresh process with BLAS pinned to one thread, because
 the BLAS thread count changes the bits of the result and with them the
 counts.
 
+The golden also names the OpenBLAS cores it was recorded with; the
+comparison leaves them out, and a failure names both the recorded and
+the running cores, as a kernel of another core rounds differently.
+
 A change meant to alter the solver's work records a new golden with
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_work_counts.py \\
@@ -19,10 +23,10 @@ A change meant to alter the solver's work records a new golden with
 import importlib.util
 import json
 import os
-import subprocess
 import sys
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from child_python import ROOT, openblas_cores, run_python
+
 GOLDEN = os.path.join(ROOT, "tests", "work_counts.json")
 SEED = 1
 FIELDS = ("outer_iters", "descent_count", "shift_retries", "refine_calls",
@@ -69,30 +73,27 @@ def first_pass_counts():
 
 def dumps(counts):
     # one line per QP, so a change in the golden diffs QP by QP
-    blocks = [f'  "{name}": [\n    '
-              + ",\n    ".join(json.dumps(row) for row in rows) + "\n  ]"
-              for name, rows in counts.items()]
+    blocks = [f'  "openblas_core": {json.dumps(openblas_cores())}']
+    blocks += [f'  "{name}": [\n    '
+               + ",\n    ".join(json.dumps(row) for row in rows) + "\n  ]"
+               for name, rows in counts.items()]
     return "{\n" + ",\n".join(blocks) + "\n}\n"
 
 
 def test_first_pass_work_matches_the_golden():
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(ROOT, "src")]
-        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    out = subprocess.run([sys.executable, os.path.abspath(__file__)],
-                         env=env, capture_output=True, text=True, timeout=300)
+    out = run_python(os.path.abspath(__file__))
     assert out.returncode == 0, out.stderr
     got = json.loads(out.stdout)
     with open(GOLDEN) as fh:
         want = json.load(fh)
-    assert set(got) == set(want)
+    cores = (f"recorded on OpenBLAS {want.pop('openblas_core')}, "
+             f"running on {got.pop('openblas_core')}")
+    assert set(got) == set(want), cores
     for name in want:
-        assert len(got[name]) == len(want[name]), name
+        assert len(got[name]) == len(want[name]), (name, cores)
         for i, (g, w) in enumerate(zip(got[name], want[name])):
-            assert g == w, (f"{name} QP {i}: "
-                            f"{dict(zip(FIELDS, g))} != {dict(zip(FIELDS, w))}")
+            assert g == w, (f"{name} QP {i}: {dict(zip(FIELDS, g))} != "
+                            f"{dict(zip(FIELDS, w))}; {cores}")
 
 
 if __name__ == "__main__":
