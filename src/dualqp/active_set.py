@@ -165,8 +165,9 @@ def smartstart(qp):
     stays free.  On problems where few bounds end up inactive this
     leaves a small first subproblem and the loop mostly drops pins."""
     m_eq = qp.m_eq
-    return WorkingSet(m_eq, qp.m_in,
-                      m_eq + np.flatnonzero(qp.h[m_eq:] >= 0.0))
+    member = np.zeros(qp.m, dtype=bool)
+    np.greater_equal(qp.h[m_eq:], 0.0, out=member[m_eq:])
+    return WorkingSet._trusted(m_eq, qp.m_in, member)
 
 
 def step_length(mu, p, W):
@@ -293,7 +294,7 @@ def _ray_check(qp, p):
 
 
 def _inf_norm(v):
-    return float(np.max(np.abs(v), initial=0.0))
+    return float(np.abs(v).max(initial=0.0))
 
 
 def solve_dual(qp, cfg=None):
@@ -324,8 +325,9 @@ def solve_dual(qp, cfg=None):
     residuals are measured on the primal data, by recover_primal.
     """
     cfg = cfg or SolverConfig()
-    W0 = smartstart(qp) if cfg.smartstart else WorkingSet(qp.m_eq, qp.m_in)
     m = qp.m
+    W0 = (smartstart(qp) if cfg.smartstart
+          else WorkingSet._trusted(qp.m_eq, qp.m_in, np.zeros(m, dtype=bool)))
     max_outer = cfg.max_outer_iters or max(10 * m, 1)
     h_scale = 1.0 + _inf_norm(qp.h)
 
@@ -353,7 +355,7 @@ def solve_dual(qp, cfg=None):
                                 + _ROUNDING_TOL * g_scale * _inf_norm(mu)):
             # at this subspace's minimizer: check the bound multipliers
             lam = lambda_from_direction(c, f.mask)
-            if np.min(lam, initial=math.inf) >= -_KKT_TOL * h_scale:
+            if lam.min(initial=math.inf) >= -_KKT_TOL * h_scale:
                 status = SolveStatus.OPTIMAL
                 message = (f"optimal, but {salvaged_steps} step(s) "
                            f"took salvaged, uncertified directions"

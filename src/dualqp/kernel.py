@@ -53,7 +53,10 @@ class WorkingSet:
     inequality block [m_eq, m_eq + m_in).  Instances are immutable:
     the membership mask is read-only, and add/remove return new sets.
     indices are ascending, and that order is what
-    lambda_from_direction reports multipliers in.
+    lambda_from_direction reports multipliers in.  The constructor,
+    add and remove check their arguments; the private trusted
+    constructor _trusted(m_eq, m_in, member) checks nothing, and wraps
+    only masks valid by construction, as solve_dual's start sets are.
     """
 
     __slots__ = ("m_eq", "m_in", "_member")
@@ -120,11 +123,18 @@ class WorkingSet:
 
     def _with(self, i, member):
         # Copy with one membership entry set; add/remove checked i.
+        mask = self._member.copy()
+        mask[i] = member
+        return WorkingSet._trusted(self.m_eq, self.m_in, mask)
+
+    @staticmethod
+    def _trusted(m_eq, m_in, member):
+        # A set over the boolean mask member, of length m_eq + m_in and
+        # false on the equality block, which it takes over read-only.
         out = object.__new__(WorkingSet)
-        out.m_eq, out.m_in = self.m_eq, self.m_in
-        out._member = self._member.copy()
-        out._member[i] = member
-        out._member.flags.writeable = False
+        out.m_eq, out.m_in = m_eq, m_in
+        out._member = member
+        member.flags.writeable = False
         return out
 
 
@@ -151,19 +161,14 @@ def build_masked(G, W):
 
 def mask_vector(c, W):
     """Copy of c with working-set entries zeroed."""
-    out = np.array(c, dtype=float)
-    out[W.indices] = 0.0
-    return out
+    return np.where(W.member, 0.0, c)
 
 
 def matvec_masked(G, W, x):
     """Product masked(G) @ x without materializing the masked matrix."""
     x = np.asarray(x, dtype=float)
-    idx = W.indices
-    xf = x.copy()
-    xf[idx] = 0.0
-    y = G @ xf
-    y[idx] = x[idx]
+    y = G @ np.where(W.member, 0.0, x)
+    np.copyto(y, x, where=W.member)
     return y
 
 
@@ -301,7 +306,7 @@ def remove_index(f, i):
     pivot_floor = _PIVOT_FLOOR * (1.0 + f.epsilon * f.n)
 
     col = f.base[:, i].copy()
-    col[new_mask.indices] = 0.0  # other masked rows keep zero coupling
+    col[new_mask.member] = 0.0  # other masked rows keep zero coupling
     diag = f.base[i, i] + f.epsilon
 
     l21 = solve_triangular(L[:i, :i], col[:i], lower=True,
@@ -341,4 +346,4 @@ def lambda_from_direction(c, W):
     index, c the gradient, in ascending index order: each is >= 0 at an
     optimum of the dual.
     """
-    return c[W.indices]
+    return c[W.member]

@@ -40,10 +40,10 @@ def check_symmetric(name, M):
     to rounding: max |M - M'| <= 1e-12 (1 + max |M|).
 
     Callers check finiteness first; a NaN would pass this test."""
-    scale = 1.0 + np.max(np.abs(M), initial=0.0)
+    scale = 1.0 + np.abs(M).max(initial=0.0)
     asym = M - M.T
     np.abs(asym, out=asym)  # in place: one m x m temporary, not two
-    if np.max(asym, initial=0.0) > 1e-12 * scale:
+    if asym.max(initial=0.0) > 1e-12 * scale:
         raise ValueError(f"{name} must be symmetric")
 
 
@@ -147,7 +147,8 @@ _memo = None  # build_dual's ((P or None, A, C) copies, (pf, s, G, M))
 def _same_bits(a, b):
     if a is None or b is None:
         return a is b
-    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    return (a.shape == b.shape
+            and (a.view(np.uint64) == b.view(np.uint64)).all())
 
 
 def build_dual(primal):
@@ -235,12 +236,12 @@ def recover_primal(primal, pf, mu):
     mu_in = mu[primal.m_eq:]
     grad = primal.q + primal.A.T @ mu_eq + primal.C.T @ mu_in
     x = -grad if pf is None else -solve_cholesky(pf, grad)
-    eq_violation = float(np.max(np.abs(primal.A @ x - primal.b), initial=0.0))
+    eq_violation = float(np.abs(primal.A @ x - primal.b).max(initial=0.0))
     slack = primal.C @ x - primal.d
-    ineq_violation = float(max(0.0, np.max(slack, initial=0.0)))
-    complementarity = float(np.max(np.abs(mu_in * slack), initial=0.0))
+    ineq_violation = float(max(0.0, slack.max(initial=0.0)))
+    complementarity = float(np.abs(mu_in * slack).max(initial=0.0))
     px = x if primal.identity_p else primal.P @ x
-    stationarity = float(np.max(np.abs(px + grad), initial=0.0))
+    stationarity = float(np.abs(px + grad).max(initial=0.0))
     return PrimalSolution(x=x, mu_eq=mu_eq, mu_in=mu_in,
                           eq_violation=eq_violation,
                           ineq_violation=ineq_violation,

@@ -53,6 +53,41 @@ class TestSmartstart:
         qp = identity_dual([1.0, 1.0, -1.0], m_eq=2)
         assert smartstart(qp).indices.size == 0
 
+    @pytest.mark.parametrize("h, m_eq", [
+        ([0.0, -0.0, 1.0, -1e-300, -2.0], 0),
+        ([-0.0, 0.0, -0.0, 0.5, 0.0, -3.0], 2),
+        ([1.0, -1.0], 2),
+    ], ids=["signed-zeros", "equalities", "no-inequalities"])
+    def test_matches_the_validated_constructor(self, h, m_eq):
+        h = np.array(h)
+        qp = dataclasses.replace(identity_dual(np.ones(h.size), m_eq), h=h)
+        got = smartstart(qp)
+        want = WorkingSet(m_eq, h.size - m_eq,
+                          m_eq + np.flatnonzero(h[m_eq:] >= 0))
+        assert (got.m_eq, got.m_in) == (want.m_eq, want.m_in)
+        assert got.member.tobytes() == want.member.tobytes()
+        assert_array_equal(got.indices, want.indices)
+        assert not got.member.flags.writeable
+
+    @pytest.mark.parametrize("warm", [True, False], ids=["smart", "cold"])
+    def test_solve_builds_no_validated_set(self, monkeypatch, warm):
+        # the sets solve_dual builds itself, from a start that is
+        # optimal (smart) or one that pins a bound (cold), skip the
+        # validating constructor
+        calls = []
+        init = WorkingSet.__init__
+
+        def counting_init(self, *args):
+            calls.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(WorkingSet, "__init__", counting_init)
+        rep = solve_dual(identity_dual([1.0, 0.5]),
+                         SolverConfig(smartstart=warm))
+        assert rep.status is SolveStatus.OPTIMAL
+        assert (rep.outer_iters == 1) is warm
+        assert calls == []
+
     def test_matches_scalar_optima(self):
         # per coordinate of a diagonal dual: mu_i* > 0 iff h_i < 0, so
         # exactly the h_i >= 0 coordinates belong in the initial set

@@ -167,6 +167,20 @@ class TestMasking:
         assert_array_equal(mask_vector(np.array([1.0, 2.0, 3.0]), W),
                            [1.0, 0.0, 3.0])
 
+    def test_member_forms_match_the_index_forms(self):
+        # bit for bit, with -0.0 at free (0, 2) and pinned (1, 4) entries
+        W = WorkingSet(1, 5, [1, 3, 4])
+        idx = W.indices
+        c = np.array([-0.0, -0.0, -0.0, -1.5, -0.0, 2.0])
+        masked = c.copy()
+        masked[idx] = 0.0
+        assert mask_vector(c, W).tobytes() == masked.tobytes()
+        assert lambda_from_direction(c, W).tobytes() == c[idx].tobytes()
+        G = random_psd(np.random.default_rng(7), 6)
+        y = G @ masked
+        y[idx] = c[idx]
+        assert matvec_masked(G, W, c).tobytes() == y.tobytes()
+
     def test_matvec_matches_dense(self):
         rng = np.random.default_rng(0)
         G = random_psd(rng, 6)

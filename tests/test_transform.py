@@ -289,6 +289,17 @@ class TestBuildDualMemo:
         assert transform._memo is None
         assert build_dual(wide)[0].G is not G
 
+    def test_rows_of_another_shape_are_a_miss(self):
+        # C is 6 x 2, then 4 x 3: as many entries, so only the key's
+        # shapes tell the two apart
+        rng = np.random.default_rng(37)
+        kept = build_dual(memo_problem(rng, n=2, m=6, dense_p=False))[0].G
+        assert transform._memo is not None
+        other = memo_problem(rng, n=3, m=4, dense_p=False)
+        miss = build_dual(other)
+        assert miss[0].G is not kept
+        assert bits(*miss) == bits(*fresh_build(other))
+
     @pytest.mark.parametrize("P, C, match", [
         ([[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]],
          "not positive definite"),
