@@ -7,7 +7,8 @@ a direction, and either steps (with a ratio test against the bounds),
 grows the working set at a blocking bound, or, at a subspace minimizer,
 inspects the bound multipliers to drop an index or declare optimality.
 The loop carries mu, its product g_mu = G mu, formed anew only after a
-step, and the factor record f, which holds G and the working set.
+step of nonzero length, and the factor record f, which holds G and the
+working set.
 The subspace-minimizer test allows for the rounding in G mu (the
 _ROUNDING_TOL term): at a large mu that rounding is all the gradient
 has left, and a test without it would never pass.
@@ -65,7 +66,7 @@ import numpy as np
 from .kernel import (CholeskyDowndateError, MaskedFactor, WorkingSet,
                      add_index, as_integer, factorize,
                      lambda_from_direction, mask_vector, remove_index)
-from .refine import (OutcomeKind, RefineOutcome, RefinementError,
+from .refine import (OutcomeKind, RefineOutcome, RefinementError, _norm,
                      refine_solve)
 
 _KKT_TOL = 1e-10           # stationarity and multiplier tests, times 1+||h||
@@ -217,7 +218,7 @@ def _salvage(err, c_bar):
     it is zero or not finite, or when it fails the slope check, as a
     limit step that slopes uphill does.
     """
-    nrm = np.linalg.norm(err.iterate)
+    nrm = _norm(err.iterate)
     if not nrm > 0.0:
         return None
     p = err.iterate / nrm
@@ -307,12 +308,12 @@ def solve_dual(qp, cfg=None):
         smartstart(qp) when cfg.smartstart, else the empty set; at
         mu = 0 either is valid.
 
-    g_mu = G mu starts at 0, with mu, and is formed after each step;
-    the gradient and the reported objective read it.  f is built when a
-    step first needs it, at the home shift (module docstring); f.mask
-    is the only copy of the working set, moved with the factor by
-    add_index and remove_index.  A drop with no factor, built or left
-    by a collapsed downdate, edits the mask alone.
+    g_mu = G mu starts at 0, with mu, and is formed after each step of
+    nonzero length; the gradient and the reported objective read it.
+    f is built when a step first needs it, at the home shift (module
+    docstring); f.mask is the only copy of the working set, moved with
+    the factor by add_index and remove_index.  A drop with no factor,
+    built or left by a collapsed downdate, edits the mask alone.
 
     Returns
     -------
@@ -405,12 +406,14 @@ def solve_dual(qp, cfg=None):
         refine_iters.append(outcome.iters)
         if not outcome.is_solution:
             descent_count += 1
-        mu = mu + alpha * outcome.p
-        np.maximum(mu[qp.m_eq:], 0.0, out=mu[qp.m_eq:])
+        if alpha != 0.0:  # a step of 0 leaves mu, so g_mu, as it is
+            mu = mu + alpha * outcome.p
+            np.maximum(mu[qp.m_eq:], 0.0, out=mu[qp.m_eq:])
         if blocking is not None:
             mu[blocking] = 0.0
             f = add_index(f, blocking)
-        g_mu = qp.G @ mu
+        if alpha != 0.0:
+            g_mu = qp.G @ mu
 
     iters = refine_iters or [0]
     return SolveReport(

@@ -9,11 +9,12 @@ This module owns that masked matrix, the Cholesky factorization of
 single-index working-set changes in O(n^2) instead of refactorizing.
 
 The factor is stored column-major (Fortran order), so LAPACK and BLAS
-work on it in place: potrf builds it, every column a rank-1 step
-touches is contiguous, and potrs reads it without a copy.  The
-layout is a correctness invariant, not a speed hint: f2py silently
-copies a non-contiguous argument, so an in-place BLAS step on a
-C-ordered factor would leave it unchanged.  factorize is the only
+work on it in place: potrf builds it, a rank-1 sweep addresses each
+contiguous column it touches by offset in the flat factor, and potrs
+reads it without a copy.  The layout is a correctness invariant, not
+a speed hint: f2py silently copies a non-contiguous argument, and
+ravel a C-ordered factor, so an in-place sweep would leave the factor
+unchanged; the sweeps raise on it instead.  factorize is the only
 creator of factors, and it returns Fortran order.
 
 Masking preserves positive definiteness: reordering so the masked block
@@ -230,29 +231,44 @@ def factorize(G, W, epsilon):
     return MaskedFactor(base=G, mask=W, epsilon=float(epsilon), factor=M)
 
 
-def _rank1_update(L, v):
-    # L <- chol(L L^T + v v^T) in place; v is consumed.  Step k is one
-    # Givens rotation of the contiguous column L[k+1:, k] against v.
-    n = L.shape[0]
-    for k in range(n):
-        lkk = L.item(k, k)
+def _column_major(L):
+    # L's storage as one flat view, L[r, c] at c*m + r; ravel would
+    # silently copy any other layout.  add_index and remove_index sweep
+    # before they write, so a factor refused here is left as it was.
+    if not L.flags.f_contiguous:
+        raise ValueError("the factor must be Fortran-ordered")
+    return L.ravel(order="F")
+
+
+def _rank1_update(L, v, j):
+    # L[j:, j:] <- chol(L[j:, j:] L[j:, j:]' + v v') in place; v is
+    # consumed.  Step k is one Givens rotation of the column
+    # L[j+k+1:, j+k] against v[k+1:], both addressed by offset.  No step
+    # touches another's diagonal entry, so it is read and written once.
+    m = L.shape[0]
+    flat = _column_major(L)
+    diag = flat[j * (m + 1)::m + 1].tolist()
+    for k, lkk in enumerate(diag):
         vk = v.item(k)
         r = math.hypot(lkk, vk)
-        L[k, k] = r
-        if k + 1 < n:
-            drot(L[k + 1:, k], v[k + 1:], lkk / r, vk / r,
-                 overwrite_x=1, overwrite_y=1)
+        diag[k] = r
+        if j + k + 1 < m:
+            drot(flat, v, lkk / r, vk / r, m - j - k - 1,
+                 (j + k) * (m + 1) + 1, 1, k + 1, 1, 1, 1)
+    flat[j * (m + 1)::m + 1] = diag
 
 
-def _rank1_downdate(L, v, pivot_floor):
-    # L <- chol(L L^T - v v^T) in place; v is consumed.  Raises when a
-    # pivot falls to or below pivot_floor.  Mixed form: the column is
-    # updated first and v is rotated with the new column, which keeps
-    # the hyperbolic step stable.
-    n = L.shape[0]
+def _rank1_downdate(L, v, j, pivot_floor):
+    # L[j:, j:] <- chol(L[j:, j:] L[j:, j:]' - v v') in place, addressed
+    # as _rank1_update is; v is consumed.  Raises when a pivot falls to
+    # or below pivot_floor, at position k of the block.  Mixed form: the
+    # column is updated first and v is rotated with the new column,
+    # which keeps the hyperbolic step stable.
+    m = L.shape[0]
+    flat = _column_major(L)
+    diag = flat[j * (m + 1)::m + 1].tolist()
     floor2 = pivot_floor * pivot_floor
-    for k in range(n):
-        lkk = L.item(k, k)
+    for k, lkk in enumerate(diag):
         vk = v.item(k)
         r2 = (lkk - vk) * (lkk + vk)
         if not r2 > floor2:
@@ -261,14 +277,14 @@ def _rank1_downdate(L, v, pivot_floor):
                 f"{floor2:.3e}; refactorize")
         r = math.sqrt(r2)
         s = vk / lkk
-        L[k, k] = r
-        if k + 1 < n:
-            col = L[k + 1:, k]
-            rest = v[k + 1:]
-            daxpy(rest, col, a=-s)   # col <- (col - s v) / c,  c = r/lkk
-            dscal(lkk / r, col)
-            dscal(r / lkk, rest)     # v <- c v - s col, with the new col
-            daxpy(col, rest, a=-s)
+        diag[k] = r
+        if j + k + 1 < m:
+            n, col = m - j - k - 1, (j + k) * (m + 1) + 1
+            daxpy(v, flat, n, -s, k + 1, 1, col, 1)  # col -= s v
+            dscal(lkk / r, flat, n, col, 1)          # col /= c, c = r/lkk
+            dscal(r / lkk, v, n, k + 1, 1)           # v <- c v - s col,
+            daxpy(flat, v, n, -s, col, 1, k + 1, 1)  # with the new col
+    flat[j * (m + 1)::m + 1] = diag
 
 
 def add_index(f, i):
@@ -281,11 +297,10 @@ def add_index(f, i):
     """
     new_mask = f.mask.add(i)  # raises ValueError unless i may be pinned
     L = f.factor
-    w = L[i + 1:, i].copy()
+    _rank1_update(L, L[i + 1:, i].copy(), i + 1)
     L[i, :i] = 0.0
     L[i, i] = np.sqrt(1.0 + f.epsilon)
     L[i + 1:, i] = 0.0
-    _rank1_update(L[i + 1:, i + 1:], w)
     f.mask = new_mask
     return f
 
@@ -319,10 +334,10 @@ def remove_index(f, i):
     ell = np.sqrt(piv2)
     l32 = (col[i + 1:] - L[i + 1:, :i] @ l21) / ell
 
+    _rank1_downdate(L, l32.copy(), i + 1, pivot_floor)
     L[i, :i] = l21
     L[i, i] = ell
     L[i + 1:, i] = l32
-    _rank1_downdate(L[i + 1:, i + 1:], l32.copy(), pivot_floor)
     f.mask = new_mask
     return f
 

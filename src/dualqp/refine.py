@@ -29,6 +29,7 @@ classification tolerances are the constants below.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -100,7 +101,7 @@ def refine_solve(f, c_bar):
     """
     G, W = f.base, f.mask
 
-    c_norm = np.linalg.norm(c_bar)
+    c_norm = _norm(c_bar)
     x = np.zeros(f.n)
     r = -c_bar
     prev_step = None
@@ -108,16 +109,16 @@ def refine_solve(f, c_bar):
         step = solve_with_factor(f, r)
         x = x + step
         r = -c_bar - matvec_masked(G, W, x)
-        res = np.linalg.norm(r)
-        x_norm = np.linalg.norm(x)
-        step_norm = np.linalg.norm(step)
+        res = _norm(r)
+        x_norm = _norm(x)
+        step_norm = _norm(step)
         ratio = step_norm / x_norm if x_norm > 0 else 0.0
 
         if res <= _RES_TOL * (1.0 + c_norm) and ratio <= _STAGNATION_TOL:
             return RefineOutcome(OutcomeKind.SOLUTION, x, k, res)
 
         if prev_step is not None and x_norm > 0:
-            dd = np.linalg.norm(step - prev_step)
+            dd = _norm(step - prev_step)
             if dd <= _DD_TOL * x_norm:
                 if ratio > _STAGNATION_TOL:
                     p = _extract_direction(f, c_bar, step, k, res)
@@ -132,12 +133,17 @@ def refine_solve(f, c_bar):
                           x, _MAX_ITERS, res)
 
 
+def _norm(v):
+    # np.linalg.norm of a real 1-D v, bit for bit, without its wrapper
+    return math.sqrt(v.dot(v))
+
+
 def _extract_direction(f, c_bar, step, iters, residual):
-    p = step / np.linalg.norm(step)
+    p = step / _norm(step)
     if c_bar @ p > 0:
         p = -p
 
-    curvature = np.linalg.norm(matvec_masked(f.base, f.mask, p))
+    curvature = _norm(matvec_masked(f.base, f.mask, p))
     slope = c_bar @ p
     if curvature > _CURVATURE_TOL or not slope < 0:
         raise RefinementError(

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.linalg.blas import daxpy, drot, dscal
 
 import dualqp.kernel as kernel
 from dualqp import WorkingSet
@@ -52,6 +55,45 @@ def rank1_downdate_loop(L, v, pivot_floor):
             col -= s * v[k + 1:]
             col /= c
             v[k + 1:] = c * v[k + 1:] - s * col
+
+
+def rank1_update_views(L, v):
+    # Reference: the BLAS sweep on slice views, with keyword arguments,
+    # that the offset-addressed sweep replaced; L is the trailing block.
+    n = L.shape[0]
+    for k in range(n):
+        lkk = L.item(k, k)
+        vk = v.item(k)
+        r = math.hypot(lkk, vk)
+        L[k, k] = r
+        if k + 1 < n:
+            drot(L[k + 1:, k], v[k + 1:], lkk / r, vk / r,
+                 overwrite_x=1, overwrite_y=1)
+
+
+def rank1_downdate_views(L, v, pivot_floor):
+    # Reference: the BLAS downdate on slice views that the
+    # offset-addressed sweep replaced; L is the trailing block.
+    n = L.shape[0]
+    floor2 = pivot_floor * pivot_floor
+    for k in range(n):
+        lkk = L.item(k, k)
+        vk = v.item(k)
+        r2 = (lkk - vk) * (lkk + vk)
+        if not r2 > floor2:
+            raise CholeskyDowndateError(
+                f"downdate pivot {r2:.3e} at position {k} fell below "
+                f"{floor2:.3e}; refactorize")
+        r = math.sqrt(r2)
+        s = vk / lkk
+        L[k, k] = r
+        if k + 1 < n:
+            col = L[k + 1:, k]
+            rest = v[k + 1:]
+            daxpy(rest, col, a=-s)
+            dscal(lkk / r, col)
+            dscal(r / lkk, rest)
+            daxpy(col, rest, a=-s)
 
 
 def rel_diff(A, B):
@@ -292,29 +334,51 @@ class TestBlasKernels:
         rng = np.random.default_rng(n)
         L = self.factor(rng, n)
         v = rng.standard_normal(n)
-        for i in sorted({-1, n // 3} - {n - 1}):
+        for j in sorted({0, n // 3 + 1} - {n}):
             got = L.copy(order="F")
             want = got.copy()
-            view = got[i + 1:, i + 1:]  # the whole factor when i = -1
-            kernel._rank1_update(view, v[i + 1:].copy())
-            rank1_update_loop(want[i + 1:, i + 1:], v[i + 1:].copy())
+            kernel._rank1_update(got, v[j:].copy(), j)
+            rank1_update_loop(want[j:, j:], v[j:].copy())
             assert rel_diff(got, want) <= 1e-13
-            assert_array_equal(got[:, :i + 1], L[:, :i + 1])
+            assert_array_equal(got[:, :j], L[:, :j])
 
     @pytest.mark.parametrize("n", [1, 2, 60, 500])
     def test_downdate_matches_loop(self, n):
         rng = np.random.default_rng(100 + n)
         L = self.factor(rng, n)
-        for i in sorted({-1, n // 3} - {n - 1}):
+        for j in sorted({0, n // 3 + 1} - {n}):
             # v = L w with |w| = 1/2 keeps L L' - v v' positive definite
-            w = rng.standard_normal(n - i - 1)
-            v = L[i + 1:, i + 1:] @ (0.5 * w / np.linalg.norm(w))
+            w = rng.standard_normal(n - j)
+            v = L[j:, j:] @ (0.5 * w / np.linalg.norm(w))
             got = L.copy(order="F")
             want = got.copy()
-            kernel._rank1_downdate(got[i + 1:, i + 1:], v.copy(), 1e-12)
-            rank1_downdate_loop(want[i + 1:, i + 1:], v.copy(), 1e-12)
+            kernel._rank1_downdate(got, v.copy(), j, 1e-12)
+            rank1_downdate_loop(want[j:, j:], v.copy(), 1e-12)
             assert rel_diff(got, want) <= 1e-13
-            assert_array_equal(got[:, :i + 1], L[:, :i + 1])
+            assert_array_equal(got[:, :j], L[:, :j])
+
+    @pytest.mark.parametrize("n", [1, 2, 60, 500])
+    def test_sweeps_match_the_view_sweeps_bit_for_bit(self, n):
+        # the same BLAS calls on the same scalars: L and the consumed v
+        # agree in every bit with the sweeps on slice views
+        rng = np.random.default_rng(200 + n)
+        L = self.factor(rng, n)
+        for j in sorted({0, n // 3, n - 1, n}):
+            w = rng.standard_normal(n - j)
+            # |u| < 1/2 keeps L L' - v v' positive definite, v = L u
+            u = 0.5 * w / (1.0 + np.linalg.norm(w))
+            for v, sweep, reference in (
+                    (w, kernel._rank1_update, rank1_update_views),
+                    (L[j:, j:] @ u,
+                     lambda L, v, j: kernel._rank1_downdate(L, v, j, 1e-12),
+                     lambda L, v: rank1_downdate_views(L, v, 1e-12))):
+                got, want = L.copy(order="F"), L.copy(order="F")
+                v_got, v_want = v.copy(), v.copy()
+                sweep(got, v_got, j)
+                reference(want[j:, j:], v_want)
+                assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+                assert_array_equal(v_got.view(np.uint64),
+                                   v_want.view(np.uint64))
 
     def test_factor_stays_fortran_ordered(self):
         rng = np.random.default_rng(8)
@@ -325,6 +389,22 @@ class TestBlasKernels:
         assert f.factor.flags.f_contiguous
         remove_index(f, 4)
         assert f.factor.flags.f_contiguous
+
+    def test_c_ordered_factor_raises(self):
+        # the sweeps address the flat column-major factor by offset; a
+        # C-ordered one would be raveled to a copy and left unchanged
+        rng = np.random.default_rng(9)
+        G = random_psd(rng, 6) + np.eye(6)
+        f = factorize(G, WorkingSet(0, 6, [4]), 1e-8)
+        f.factor = np.ascontiguousarray(f.factor)
+        before = f.factor.copy()
+        with pytest.raises(ValueError, match="Fortran-ordered"):
+            add_index(f, 1)
+        with pytest.raises(ValueError, match="Fortran-ordered"):
+            remove_index(f, 4)
+        # both raise before they write
+        assert_array_equal(f.factor, before)
+        assert_array_equal(f.mask.indices, [4])
 
     def test_pivot_floor_inside_downdate(self):
         # Unmasking index 0 passes the diagonal check in remove_index
@@ -344,7 +424,8 @@ class TestBlasKernels:
 
         got = message(kernel._rank1_downdate)
         assert "at position 2 " in got
-        assert got == message(rank1_downdate_loop)
+        assert got == message(lambda L, v, j, floor: rank1_downdate_loop(
+            L[j:, j:], v, floor))
 
 
 def test_lambda_from_direction():

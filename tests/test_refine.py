@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from dualqp import WorkingSet
 from dualqp.kernel import factorize
 from dualqp.refine import (OutcomeKind, RefinementError, _extract_direction,
-                           refine_solve)
+                           _norm, refine_solve)
 
 
 def diag_factor(diag, masked=(), epsilon=1e-7):
@@ -161,3 +162,28 @@ class TestExtractDirection:
         p = _extract_direction(f, np.array([1.0, -3.0]), np.array(step), 2,
                                0.0)
         assert_allclose(p, [-1.0, 0.0], rtol=0, atol=1e-12)
+
+
+class TestNorm:
+    """_norm is np.linalg.norm on a real 1-D vector, bit for bit."""
+
+    @pytest.mark.parametrize("v", [
+        np.random.default_rng(11).standard_normal(257),
+        np.zeros(5), -np.zeros(3), np.zeros(0), np.full(4, 5e-324),
+        1e-160 * np.random.default_rng(12).standard_normal(9)],
+        ids=["random", "zero", "negative_zero", "empty", "subnormal",
+             "underflowing"])
+    def test_matches_numpy(self, v):
+        assert (np.float64(_norm(v)).tobytes()
+                == np.linalg.norm(v).tobytes())
+
+    def test_overflow_warns_as_numpy_does(self):
+        v = np.full(3, 1e200)
+        got = []
+        for norm in (_norm, np.linalg.norm):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert norm(v) == np.inf
+            got.append([(w.category, str(w.message)) for w in caught])
+        assert got[0] == got[1] == [(RuntimeWarning,
+                                     "overflow encountered in dot")]
