@@ -23,7 +23,7 @@ import numpy as np
 
 from dualqp import WorkingSet
 from dualqp.kernel import factorize
-from dualqp.refine import OutcomeKind, refine_solve
+from dualqp.refine import refine_solve
 
 
 def run(n=12, nullity=2, seed=4):
@@ -45,15 +45,15 @@ def run(n=12, nullity=2, seed=4):
     # consistent right-hand side: lies in the range space
     c = -(G @ rng.standard_normal(n))
     out = refine_solve(f, c)
-    assert out.kind is OutcomeKind.SOLUTION
+    assert out.is_solution
     print(f"\nconsistent rhs   -> solution in {out.iters} iterations, "
-          f"residual {out.final_residual:.1e}")
+          f"residual {np.linalg.norm(G @ out.p + c):.1e}")
 
     # inconsistent: add a component on the null space
     null = Q[:, -1]
     c_bad = c - 0.5 * null
     out = refine_solve(f, c_bad)
-    assert out.kind is OutcomeKind.DESCENT_DIRECTION
+    assert not out.is_solution
     p = out.p
     print(f"inconsistent rhs -> descent direction in {out.iters} "
           f"iterations")

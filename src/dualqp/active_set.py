@@ -66,8 +66,7 @@ import numpy as np
 from .kernel import (CholeskyDowndateError, MaskedFactor, WorkingSet,
                      add_index, as_integer, factorize,
                      lambda_from_direction, mask_vector, remove_index)
-from .refine import (OutcomeKind, RefineOutcome, RefinementError, _norm,
-                     refine_solve)
+from .refine import RefineOutcome, RefinementError, _norm, refine_solve
 
 _KKT_TOL = 1e-10           # stationarity and multiplier tests, times 1+||h||
 _ROUNDING_TOL = 1e-13      # rounding in G mu, times (1+max|G|)||mu||_inf
@@ -224,8 +223,7 @@ def _salvage(err, c_bar):
     p = err.iterate / nrm
     if not float(c_bar @ p) < 0.0:
         return None
-    return RefineOutcome(OutcomeKind.DESCENT_DIRECTION, p, err.iters,
-                         err.residual)
+    return RefineOutcome(p, err.iters, False)
 
 
 def _directed_step(f, c_bar, mu, g_scale):
@@ -365,7 +363,7 @@ def solve_dual(qp, cfg=None):
             j = int(f.mask.indices[int(np.argmin(lam))])
             if f.factor is not None:
                 try:
-                    f = remove_index(f, j)
+                    remove_index(f, j)
                     continue
                 except CholeskyDowndateError:
                     # the downdate spoiled the factor: the next step
@@ -411,7 +409,7 @@ def solve_dual(qp, cfg=None):
             np.maximum(mu[qp.m_eq:], 0.0, out=mu[qp.m_eq:])
         if blocking is not None:
             mu[blocking] = 0.0
-            f = add_index(f, blocking)
+            add_index(f, blocking)
         if alpha != 0.0:
             g_mu = qp.G @ mu
 

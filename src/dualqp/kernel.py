@@ -288,12 +288,11 @@ def _rank1_downdate(L, v, j, pivot_floor):
 
 
 def add_index(f, i):
-    """Grow the mask by index i, updating the factor in place.
+    """Grow f's mask by index i and update its factor, in place.
 
     Row/column i of the masked matrix become the unit vector (diagonal
     1 + eps).  Blocks above/left of i are untouched; the trailing block
     absorbs the removed column piece through a rank-1 update.  O(n^2).
-    Returns f (mutated).
     """
     new_mask = f.mask.add(i)  # raises ValueError unless i may be pinned
     L = f.factor
@@ -302,16 +301,14 @@ def add_index(f, i):
     L[i, i] = np.sqrt(1.0 + f.epsilon)
     L[i + 1:, i] = 0.0
     f.mask = new_mask
-    return f
 
 
 def remove_index(f, i):
-    """Shrink the mask by index i, updating the factor in place.
+    """Shrink f's mask by index i and update its factor, in place.
 
     Row i of the factor is recomputed from the unmasked base column
     (entries at still-masked indices stay zero), then the trailing block
     sheds the new column piece through a rank-1 downdate.  O(n^2).
-    Returns f (mutated).
 
     Raises CholeskyDowndateError when a pivot collapses; the factor is
     then invalid and must be rebuilt with factorize().
@@ -339,7 +336,6 @@ def remove_index(f, i):
     L[i, i] = ell
     L[i + 1:, i] = l32
     f.mask = new_mask
-    return f
 
 
 def solve_cholesky(L, rhs):

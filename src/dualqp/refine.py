@@ -19,7 +19,8 @@ collapsing step means a solution; settled second differences with a
 step that stays large relative to ||x_k|| mean a descent direction.
 The returned direction is the normalized limit step, oriented so its
 slope on c_bar is negative (the sign of the raw limit is not trusted),
-then checked for curvature and slope.
+then checked for curvature and slope.  refine_solve returns p, the
+iteration count and the regime: all that the active-set loop reads.
 
 The shift eps is read off the factor.  Which shift a factor carries,
 and when to sharpen it after a failed classification, is the policy of
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -52,31 +52,20 @@ class RefinementError(RuntimeError):
     regime.  When the budget runs out it is the last refinement iterate,
     a strict descent direction for the subproblem whenever c_bar is
     nonzero.  When a descent direction fails its checks it is the
-    unoriented limit step, which may slope uphill.  `iters` and
-    `residual` are the iteration count and ||masked(G) x + c_bar|| at
-    the failure.
+    unoriented limit step, which may slope uphill.  `iters` is the
+    iteration count at the failure.
     """
 
-    def __init__(self, message, iterate, iters, residual):
+    def __init__(self, message, iterate, iters):
         super().__init__(message)
-        self.iterate, self.iters, self.residual = iterate, iters, residual
-
-
-class OutcomeKind(Enum):
-    SOLUTION = "solution"
-    DESCENT_DIRECTION = "descent_direction"
+        self.iterate, self.iters = iterate, iters
 
 
 @dataclass
 class RefineOutcome:
-    kind: OutcomeKind
     p: np.ndarray
     iters: int
-    final_residual: float
-
-    @property
-    def is_solution(self):
-        return self.kind is OutcomeKind.SOLUTION
+    is_solution: bool  # else p is a descent direction
 
 
 def refine_solve(f, c_bar):
@@ -90,9 +79,9 @@ def refine_solve(f, c_bar):
 
     Returns
     -------
-    RefineOutcome with kind SOLUTION (p solves the system, masked
-    coordinates exactly zero) or DESCENT_DIRECTION (normalized p with
-    masked(G) p ~ 0 and c_bar @ p < 0).
+    RefineOutcome with is_solution True (p solves the system, masked
+    coordinates exactly zero) or False (p a descent direction: unit
+    norm, masked(G) p ~ 0 and c_bar @ p < 0), and the iteration count.
 
     Raises
     ------
@@ -115,22 +104,21 @@ def refine_solve(f, c_bar):
         ratio = step_norm / x_norm if x_norm > 0 else 0.0
 
         if res <= _RES_TOL * (1.0 + c_norm) and ratio <= _STAGNATION_TOL:
-            return RefineOutcome(OutcomeKind.SOLUTION, x, k, res)
+            return RefineOutcome(x, k, True)
 
         if prev_step is not None and x_norm > 0:
             dd = _norm(step - prev_step)
             if dd <= _DD_TOL * x_norm:
                 if ratio > _STAGNATION_TOL:
-                    p = _extract_direction(f, c_bar, step, k, res)
-                    return RefineOutcome(OutcomeKind.DESCENT_DIRECTION, p,
-                                         k, res)
+                    return RefineOutcome(
+                        _extract_direction(f, c_bar, step, k), k, False)
                 # Steps have stopped moving and are tiny relative to x:
                 # converged to the attainable accuracy for this system.
-                return RefineOutcome(OutcomeKind.SOLUTION, x, k, res)
+                return RefineOutcome(x, k, True)
         prev_step = step
 
     raise RefinementError(f"no convergence within {_MAX_ITERS} iterations",
-                          x, _MAX_ITERS, res)
+                          x, _MAX_ITERS)
 
 
 def _norm(v):
@@ -138,7 +126,7 @@ def _norm(v):
     return math.sqrt(v.dot(v))
 
 
-def _extract_direction(f, c_bar, step, iters, residual):
+def _extract_direction(f, c_bar, step, iters):
     p = step / _norm(step)
     if c_bar @ p > 0:
         p = -p
@@ -148,5 +136,5 @@ def _extract_direction(f, c_bar, step, iters, residual):
     if curvature > _CURVATURE_TOL or not slope < 0:
         raise RefinementError(
             f"extracted direction failed verification: curvature "
-            f"{curvature:.6g}, slope {slope:.6g}", step, iters, residual)
+            f"{curvature:.6g}, slope {slope:.6g}", step, iters)
     return p

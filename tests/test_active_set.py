@@ -11,7 +11,7 @@ from dualqp import (SolveStatus, SolverConfig, WorkingSet, build_dual,
                     solve_dual)
 from dualqp.active_set import DualQP, smartstart, step_length
 from dualqp.kernel import CholeskyDowndateError, factorize
-from dualqp.refine import OutcomeKind, RefineOutcome, RefinementError
+from dualqp.refine import RefineOutcome, RefinementError
 from dualqp.transform import PrimalQP
 
 
@@ -116,8 +116,7 @@ def directed_step(monkeypatch, mu, c_bar, outcome):
 
 
 def solution(p):
-    return RefineOutcome(OutcomeKind.SOLUTION, np.asarray(p, dtype=float),
-                         1, 0.0)
+    return RefineOutcome(np.asarray(p, dtype=float), 1, True)
 
 
 class TestStepLength:
@@ -147,7 +146,7 @@ class TestStepLength:
         # along p the objective bottoms out at 1/sqrt(2), before bound 1
         # blocks at 10 sqrt(2)
         p = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        descent = RefineOutcome(OutcomeKind.DESCENT_DIRECTION, p, 1, 0.0)
+        descent = RefineOutcome(p, 1, False)
         alpha, blocking = directed_step(monkeypatch, [0.0, 10.0],
                                         [-1.0, 0.0], descent)
         assert alpha == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-15)
@@ -394,8 +393,7 @@ class TestDualObjective:
                     s=np.ones(2))
         monkeypatch.setattr(
             active_set, "refine_solve",
-            lambda f, c_bar: RefineOutcome(OutcomeKind.SOLUTION, -c_bar,
-                                           1, 0.0))
+            lambda f, c_bar: RefineOutcome(-c_bar, 1, True))
         return solve_dual(qp), len(products)
 
     def test_a_drop_forms_no_product_with_g(self, monkeypatch):
@@ -514,7 +512,7 @@ class TestSalvageRejections:
 
         def fail(f, c_bar):
             calls.append(f.epsilon)
-            raise RefinementError("forced", iterate(c_bar), 20, 1.0)
+            raise RefinementError("forced", iterate(c_bar), 20)
 
         monkeypatch.setattr(active_set, "refine_solve", fail)
         # the shift starts at the floor, so nothing escalates
@@ -531,7 +529,7 @@ class TestSalvageRejections:
 
         def fail(f, c_bar):
             calls.append(f.epsilon)
-            raise RefinementError("forced", np.zeros_like(c_bar), 20, 1.0)
+            raise RefinementError("forced", np.zeros_like(c_bar), 20)
 
         monkeypatch.setattr(active_set, "refine_solve", fail)
         rep = solve_dual(projection_dual())
@@ -546,7 +544,7 @@ class TestSalvageRejections:
         # the salvaged iterate has zero curvature and no bound blocks
         # it, but it is not certified: no infeasibility is claimed
         def fail(f, c_bar):
-            raise RefinementError("forced", np.array([1.0]), 20, 1.0)
+            raise RefinementError("forced", np.array([1.0]), 20)
 
         monkeypatch.setattr(active_set, "refine_solve", fail)
         # the row 0 <= -1: G = 0, h = -1
@@ -569,6 +567,19 @@ def large_rows_qp(s):
     d = C @ x + s * rng.uniform(0.1, 1.0, 5)
     q = s * rng.standard_normal(3)
     return PrimalQP(P=np.eye(3), q=q, C=C, d=d)
+
+
+def indefinite_dual():
+    # the DualQP record, built by keyword, of an indefinite G: with no
+    # bound pinned, its second pivot (1 + eps) - 4 / (1 + eps) is
+    # negative at any shift below 1, so under any rounding a downdate
+    # to the empty set collapses and a build of it fails.  h = [0, -1];
+    # the primal behind it, P = I, q = 0, C = I and d = h, is not G's.
+    h = np.array([0.0, -1.0])
+    return DualQP(G=np.array([[1.0, -2.0], [-2.0, 1.0]]), h=h,
+                  primal=PrimalQP(P=np.eye(2), q=np.zeros(2), C=np.eye(2),
+                                  d=h),
+                  s=np.ones(2))
 
 
 class TestAbsoluteShift:
@@ -600,16 +611,29 @@ class TestAbsoluteShift:
         assert_allclose(x, ref, rtol=1e-6, atol=0)
 
     # fallback: a downdate collapses, and the rebuild at the home shift
-    # 1e-7 on the next step meets the indefinite block; start: the
-    # first build, on the first step, does (at 1e3 the home shift
-    # solves the problem, see below)
-    @pytest.mark.parametrize("s, first", [
-        (10 ** 4.45, False),
-        (1e5, True),
-    ], ids=["fallback", "start"])
-    def test_unfactorable_shift_is_a_numerical_failure(self, s, first):
-        dual = unscaled_dual(large_rows_qp(s))
+    # 1e-7 on the next step meets the indefinite block of
+    # indefinite_dual() (from the cold start, its first build does);
+    # start: the first build, on the first step, meets the block that
+    # rows scaled by 1e5 round to (at 1e3 the home shift solves the
+    # problem, see below)
+    @pytest.mark.parametrize("case", ["fallback", "start"])
+    def test_unfactorable_shift_is_a_numerical_failure(self, monkeypatch,
+                                                       case):
+        dual = (indefinite_dual() if case == "fallback"
+                else unscaled_dual(large_rows_qp(1e5)))
+        collapsed = []
+        remove = active_set.remove_index
+
+        def recording_remove(f, i):
+            try:
+                remove(f, i)
+            except CholeskyDowndateError:
+                collapsed.append(i)
+                raise
+
+        monkeypatch.setattr(active_set, "remove_index", recording_remove)
         for warm in (True, False):
+            collapsed.clear()
             rep = solve_dual(dual, cfg=SolverConfig(smartstart=warm))
             assert rep.status is SolveStatus.NUMERICAL_FAILURE
             assert rep.message.startswith(
@@ -617,7 +641,16 @@ class TestAbsoluteShift:
                 f"shift 1e-07: masked matrix is not positive definite")
             assert rep.final_shift == 1e-7
             assert np.isfinite(rep.mu_star).all()
-            if first:
+            if case == "fallback" and warm:
+                # a step from {0} to mu = [0, 1], where bound 0 (its
+                # multiplier -2) drops and its downdate collapses; the
+                # rebuild at home on the next step fails
+                assert collapsed == [0]
+                assert rep.outer_iters == 3 and rep.refine_calls == 1
+                assert rep.message.endswith("(leading minor 2)")
+                assert_allclose(rep.mu_star, [0.0, 1.0], rtol=0, atol=1e-12)
+            else:
+                assert not collapsed
                 # no step ran: the report is of mu = 0 on the start set
                 assert rep.outer_iters == 1 and rep.objective == 0.0
                 assert rep.refine_calls == 0 and rep.refine_iters_mean == 0.0
@@ -664,7 +697,7 @@ def scripted_refinement(monkeypatch, fails, iterate, unfactorable=()):
         seen.append(f.epsilon)
         if len(seen) in fails:
             raise RefinementError("forced", np.asarray(iterate, dtype=float),
-                                  20, 1.0)
+                                  20)
         return refine(f, c_bar)
 
     def counting(G, W, epsilon):

@@ -285,7 +285,7 @@ class TestSolveCommand:
     def test_numerical_failure_exit(self, tmp_path, monkeypatch):
         # refinement fails at every shift and leaves nothing to salvage
         def fail(f, c_bar):
-            raise RefinementError("forced", np.zeros_like(c_bar), 20, 1.0)
+            raise RefinementError("forced", np.zeros_like(c_bar), 20)
 
         prob = write_json(tmp_path / "p.json", projection_doc())
         optimal = tmp_path / "optimal.json"
@@ -309,7 +309,7 @@ class TestSolveCommand:
         def fail_once(f, c_bar):
             calls.append(f.epsilon)
             if len(calls) <= 4:  # 1e-7 down to the floor 1e-12
-                raise RefinementError("forced", -c_bar, 20, 1.0)
+                raise RefinementError("forced", -c_bar, 20)
             return refine_solve(f, c_bar)
 
         monkeypatch.setattr(active_set, "refine_solve", fail_once)

@@ -3,6 +3,10 @@
 Runs the first pass of each workload in perfbench/ at tiny size and
 seed 1, feeding answers back as the benchmark's first pass does, and
 compares each QP's work counts (FIELDS) with tests/work_counts.json.
+It also pins the answers: under "digests", each workload's sha256
+(first 16 hex digits) of its x bytes and of its mu_star bytes, each
+concatenated in QP order, so a change that moves a result bit fails
+here even when the work stays the same.
 factorizations counts the calls to dualqp.active_set.factorize, through
 a wrapper put in place of that name for the pass.
 perfbench/workloads.py is loaded from its file and left unchanged.  The
@@ -14,12 +18,14 @@ The golden also names the OpenBLAS cores it was recorded with; the
 comparison leaves them out, and a failure names both the recorded and
 the running cores, as a kernel of another core rounds differently.
 
-A change meant to alter the solver's work records a new golden with
+A change meant to alter the solver's work or its answers records a new
+golden with
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_work_counts.py \\
         > tests/work_counts.json
 """
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -33,8 +39,9 @@ FIELDS = ("outer_iters", "descent_count", "shift_retries", "refine_calls",
           "refine_iters", "salvaged_steps", "factorizations")
 
 
-def first_pass_counts():
-    """{workload: [[count per FIELDS] per QP]} for the first pass."""
+def first_pass():
+    """({workload: [[count per FIELDS] per QP]},
+    {workload: {"x": digest, "mu_star": digest}}) for the first pass."""
     from dualqp import (PrimalQP, SolveStatus, active_set, build_dual,
                         recover_primal, solve_dual)
     factorize = active_set.factorize
@@ -50,10 +57,11 @@ def first_pass_counts():
         os.path.join(ROOT, "perfbench", "workloads.py"))
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    counts = {}
+    counts, digests = {}, {}
     for name, cls in sorted(workloads.WORKLOADS.items()):
         wl = cls(SEED, tiny=True)
         rows = counts[name] = []
+        hx, hmu = hashlib.sha256(), hashlib.sha256()
         for _ in range(wl.pass_size):
             data = wl.inputs(wl.next())
             calls[0] = 0
@@ -64,16 +72,23 @@ def first_pass_counts():
             ok = (rep.status is SolveStatus.OPTIMAL
                   and workloads.kkt_violation(data, x, rep.mu_star) <= wl.tol)
             wl.feedback(x if ok else None)
+            hx.update(x.tobytes())
+            hmu.update(rep.mu_star.tobytes())
             rows.append([rep.outer_iters, rep.descent_count,
                          rep.shift_retries, rep.refine_calls,
                          round(rep.refine_iters_mean * rep.refine_calls),
                          rep.salvaged_steps, calls[0]])
-    return counts
+        digests[name] = {"x": hx.hexdigest()[:16],
+                         "mu_star": hmu.hexdigest()[:16]}
+    return counts, digests
 
 
-def dumps(counts):
+def dumps(counts, digests):
     # one line per QP, so a change in the golden diffs QP by QP
-    blocks = [f'  "openblas_core": {json.dumps(openblas_cores())}']
+    blocks = [f'  "openblas_core": {json.dumps(openblas_cores())}',
+              '  "digests": {\n    '
+              + ",\n    ".join(f'"{name}": {json.dumps(d)}'
+                              for name, d in digests.items()) + "\n  }"]
     blocks += [f'  "{name}": [\n    '
                + ",\n    ".join(json.dumps(row) for row in rows) + "\n  ]"
                for name, rows in counts.items()]
@@ -88,13 +103,16 @@ def test_first_pass_work_matches_the_golden():
         want = json.load(fh)
     cores = (f"recorded on OpenBLAS {want.pop('openblas_core')}, "
              f"running on {got.pop('openblas_core')}")
+    got_digests, want_digests = got.pop("digests"), want.pop("digests")
     assert set(got) == set(want), cores
     for name in want:
         assert len(got[name]) == len(want[name]), (name, cores)
         for i, (g, w) in enumerate(zip(got[name], want[name])):
             assert g == w, (f"{name} QP {i}: {dict(zip(FIELDS, g))} != "
                             f"{dict(zip(FIELDS, w))}; {cores}")
+    assert got_digests == want_digests, (
+        f"answers {got_digests} != {want_digests}; {cores}")
 
 
 if __name__ == "__main__":
-    sys.stdout.write(dumps(first_pass_counts()))
+    sys.stdout.write(dumps(*first_pass()))
