@@ -18,18 +18,20 @@ both blocks (row_violation) is at most 1e-6 (1 + ||x||), and violating
 otherwise; every other solve counts under its status value.  salvaged
 counts the solves with at least one salvaged step.  The golden records
 the counts as they stand, violating answers included, and the OpenBLAS
-cores they were recorded with, which the comparison leaves out: a
-kernel of another core rounds differently and can move an outcome.
-The sweep runs in a fresh process with BLAS pinned to one thread,
-because the BLAS thread count changes the bits of the result and, on a
-few AT seeds, the outcome.
+cores they were recorded on, which the test compares like the counts.
+The sweep runs in a child Python that child_python.run_python pins to
+one BLAS thread and to OpenBLAS's Haswell kernels, because the thread
+count and the kernel each change the bits of the result and, on a few
+seeds, the outcome.
 
-Run as a script, it writes the counts to stdout and the largest
-||mu*||_inf at OPTIMAL per family to stderr; that largest value is not
-pinned.  A change meant to move an outcome records a new golden with
+Run as a script, it writes the counts to stdout and, per family, the
+largest ||mu*||_inf at OPTIMAL and each seed that ends violating or
+numerical_failure to stderr, as 39c (cold start), 39w (warm) or 39w/c
+(both); that stderr output is not pinned.  A change meant to move an
+outcome records a new golden with
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_families.py \\
-        > tests/families.json
+    OPENBLAS_NUM_THREADS=1 OPENBLAS_CORETYPE=Haswell PYTHONPATH=src \\
+        python tests/test_families.py > tests/families.json
 """
 
 import json
@@ -85,11 +87,14 @@ FAMILIES = {"LR": (wide_row_scales_qp, 300), "AT": (all_rows_tight_qp, 400),
 
 def outcome_counts():
     """({family: {outcome: count}}, {family: largest ||mu*||_inf at
-    OPTIMAL})."""
-    counts, mu_max = {}, {}
+    OPTIMAL}, {family: {outcome: {seed: starts}}}) where the last names
+    the starts, "w" and "c", of each seed that ends violating or
+    numerical_failure."""
+    counts, mu_max, failed = {}, {}, {}
     for name, (make, seeds) in FAMILIES.items():
         tally = counts[name] = {"salvaged": 0}
         mu_max[name] = 0.0
+        failed[name] = {}
         for seed in range(seeds):
             primal = make(seed)
             dual, pf = build_dual(primal)
@@ -105,7 +110,10 @@ def outcome_counts():
                                        float(np.max(np.abs(rep.mu_star))))
                 tally[outcome] = tally.get(outcome, 0) + 1
                 tally["salvaged"] += rep.salvaged_steps > 0
-    return counts, mu_max
+                if outcome in ("violating", "numerical_failure"):
+                    failed[name].setdefault(outcome, {}).setdefault(
+                        seed, []).append("w" if warm else "c")
+    return counts, mu_max, failed
 
 
 def dumps(counts):
@@ -123,18 +131,19 @@ def swept():
     return json.loads(out.stdout)
 
 
-@pytest.mark.parametrize("family", list(FAMILIES))
-def test_family_outcomes_match_the_golden(swept, family):
+@pytest.mark.parametrize("field", ["openblas_core", *FAMILIES])
+def test_family_outcomes_match_the_golden(swept, field):
     with open(GOLDEN) as fh:
         want = json.load(fh)
-    assert swept[family] == want[family], (
-        f"recorded on OpenBLAS {want['openblas_core']}, "
-        f"running on {swept['openblas_core']}")
+    assert swept[field] == want[field]
 
 
 if __name__ == "__main__":
-    counts, mu_max = outcome_counts()
+    counts, mu_max, failed = outcome_counts()
     sys.stdout.write(dumps(counts))
     for name, value in mu_max.items():
-        print(f"{name}: largest ||mu*||_inf at OPTIMAL {value:.3g}",
-              file=sys.stderr)
+        line = f"{name}: largest ||mu*||_inf at OPTIMAL {value:.3g}"
+        for outcome, seeds in sorted(failed[name].items()):
+            line += f"; {outcome} " + " ".join(
+                f"{seed}{'/'.join(starts)}" for seed, starts in seeds.items())
+        print(line, file=sys.stderr)

@@ -10,19 +10,17 @@ here even when the work stays the same.
 factorizations counts the calls to dualqp.active_set.factorize, through
 a wrapper put in place of that name for the pass.
 perfbench/workloads.py is loaded from its file and left unchanged.  The
-pass runs in a fresh process with BLAS pinned to one thread, because
-the BLAS thread count changes the bits of the result and with them the
-counts.
-
-The golden also names the OpenBLAS cores it was recorded with; the
-comparison leaves them out, and a failure names both the recorded and
-the running cores, as a kernel of another core rounds differently.
+pass runs in a child Python that child_python.run_python pins to one
+BLAS thread and to OpenBLAS's Haswell kernels, because the thread count
+and the kernel each change the bits of the result and with them the
+counts.  The golden also names the OpenBLAS cores it was recorded on,
+and the test compares them like the counts.
 
 A change meant to alter the solver's work or its answers records a new
 golden with
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_work_counts.py \\
-        > tests/work_counts.json
+    OPENBLAS_NUM_THREADS=1 OPENBLAS_CORETYPE=Haswell PYTHONPATH=src \\
+        python tests/test_work_counts.py > tests/work_counts.json
 """
 
 import hashlib
@@ -101,17 +99,15 @@ def test_first_pass_work_matches_the_golden():
     got = json.loads(out.stdout)
     with open(GOLDEN) as fh:
         want = json.load(fh)
-    cores = (f"recorded on OpenBLAS {want.pop('openblas_core')}, "
-             f"running on {got.pop('openblas_core')}")
+    assert got.pop("openblas_core") == want.pop("openblas_core")
     got_digests, want_digests = got.pop("digests"), want.pop("digests")
-    assert set(got) == set(want), cores
+    assert set(got) == set(want)
     for name in want:
-        assert len(got[name]) == len(want[name]), (name, cores)
+        assert len(got[name]) == len(want[name]), name
         for i, (g, w) in enumerate(zip(got[name], want[name])):
             assert g == w, (f"{name} QP {i}: {dict(zip(FIELDS, g))} != "
-                            f"{dict(zip(FIELDS, w))}; {cores}")
-    assert got_digests == want_digests, (
-        f"answers {got_digests} != {want_digests}; {cores}")
+                            f"{dict(zip(FIELDS, w))}")
+    assert got_digests == want_digests
 
 
 if __name__ == "__main__":
