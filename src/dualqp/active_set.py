@@ -53,6 +53,43 @@ optimal never factorizes.  A collapsed downdate drops the factor, and
 the next step rebuilds it.  When a build at home fails, the loop keeps
 the sharper factor it has; with none, the solve ends as
 NUMERICAL_FAILURE.
+
+Steps of length 0 pin in batches.  From a cold start nearly every
+ratio test blocks at once, on a bound with mu_i = 0.  Such a step
+pins every free inequality coordinate with mu_i = 0 and p_i < 0, each
+through add_index, and drops the factor: mu does not move, no product
+with G is formed, and the next step rebuilds the factor at home, one
+factorization per batch instead of one rank-1 update per pin.  A pin
+that the batch got wrong leaves through the multiplier test, as any
+other does (compare gradient projection, More and Toraldo, SIAM J.
+Optim. 1991).
+
+Every OPTIMAL is checked on the primal data.  x is recovered from
+s mu as recover_primal does, and each row of [A; C] must hold to
+_ROW_TOL (1 + ||x||) times its Euclidean norm: |A x - b| on an
+equality row, max(C x - d, 0) on an inequality row.  A row of zero
+length has no norm to divide by, and holds only exactly: an
+inequality row when its offset is >= 0, an equality row when its
+offset is 0.  At a large mu the rounding in G mu + h can hide a
+violated row from the loop's tests; the check does not read G mu.  A
+solve that took no step and has no equality row ends at mu = 0, where
+r = -h / s, so h >= 0 passes it with no x formed.  An OPTIMAL that
+fails the check is re-read:
+
+* if s mu passes the ray check above, the multipliers have run off
+  along an infeasibility ray, and the solve ends PRIMAL_INFEASIBLE with
+  ray = s mu;
+* else up to _CORRECTIONS steps of iterative refinement on the primal
+  residual run (Higham, Accuracy and Stability of Numerical
+  Algorithms, 2002, ch. 12), on the final working set and factor at
+  the final shift, the factor rebuilt there if the loop dropped it.
+  g = s ([b; d] - [A; C] x) is the dual gradient G mu + h without
+  G mu's rounding; each step solves masked(G) delta = -mask(g) with
+  refine_solve and is ratio-tested as a loop step is, capped at 1,
+  and a bound that blocks it is pinned.  The steps stop when the check
+  passes, and the solve is OPTIMAL, or when refinement returns no
+  solution.  What still fails ends NUMERICAL_FAILURE, with the
+  violation in the message.
 """
 
 from __future__ import annotations
@@ -65,7 +102,8 @@ import numpy as np
 
 from .kernel import (CholeskyDowndateError, MaskedFactor, WorkingSet,
                      add_index, as_integer, factorize,
-                     lambda_from_direction, mask_vector, remove_index)
+                     lambda_from_direction, mask_vector, remove_index,
+                     solve_cholesky)
 from .refine import RefineOutcome, RefinementError, _norm, refine_solve
 
 _KKT_TOL = 1e-10           # stationarity and multiplier tests, times 1+||h||
@@ -75,6 +113,8 @@ _SHIFT_START = 1e-7        # first shift and first home shift
 _SHIFT_SHRINK = 1e-2       # shift reduction per escalation
 _SHIFT_FLOOR = 1e-12       # smallest shift worth factorizing with
 _RAY_TOL = 1e-10           # primal check on a ray, times ||M||_inf ||p||_inf
+_ROW_TOL = 1e-6            # primal check on an OPTIMAL, times 1+||x||
+_CORRECTIONS = 6           # correction steps on a failed OPTIMAL check
 
 
 class SolveStatus(Enum):
@@ -88,15 +128,19 @@ class SolveStatus(Enum):
 class DualQP:
     """What build_dual returns: G and h of the rows s_i [A; C]_i and
     offsets s_i [b; d]_i, the PrimalQP behind them (by reference, not a
-    stacked copy of its rows), and the row scale s.  The first m_eq
-    coordinates, one per equality row, are free; the other m_in are
-    bounded below by 0.  solve_dual reports mu and rays times s, in the
-    caller's row units, and checks an infeasibility ray on the primal."""
+    stacked copy of its rows), the row scale s, P's lower Cholesky
+    factor pf (None with identity_p) and the Euclidean norms of the
+    unscaled rows [A; C].  The first m_eq coordinates, one per equality
+    row, are free; the other m_in are bounded below by 0.  solve_dual
+    reports mu and rays times s, in the caller's row units, and checks
+    an OPTIMAL and an infeasibility ray on the primal."""
 
     G: np.ndarray
     h: np.ndarray
     primal: object = field(repr=False)
     s: np.ndarray = field(repr=False)
+    pf: np.ndarray | None = field(repr=False)
+    norms: np.ndarray = field(repr=False)
 
     @property
     def m_eq(self):
@@ -133,11 +177,12 @@ class SolverConfig:
 @dataclass
 class SolveReport:
     """What solve_dual returns: mu_star in row units, the status, the
-    dual objective and the work of the loop.  It carries no residuals:
-    recover_primal measures them on the primal data.  ray is the checked
-    Farkas certificate y = s p, in row units, when the status is
-    PRIMAL_INFEASIBLE: [A; C]'y ~ 0, y >= 0 on the inequality rows and
-    [b; d]'y < 0.  It is None for every other status."""
+    dual objective and the work of the loop, correction steps included.
+    It carries no residuals: recover_primal measures them on the primal
+    data, where solve_dual has checked the rows of an OPTIMAL.  ray is
+    the checked Farkas certificate y = s p, in row units, when the
+    status is PRIMAL_INFEASIBLE: [A; C]'y ~ 0, y >= 0 on the inequality
+    rows and [b; d]'y < 0.  It is None for every other status."""
 
     mu_star: np.ndarray
     status: SolveStatus
@@ -296,6 +341,104 @@ def _inf_norm(v):
     return float(np.abs(v).max(initial=0.0))
 
 
+def _take_step(qp, f, mu, alpha, p, blocking):
+    # mu + alpha p, clamped at 0 on the inequality block, with the
+    # blocking bound, if any, set to 0 and pinned
+    mu = mu + alpha * p
+    np.maximum(mu[qp.m_eq:], 0.0, out=mu[qp.m_eq:])
+    if blocking is not None:
+        mu[blocking] = 0.0
+        add_index(f, blocking)
+    return mu
+
+
+def _stationary_point(primal, pf, mu):
+    """(grad, x): grad = q + A' mu_eq + C' mu_in, mu in row units, and
+    x = -P^-1 grad, solved with P's factor pf (None with identity_p)."""
+    m_eq = primal.m_eq
+    grad = primal.q + primal.A.T @ mu[:m_eq] + primal.C.T @ mu[m_eq:]
+    return grad, (-grad if pf is None else -solve_cholesky(pf, grad))
+
+
+def _worst_row(qp, r):
+    # Largest violation of a row over its norm, r = [A; C] x - [b; d]:
+    # |r_i| on an equality row, max(r_i, 0) on an inequality row.  A
+    # row of zero length is met exactly or not at all: 0 or inf.
+    v = np.abs(r)
+    np.maximum(r[qp.m_eq:], 0.0, out=v[qp.m_eq:])
+    out = np.where(v > 0.0, math.inf, 0.0)
+    np.divide(v, qp.norms, out=out, where=qp.norms > 0.0)
+    return float(out.max(initial=0.0))
+
+
+def _primal_check(qp, mu):
+    """(r, worst, bound): the residual r = [A; C] x - [b; d] of the x
+    that mu recovers, its worst row (_worst_row) and the bound on it,
+    _ROW_TOL (1 + ||x||)."""
+    primal = qp.primal
+    x = _stationary_point(primal, qp.pf, qp.s * mu)[1]
+    r = np.concatenate([primal.A @ x - primal.b, primal.C @ x - primal.d])
+    return r, _worst_row(qp, r), _ROW_TOL * (1.0 + _norm(x))
+
+
+def _correction(qp, f, mu, r, refine_iters):
+    """One step of iterative refinement on the primal residual r at mu.
+
+    g = -s r is G mu + h without its rounding; the step solves
+    masked(G) delta = -mask(g) and is ratio-tested like a loop step,
+    capped at 1, and a bound that blocks it is pinned.  Returns the new
+    mu, or None when refinement returns no solution; the iterations of
+    a solution go on refine_iters."""
+    try:
+        outcome = refine_solve(f, mask_vector(-qp.s * r, f.mask))
+    except RefinementError:
+        return None
+    if not outcome.is_solution:
+        return None
+    refine_iters.append(outcome.iters)
+    alpha, blocking = step_length(mu, outcome.p, f.mask)
+    if 1.0 < alpha:
+        alpha, blocking = 1.0, None
+    return _take_step(qp, f, mu, alpha, outcome.p, blocking)
+
+
+def _certify(qp, f, mu, refine_iters):
+    """Check an OPTIMAL mu on the primal rows (module docstring).
+
+    refine_iters holds the iterations of each step taken, and gets
+    those of each correction step; with none taken, mu = 0.
+
+    Returns (mu, status, message, ray): mu as it was, or corrected;
+    status OPTIMAL (message None), PRIMAL_INFEASIBLE with the ray s mu,
+    or NUMERICAL_FAILURE."""
+    h = qp.h
+    if not refine_iters and not qp.m_eq and h.size and h[h.argmin()] >= 0.0:
+        # mu = 0, so x = -P^-1 q and r = -h / s <= 0 on inequality rows
+        # alone: no row is violated, and no x needs forming
+        return mu, SolveStatus.OPTIMAL, None, None
+    r, worst, bound = _primal_check(qp, mu)
+    if worst <= bound:
+        return mu, SolveStatus.OPTIMAL, None, None
+    y = qp.s * mu
+    if _ray_check(qp, y) is None:
+        return (mu, SolveStatus.PRIMAL_INFEASIBLE,
+                "the optimal multipliers fail the primal check and are "
+                "an infeasibility ray: the primal problem is infeasible", y)
+    if f.factor is None:
+        _reshift(f, f.epsilon)  # if it fails, no correction is taken
+    for _ in range(_CORRECTIONS if f.factor is not None else 0):
+        mu_next = _correction(qp, f, mu, r, refine_iters)
+        if mu_next is None:
+            break
+        mu = mu_next
+        r, worst, bound = _primal_check(qp, mu)
+        if worst <= bound:
+            return mu, SolveStatus.OPTIMAL, None, None
+    return (mu, SolveStatus.NUMERICAL_FAILURE,
+            f"optimal multipliers failed the primal check: row violation "
+            f"{worst:.3g} over its bound {bound:.3g}", None)
+
+
 def solve_dual(qp, cfg=None):
     """Run the dual active-set method from mu = 0.
 
@@ -310,18 +453,21 @@ def solve_dual(qp, cfg=None):
     nonzero length; the gradient and the reported objective read it.
     f is built when a step first needs it, at the home shift (module
     docstring); f.mask is the only copy of the working set, moved with
-    the factor by add_index and remove_index.  A drop with no factor,
-    built or left by a collapsed downdate, edits the mask alone.
+    the factor by add_index and remove_index.  A pin or a drop with no
+    factor, not yet built or dropped by a batch of pins or a collapsed
+    downdate, edits the mask alone.
 
     Returns
     -------
     SolveReport.  status OPTIMAL carries the certified multipliers,
-    and its message names the count of salvaged steps, if any;
-    PRIMAL_INFEASIBLE carries the ray of a zero-curvature descent
-    direction that meets no blocking bound and passes the primal check;
-    ITERATION_LIMIT and NUMERICAL_FAILURE report the best iterate with
-    a diagnostic message.  mu_star is s mu, in row units; its KKT
-    residuals are measured on the primal data, by recover_primal.
+    whose x passed the primal check on the rows, and its message names
+    the count of salvaged steps, if any; PRIMAL_INFEASIBLE carries the
+    ray of a zero-curvature descent direction that meets no blocking
+    bound, or the multipliers of an OPTIMAL that failed the row check,
+    either one passing the ray check; ITERATION_LIMIT and
+    NUMERICAL_FAILURE report the best iterate with a diagnostic
+    message.  mu_star is s mu, in row units; its KKT residuals are
+    measured on the primal data, by recover_primal.
     """
     cfg = cfg or SolverConfig()
     m = qp.m
@@ -404,13 +550,24 @@ def solve_dual(qp, cfg=None):
         refine_iters.append(outcome.iters)
         if not outcome.is_solution:
             descent_count += 1
-        if alpha != 0.0:  # a step of 0 leaves mu, so g_mu, as it is
-            mu = mu + alpha * outcome.p
-            np.maximum(mu[qp.m_eq:], 0.0, out=mu[qp.m_eq:])
-        if blocking is not None:
-            mu[blocking] = 0.0
-            add_index(f, blocking)
         if alpha != 0.0:
+            mu = _take_step(qp, f, mu, alpha, outcome.p, blocking)
+            g_mu = qp.G @ mu
+        elif blocking is not None:
+            # a step of 0 leaves mu, so g_mu, as it is: every bound at 0
+            # that p leaves is pinned at once, and the next step rebuilds
+            # the factor at home
+            f.factor, f.epsilon = None, home
+            m_eq = qp.m_eq
+            leaves = (outcome.p[m_eq:] < 0.0) & (mu[m_eq:] == 0.0)
+            for i in m_eq + np.flatnonzero(leaves & ~f.mask.member[m_eq:]):
+                add_index(f, i)
+
+    if status is SolveStatus.OPTIMAL:
+        mu_loop = mu
+        mu, status, checked, ray = _certify(qp, f, mu, refine_iters)
+        message = message if checked is None else checked
+        if mu is not mu_loop:
             g_mu = qp.G @ mu
 
     iters = refine_iters or [0]

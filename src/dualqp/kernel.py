@@ -181,7 +181,8 @@ class MaskedFactor:
     mask and the factor move together through add_index/remove_index,
     and shift escalation in active_set replaces factor and epsilon
     together.  `factor` is None until it is built: active_set starts
-    from such a record and factorizes it when a step first needs it.
+    from such a record, factorizes it when a step first needs it, and
+    drops it again to pin a batch of bounds.
     Single-writer semantics: updates mutate `factor` in place, which
     requires it to be Fortran-ordered (see the module docstring).
     """
@@ -293,13 +294,15 @@ def add_index(f, i):
     Row/column i of the masked matrix become the unit vector (diagonal
     1 + eps).  Blocks above/left of i are untouched; the trailing block
     absorbs the removed column piece through a rank-1 update.  O(n^2).
+    A record with no factor (factor None) has its mask grown alone.
     """
     new_mask = f.mask.add(i)  # raises ValueError unless i may be pinned
     L = f.factor
-    _rank1_update(L, L[i + 1:, i].copy(), i + 1)
-    L[i, :i] = 0.0
-    L[i, i] = np.sqrt(1.0 + f.epsilon)
-    L[i + 1:, i] = 0.0
+    if L is not None:
+        _rank1_update(L, L[i + 1:, i].copy(), i + 1)
+        L[i, :i] = 0.0
+        L[i, i] = np.sqrt(1.0 + f.epsilon)
+        L[i + 1:, i] = 0.0
     f.mask = new_mask
 
 

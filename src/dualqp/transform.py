@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf
 
-from .active_set import DualQP
+from .active_set import DualQP, _stationary_point
 from .kernel import solve_cholesky
 
 
@@ -141,7 +141,8 @@ class PrimalSolution:
     complementarity_residual: float
 
 
-_memo = None  # build_dual's ((P or None, A, C) copies, (pf, s, G, M))
+# build_dual's ((P or None, A, C) copies, (pf, s, G, M, norms))
+_memo = None
 
 
 def _same_bits(a, b):
@@ -164,27 +165,30 @@ def build_dual(primal):
     overflowed) and h finite; given the first, |G_ij| <= 1 by
     Cauchy-Schwarz.  A failed check raises InvalidProblemError naming
     the first bad row, as does a Cholesky breakdown of P: the package's
-    one check that P is positive definite.
+    one check that P is positive definite.  The DualQP also carries pf
+    and the Euclidean norms of the unscaled rows, for solve_dual's
+    primal check.
 
-    pf, s, G and the scaled rows M do not depend on q, b or d.  A
-    build that passes its checks with m >= n (so M and copies of P, A
-    and C cost no more than G) keeps them, keyed on those copies; a
-    call whose P (None with identity_p), A and C each repeat bit for
-    bit (-0.0 is not 0.0) reuses them and forms only h, by the same
-    operations, so bit-identically.  G, s and pf are read-only, as a
-    hit shares them; M never leaves this function.
+    pf, s, G, the row norms and the scaled rows M do not depend on q,
+    b or d.  A build that passes its checks with m >= n (so M and
+    copies of P, A and C cost no more than G) keeps them, keyed on
+    those copies; a call whose P (None with identity_p), A and C each
+    repeat bit for bit (-0.0 is not 0.0) reuses them and forms only h,
+    by the same operations, so bit-identically.  G, s, the norms and pf are
+    read-only, as a hit shares them; M never leaves this function.
     """
     global _memo
     key = (None if primal.identity_p else primal.P, primal.A, primal.C)
     memo = _memo  # read once: another thread may swap the entry
     if memo is not None and all(map(_same_bits, key, memo[0])):
-        pf, s, G, M = memo[1]
+        pf, s, G, M, norms = memo[1]
     else:
         _memo = None
         M = np.vstack([primal.A, primal.C])
         if primal.identity_p:
             pf = None
             Y = M.T  # a view: scaling M scales Y
+            g_diag = norms2 = np.einsum("ij,ji->i", M, Y)
         else:
             # P's own lower triangle: PrimalQP allows asymmetry to 1e-12
             pf, info = dpotrf(primal.P, lower=1)
@@ -192,7 +196,10 @@ def build_dual(primal):
                 raise InvalidProblemError(
                     f"P is not positive definite (leading minor {info})")
             Y = solve_cholesky(pf, M.T)
-        s = 1.0 / np.sqrt(np.maximum(1.0, np.einsum("ij,ji->i", M, Y)))
+            g_diag = np.einsum("ij,ji->i", M, Y)
+            norms2 = np.einsum("ij,ij->i", M, M)
+        norms = np.sqrt(norms2)
+        s = 1.0 / np.sqrt(np.maximum(1.0, g_diag))
         if not np.all(s > 0.0):  # s <= 1, so this fails only for 0 or NaN
             i = int(np.argmin(s > 0.0))
             raise InvalidProblemError(
@@ -203,11 +210,11 @@ def build_dual(primal):
             Y *= s
         G = M @ Y
         G = 0.5 * (G + G.T)
-        for a in (s, G) if pf is None else (s, G, pf):
+        for a in (s, G, norms) if pf is None else (s, G, norms, pf):
             a.flags.writeable = False
         if M.shape[0] >= M.shape[1]:
             _memo = (tuple(None if a is None else a.copy() for a in key),
-                     (pf, s, G, M))
+                     (pf, s, G, M, norms))
     offsets = np.concatenate([primal.b, primal.d])
     p_inv_q = primal.q if pf is None else solve_cholesky(pf, primal.q)
     with np.errstate(over="ignore"):  # checked next
@@ -216,7 +223,7 @@ def build_dual(primal):
         i = int(np.argmin(np.isfinite(h)))
         raise InvalidProblemError(
             f"row {i} of h = [A; C] P^-1 q + [b; d], scaled, overflows")
-    dual = DualQP(G=G, h=h, primal=primal, s=s)
+    dual = DualQP(G=G, h=h, primal=primal, s=s, pf=pf, norms=norms)
     return dual, pf
 
 
@@ -234,8 +241,7 @@ def recover_primal(primal, pf, mu):
         raise ValueError(f"mu must have length {m}, got {mu.shape}")
     mu_eq = mu[:primal.m_eq]
     mu_in = mu[primal.m_eq:]
-    grad = primal.q + primal.A.T @ mu_eq + primal.C.T @ mu_in
-    x = -grad if pf is None else -solve_cholesky(pf, grad)
+    grad, x = _stationary_point(primal, pf, mu)
     eq_violation = float(np.abs(primal.A @ x - primal.b).max(initial=0.0))
     slack = primal.C @ x - primal.d
     ineq_violation = float(max(0.0, slack.max(initial=0.0)))

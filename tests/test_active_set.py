@@ -6,9 +6,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import dualqp.active_set as active_set
 import dualqp.transform as transform
-from dualqp import (SolveStatus, SolverConfig, WorkingSet, build_dual,
-                    enumerate_solve, random_qp, recover_primal, solve,
-                    solve_dual)
+from dualqp import (SolveStatus, SolverConfig, WorkingSet, afti16_spec,
+                    build_dual, build_mpc, enumerate_solve, random_qp,
+                    recover_primal, solve, solve_dual)
 from dualqp.active_set import DualQP, smartstart, step_length
 from dualqp.kernel import CholeskyDowndateError, factorize
 from dualqp.refine import RefineOutcome, RefinementError
@@ -28,12 +28,13 @@ def identity_dual(h, m_eq=0):
 def unscaled_dual(primal):
     # the DualQP record, built by keyword, of a P = I primal on its rows
     # as given, which build_dual would scale down: G = M M',
-    # h = M q + [b; d], s = 1
+    # h = M q + [b; d], s = 1, P's factor I and the norms of M's rows
     M = np.vstack([primal.A, primal.C])
     G = M @ M.T
     return DualQP(G=0.5 * (G + G.T),
                   h=M @ primal.q + np.concatenate([primal.b, primal.d]),
-                  primal=primal, s=np.ones(M.shape[0]))
+                  primal=primal, s=np.ones(M.shape[0]),
+                  pf=np.eye(primal.n), norms=np.linalg.norm(M, axis=1))
 
 
 def start_from(monkeypatch, pins):
@@ -387,19 +388,18 @@ class TestDualObjective:
                 return np.asarray(self) @ other
 
         h = np.array(h)
-        qp = DualQP(G=np.eye(2).view(CountingG), h=h,
-                    primal=PrimalQP(P=np.eye(2), q=np.zeros(2),
-                                    C=np.eye(2), d=h),
-                    s=np.ones(2))
+        qp = dataclasses.replace(unit_rows_dual(h),
+                                 G=np.eye(2).view(CountingG))
         monkeypatch.setattr(
             active_set, "refine_solve",
             lambda f, c_bar: RefineOutcome(-c_bar, 1, True))
         return solve_dual(qp), len(products)
 
     def test_a_drop_forms_no_product_with_g(self, monkeypatch):
-        # h = [-1, 2] from {0}: bound 1 blocks at once (a step of 0),
-        # bound 0 drops, the step to mu = [1, 0] is free, and the next
-        # check is optimal
+        # h = [-1, 2] from {0}: bound 1 blocks at once (a step of 0,
+        # which pins it and drops the factor), bound 0 drops, the step
+        # to mu = [1, 0] is free, and the next check is optimal; the
+        # primal check at the end forms no product with G either
         start_from(monkeypatch, [0])
         rep, products = self.counted_solve(monkeypatch, [-1.0, 2.0])
         assert rep.status is SolveStatus.OPTIMAL
@@ -570,16 +570,13 @@ def large_rows_qp(s):
 
 
 def indefinite_dual():
-    # the DualQP record, built by keyword, of an indefinite G: with no
+    # unit_rows_dual([0, -1]) with an indefinite G: with no
     # bound pinned, its second pivot (1 + eps) - 4 / (1 + eps) is
     # negative at any shift below 1, so under any rounding a downdate
-    # to the empty set collapses and a build of it fails.  h = [0, -1];
-    # the primal behind it, P = I, q = 0, C = I and d = h, is not G's.
-    h = np.array([0.0, -1.0])
-    return DualQP(G=np.array([[1.0, -2.0], [-2.0, 1.0]]), h=h,
-                  primal=PrimalQP(P=np.eye(2), q=np.zeros(2), C=np.eye(2),
-                                  d=h),
-                  s=np.ones(2))
+    # to the empty set collapses and a build of it fails.  The primal
+    # behind it, P = I, q = 0, C = I and d = h, is not G's.
+    return dataclasses.replace(unit_rows_dual([0.0, -1.0]),
+                               G=np.array([[1.0, -2.0], [-2.0, 1.0]]))
 
 
 class TestAbsoluteShift:
@@ -746,13 +743,16 @@ class TestHomeShift:
                                "uncertified directions")
 
     def test_home_follows_a_sharper_classification(self, monkeypatch):
-        # G = I, h = [-1, -1, 2], cold.  The first subproblem classifies
-        # only at 1e-9, so home moves there; the second fails down to
-        # the floor and is salvaged; the third starts at 1e-9, not at
-        # the configured 1e-7.
+        # G = I, h = [-1, -1, 2], bounds 1 and 2 pinned.  The first
+        # subproblem classifies only at 1e-9, so home moves there, and
+        # its full step reaches mu = [1, 0, 0], where bound 1 drops; the
+        # second fails down to the floor and its iterate [1/2, 1, 0] is
+        # salvaged, a step short of the minimizer; the third starts at
+        # 1e-9, not at the configured 1e-7.
         seen, factorizations = scripted_refinement(
-            monkeypatch, fails={1, 3, 4, 5}, iterate=[1.0, 0.0, 0.0])
-        rep = solve_dual(unit_rows_dual([-1.0, -1.0, 2.0]), cfg=COLD)
+            monkeypatch, fails={1, 3, 4, 5}, iterate=[0.5, 1.0, 0.0])
+        start_from(monkeypatch, [1, 2])
+        rep = solve_dual(unit_rows_dual([-1.0, -1.0, 2.0]))
         assert seen == pytest.approx([1e-7, 1e-9, 1e-9, 1e-11, 1e-12, 1e-9],
                                      rel=1e-12)
         assert factorizations[-1] == pytest.approx(1e-9, rel=1e-12)
@@ -762,11 +762,12 @@ class TestHomeShift:
         assert rep.salvaged_steps == 1 and rep.shift_retries == 3
 
     def test_unfactorable_home_keeps_the_sharper_factor(self, monkeypatch):
-        # as in the first test, but the factorization at home fails:
-        # the solve carries on with the factor at the floor, where the
-        # next subproblem classifies and so becomes home
+        # as in the first test, but the salvaged iterate [1, 0] steps to
+        # mu = [1, 0], and the factorization at home fails: the solve
+        # carries on with the factor at the floor, where the next
+        # subproblem classifies and so becomes home
         seen, factorizations = scripted_refinement(
-            monkeypatch, fails={1, 2, 3, 4}, iterate=[1.0, -2.0],
+            monkeypatch, fails={1, 2, 3, 4}, iterate=[1.0, 0.0],
             unfactorable={1e-7})
         rep = solve_dual(unit_rows_dual([-1.0, 2.0]), cfg=COLD)
         assert seen == pytest.approx([1e-7, 1e-9, 1e-11, 1e-12, 1e-12],
@@ -817,6 +818,162 @@ class TestHomeShift:
                                "shift 1e-07: forced")
         assert rep.outer_iters == 3 and rep.final_shift == 1e-7
         assert_allclose(rep.mu_star, [1.0, 0.0], rtol=0, atol=1e-12)
+
+
+class TestBatchPins:
+    """A step of length 0 pins every bound at 0 that its direction
+    leaves, and drops the factor for the next step to rebuild."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = {"add_index": 0, "factorize": 0}
+        add_index, factorize = active_set.add_index, active_set.factorize
+
+        def counting_add(f, i):
+            calls["add_index"] += 1
+            return add_index(f, i)
+
+        def counting_factorize(*args):
+            calls["factorize"] += 1
+            return factorize(*args)
+
+        monkeypatch.setattr(active_set, "add_index", counting_add)
+        monkeypatch.setattr(active_set, "factorize", counting_factorize)
+        return calls
+
+    def test_one_step_pins_the_batch(self, monkeypatch):
+        # G = I, h = [-1, 2, 2, 2, 2], cold: the first direction -h
+        # leaves bounds 1-4 at once, so one step pins all four, and the
+        # factor is built twice: for the first step and after the batch
+        calls = self.counted(monkeypatch)
+        rep = solve_dual(unit_rows_dual([-1.0, 2.0, 2.0, 2.0, 2.0]),
+                         cfg=COLD)
+        assert rep.status is SolveStatus.OPTIMAL
+        assert_allclose(rep.mu_star, [1.0, 0.0, 0.0, 0.0, 0.0], rtol=0,
+                        atol=1e-12)
+        assert calls == {"add_index": 4, "factorize": 2}
+        assert rep.outer_iters == 3 and rep.refine_calls == 2
+
+    def test_cold_mpc_start_makes_far_fewer_factorizations_than_pins(
+            self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        primal = build_mpc(afti16_spec(horizon=10))
+        sol, rep = solve(primal, COLD)
+        assert rep.status is SolveStatus.OPTIMAL
+        assert calls["add_index"] >= 10 * calls["factorize"] > 0
+        assert rep.outer_iters <= 10
+
+
+def zero_row_dual(d):
+    # build_dual of P = I, q = 0 over the row x <= 1 and a row of zero
+    # length with offset d
+    return build_dual(PrimalQP(P=None, identity_p=True, q=np.zeros(1),
+                               C=np.array([[1.0], [0.0]]),
+                               d=np.array([1.0, d])))[0]
+
+
+class TestPrimalCheck:
+    """Every OPTIMAL is checked on the primal rows.  The records here
+    lie to the loop, as rounding in G mu + h can at a large mu: their h
+    or G is not that of the primal they carry, so the loop ends OPTIMAL
+    at multipliers whose x violates a row."""
+
+    # rows x1 <= -1 and x2 <= 2 (P = I, q = 0): mu* = [1, 0]; the
+    # record's h = [-0.999, -1e-4] puts the loop at mu = [0.999, 1e-4],
+    # where x violates row 0 by 1e-3
+    @staticmethod
+    def shifted_h():
+        return dataclasses.replace(unit_rows_dual([-1.0, 2.0]),
+                                   h=np.array([-0.999, -1e-4]))
+
+    def test_correction_mends_the_optimal(self):
+        # the first correction step is blocked by bound 1, which it
+        # pins; the second reaches mu* = [1, 0]
+        qp = self.shifted_h()
+        rep = solve_dual(qp)
+        assert rep.status is SolveStatus.OPTIMAL and rep.message == ""
+        assert_allclose(rep.mu_star, [1.0, 0.0], rtol=0, atol=1e-12)
+        assert rep.outer_iters == 2 and rep.refine_calls == 3
+        TestDualObjective.assert_exact(qp, rep)
+
+    def test_optimal_multipliers_on_a_ray_are_infeasibility(self):
+        # the rows x <= -1 and -x <= 0 admit no point; the record's
+        # G = I, h = [-1, -1] ends OPTIMAL at mu = [1, 1], a ray
+        primal = PrimalQP(P=np.eye(1), q=np.zeros(1),
+                          C=np.array([[1.0], [-1.0]]),
+                          d=np.array([-1.0, 0.0]))
+        qp = dataclasses.replace(unscaled_dual(primal), G=np.eye(2),
+                                 h=np.array([-1.0, -1.0]))
+        rep = solve_dual(qp)
+        assert rep.status is SolveStatus.PRIMAL_INFEASIBLE
+        assert "fail the primal check" in rep.message
+        assert_array_equal(rep.ray, rep.mu_star)
+        assert_allclose(rep.ray, [1.0, 1.0], rtol=0, atol=1e-12)
+        assert primal.C.T @ rep.ray == 0.0 and primal.d @ rep.ray < 0.0
+
+    def assert_refused(self, rep, violation):
+        assert rep.status is SolveStatus.NUMERICAL_FAILURE
+        assert rep.message.startswith(
+            f"optimal multipliers failed the primal check: row violation "
+            f"{violation} over its bound")
+
+    def test_refinement_error_ends_the_correction(self, monkeypatch):
+        # the loop's one refinement runs, the correction's raises
+        seen, _ = scripted_refinement(monkeypatch, fails={2},
+                                      iterate=[1.0, 0.0])
+        rep = solve_dual(self.shifted_h())
+        assert len(seen) == 2 and rep.refine_calls == 1
+        self.assert_refused(rep, "0.001")
+        assert_allclose(rep.mu_star, [0.999, 1e-4], rtol=0, atol=1e-12)
+
+    def test_steps_that_cannot_mend_run_out(self):
+        # rows x1 <= -1 and x2 <= -1: mu* = [1, 1].  The record's
+        # G = diag(1, 0) and h = [-1, 1] end OPTIMAL at mu = [1, 0] with
+        # bound 1 pinned, and the violated row 1 is the pinned one: each
+        # correction step is zero
+        qp = dataclasses.replace(unit_rows_dual([-1.0, -1.0]),
+                                 G=np.diag([1.0, 0.0]),
+                                 h=np.array([-1.0, 1.0]))
+        rep = solve_dual(qp)
+        self.assert_refused(rep, "1")
+        assert rep.refine_calls == 1 + active_set._CORRECTIONS
+        assert_array_equal(rep.mu_star, [1.0, 0.0])
+
+    def test_zero_row_with_a_negative_offset_is_not_optimal(self):
+        # the zero row 0 <= -1 holds for no x: its dual coordinate is a
+        # flat ray, and the solve says so
+        rep = solve_dual(zero_row_dual(-1.0))
+        assert rep.status is SolveStatus.PRIMAL_INFEASIBLE
+        assert_allclose(rep.ray, [0.0, 1.0], rtol=0, atol=0)
+
+    def test_check_refuses_a_forced_optimal_on_a_zero_row(self, monkeypatch):
+        # with a stationarity test too loose to see the gradient -1,
+        # the loop ends OPTIMAL at mu = 0; the check finds the zero row
+        # violated, mu = 0 is no ray, and refinement on the residual
+        # finds no solution: the zero row's coordinate is flat
+        monkeypatch.setattr(active_set, "_KKT_TOL", 10.0)
+        rep = solve_dual(zero_row_dual(-1.0))
+        self.assert_refused(rep, "inf")
+        assert rep.outer_iters == 1 and rep.refine_calls == 0
+        assert rep.final_shift == 1e-7
+
+    @pytest.mark.parametrize("d, worst", [
+        (1.0, 0.0), (0.0, 0.0), (-1e-300, np.inf)])
+    def test_zero_length_inequality_holds_for_nonnegative_offsets(
+            self, d, worst):
+        qp = zero_row_dual(d)
+        r = np.array([-1.0, -d])  # x = 0
+        assert active_set._worst_row(qp, r) == worst
+
+    @pytest.mark.parametrize("b, worst", [(0.0, 0.0), (1e-300, np.inf),
+                                          (-1.0, np.inf)])
+    def test_zero_length_equality_holds_for_a_zero_offset(self, b, worst):
+        qp = build_dual(PrimalQP(P=None, identity_p=True, q=np.zeros(1),
+                                 A=np.zeros((1, 1)), b=np.array([b]),
+                                 C=np.array([[2.0]]),
+                                 d=np.array([4.0])))[0]
+        r = np.array([-b, -5.0])  # x = 0.5: row 1 short of its bound
+        assert active_set._worst_row(qp, r) == worst
 
 
 def row_violation(primal, x):
@@ -913,7 +1070,7 @@ class TestInfeasibilityRay:
         dual, _ = build_dual(PrimalQP(P=np.eye(3), q=q, C=C,
                                       d=np.array([-1.0, 0.0])))
         feasible = PrimalQP(P=np.eye(3), q=q, C=C, d=np.array([1.0, 0.0]))
-        false = DualQP(G=dual.G, h=dual.h, primal=feasible, s=dual.s)
+        false = dataclasses.replace(dual, primal=feasible)
         rep = solve_dual(false, cfg=SolverConfig(smartstart=warm))
         assert rep.status is SolveStatus.NUMERICAL_FAILURE
         assert "infeasibility ray failed the primal check" in rep.message

@@ -165,18 +165,20 @@ class TestBuildMpc:
         assert np.max(np.abs(C.T @ p)) <= (
             1e-10 * np.linalg.norm(C, np.inf) * np.max(np.abs(p)))
 
-    @pytest.mark.xfail(strict=True, reason="ends OPTIMAL at ||mu||_inf of "
-                       "1.4e19 with a row violated by 6.4e4: the rounding "
-                       "term of the stationarity test admits any gradient "
-                       "there; a KKT check on the primal data (ROADMAP "
-                       "item 1(b)) is what refuses it")
     def test_infeasible_x0_is_not_optimal_from_a_cold_start(self):
-        # the same infeasible problem: it must end with a status other
-        # than OPTIMAL
+        # the same infeasible problem from the cold start, which once
+        # ended OPTIMAL at ||mu||_inf of 1.4e19 with a row violated by
+        # 6.4e4: every OPTIMAL is now checked on the rows, and the solve
+        # ends with a ray that passes the Farkas test
         primal = build_mpc(afti16_spec(horizon=3, x0=[-1.25, -1.36, 1.33,
                                                       1.86]))
         _, rep = solve(primal, SolverConfig(smartstart=False))
-        assert rep.status is not SolveStatus.OPTIMAL
+        assert rep.status is SolveStatus.PRIMAL_INFEASIBLE
+        p = rep.ray
+        C, d = primal.C, primal.d
+        assert np.all(p >= 0.0) and d @ p < 0.0
+        assert np.max(np.abs(C.T @ p)) <= (
+            1e-10 * np.linalg.norm(C, np.inf) * np.max(np.abs(p)))
 
     def test_singular_condensed_hessian_is_rejected(self):
         # no input moves the state and inputs cost nothing: F = 0
