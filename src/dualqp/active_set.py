@@ -17,13 +17,13 @@ solve_dual runs on the DualQP that build_dual returns, and checks its
 data no further.  This module alone applies the dual's row scale s:
 multipliers and rays leave solve_dual times s.
 
-Unbounded descent (a zero-curvature direction with no blocking bound)
-means the original inequality-constrained problem is infeasible; the
-solve then ends with status PRIMAL_INFEASIBLE and the ray on its
-report, but only once the curvature along the direction is confirmed
-to be zero at machine level and the ray y = s p is a Farkas
-certificate on the rows M = [A; C] and offsets [b; d] of the primal
-the dual was built from:
+Unbounded descent (a zero-curvature direction with no blocking bound,
+certified or salvaged) means the original inequality-constrained
+problem is infeasible; the solve then ends with status
+PRIMAL_INFEASIBLE and the ray on its report, but only once the
+curvature along the direction is confirmed to be zero at machine level
+and the ray y = s p is a Farkas certificate on the rows M = [A; C]
+and offsets [b; d] of the primal the dual was built from:
 
     ||M'y||_inf <= _RAY_TOL ||M||_inf ||y||_inf   and   [b; d]'y < 0,
 
@@ -79,17 +79,19 @@ fails the check is re-read:
 * if s mu passes the ray check above, the multipliers have run off
   along an infeasibility ray, and the solve ends PRIMAL_INFEASIBLE with
   ray = s mu;
-* else up to _CORRECTIONS steps of iterative refinement on the primal
-  residual run (Higham, Accuracy and Stability of Numerical
-  Algorithms, 2002, ch. 12), on the final working set and factor at
-  the final shift, the factor rebuilt there if the loop dropped it.
-  g = s ([b; d] - [A; C] x) is the dual gradient G mu + h without
-  G mu's rounding; each step solves masked(G) delta = -mask(g) with
-  refine_solve and is ratio-tested as a loop step is, capped at 1,
-  and a bound that blocks it is pinned.  The steps stop when the check
-  passes, and the solve is OPTIMAL, or when refinement returns no
-  solution.  What still fails ends NUMERICAL_FAILURE, with the
-  violation in the message.
+* else the loop corrects mu itself, as iterative refinement on the
+  primal residual (Higham, Accuracy and Stability of Numerical
+  Algorithms, 2002, ch. 12).  Its next iteration reads the gradient off
+  the primal rows, c = -s r with r = [A; C] x - [b; d]: that is
+  G mu + h without G mu's rounding, so the subspace-minimizer test
+  drops the _ROUNDING_TOL term for it.  The iteration is an ordinary
+  one: the multiplier test releases a pinned bound on a violated row,
+  and a step is refined, escalated, salvaged, ratio-tested and pinned
+  as any other.  c stays that of r until a step of nonzero length
+  moves mu; the loop then returns to G mu and checks its next OPTIMAL
+  anew.  _CORRECTIONS bounds the failed checks re-read; the next one
+  ends NUMERICAL_FAILURE, as does an OPTIMAL reached again under r,
+  at the mu whose check failed, with the violation in the message.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ _SHIFT_SHRINK = 1e-2       # shift reduction per escalation
 _SHIFT_FLOOR = 1e-12       # smallest shift worth factorizing with
 _RAY_TOL = 1e-10           # primal check on a ray, times ||M||_inf ||p||_inf
 _ROW_TOL = 1e-6            # primal check on an OPTIMAL, times 1+||x||
-_CORRECTIONS = 6           # correction steps on a failed OPTIMAL check
+_CORRECTIONS = 6           # failed OPTIMAL checks the loop re-reads
 
 
 class SolveStatus(Enum):
@@ -177,9 +179,10 @@ class SolverConfig:
 @dataclass
 class SolveReport:
     """What solve_dual returns: mu_star in row units, the status, the
-    dual objective and the work of the loop, correction steps included.
-    It carries no residuals: recover_primal measures them on the primal
-    data, where solve_dual has checked the rows of an OPTIMAL.  ray is
+    dual objective and the work of the loop, correction iterations
+    included.  It carries no residuals: recover_primal measures them on
+    the primal data, where solve_dual has checked the rows of an
+    OPTIMAL.  ray is
     the checked Farkas certificate y = s p, in row units, when the
     status is PRIMAL_INFEASIBLE: [A; C]'y ~ 0, y >= 0 on the inequality
     rows and [b; d]'y < 0.  It is None for every other status."""
@@ -341,17 +344,6 @@ def _inf_norm(v):
     return float(np.abs(v).max(initial=0.0))
 
 
-def _take_step(qp, f, mu, alpha, p, blocking):
-    # mu + alpha p, clamped at 0 on the inequality block, with the
-    # blocking bound, if any, set to 0 and pinned
-    mu = mu + alpha * p
-    np.maximum(mu[qp.m_eq:], 0.0, out=mu[qp.m_eq:])
-    if blocking is not None:
-        mu[blocking] = 0.0
-        add_index(f, blocking)
-    return mu
-
-
 def _stationary_point(primal, pf, mu):
     """(grad, x): grad = q + A' mu_eq + C' mu_in, mu in row units, and
     x = -P^-1 grad, solved with P's factor pf (None with identity_p)."""
@@ -381,62 +373,30 @@ def _primal_check(qp, mu):
     return r, _worst_row(qp, r), _ROW_TOL * (1.0 + _norm(x))
 
 
-def _correction(qp, f, mu, r, refine_iters):
-    """One step of iterative refinement on the primal residual r at mu.
-
-    g = -s r is G mu + h without its rounding; the step solves
-    masked(G) delta = -mask(g) and is ratio-tested like a loop step,
-    capped at 1, and a bound that blocks it is pinned.  Returns the new
-    mu, or None when refinement returns no solution; the iterations of
-    a solution go on refine_iters."""
-    try:
-        outcome = refine_solve(f, mask_vector(-qp.s * r, f.mask))
-    except RefinementError:
-        return None
-    if not outcome.is_solution:
-        return None
-    refine_iters.append(outcome.iters)
-    alpha, blocking = step_length(mu, outcome.p, f.mask)
-    if 1.0 < alpha:
-        alpha, blocking = 1.0, None
-    return _take_step(qp, f, mu, alpha, outcome.p, blocking)
-
-
-def _certify(qp, f, mu, refine_iters):
+def _certify(qp, mu, stepped):
     """Check an OPTIMAL mu on the primal rows (module docstring).
 
-    refine_iters holds the iterations of each step taken, and gets
-    those of each correction step; with none taken, mu = 0.
-
-    Returns (mu, status, message, ray): mu as it was, or corrected;
-    status OPTIMAL (message None), PRIMAL_INFEASIBLE with the ray s mu,
-    or NUMERICAL_FAILURE."""
+    stepped is False when no step was taken, so that mu = 0.  Returns
+    (status, message, r): OPTIMAL, with message "" and r None;
+    PRIMAL_INFEASIBLE, the ray being s mu, with r None; or
+    NUMERICAL_FAILURE, with the violation in message and the residual
+    r = [A; C] x - [b; d] for the loop to re-read."""
     h = qp.h
-    if not refine_iters and not qp.m_eq and h.size and h[h.argmin()] >= 0.0:
+    if not stepped and not qp.m_eq and h.size and h[h.argmin()] >= 0.0:
         # mu = 0, so x = -P^-1 q and r = -h / s <= 0 on inequality rows
         # alone: no row is violated, and no x needs forming
-        return mu, SolveStatus.OPTIMAL, None, None
+        return SolveStatus.OPTIMAL, "", None
     r, worst, bound = _primal_check(qp, mu)
     if worst <= bound:
-        return mu, SolveStatus.OPTIMAL, None, None
-    y = qp.s * mu
-    if _ray_check(qp, y) is None:
-        return (mu, SolveStatus.PRIMAL_INFEASIBLE,
+        return SolveStatus.OPTIMAL, "", None
+    if _ray_check(qp, qp.s * mu) is None:
+        return (SolveStatus.PRIMAL_INFEASIBLE,
                 "the optimal multipliers fail the primal check and are "
-                "an infeasibility ray: the primal problem is infeasible", y)
-    if f.factor is None:
-        _reshift(f, f.epsilon)  # if it fails, no correction is taken
-    for _ in range(_CORRECTIONS if f.factor is not None else 0):
-        mu_next = _correction(qp, f, mu, r, refine_iters)
-        if mu_next is None:
-            break
-        mu = mu_next
-        r, worst, bound = _primal_check(qp, mu)
-        if worst <= bound:
-            return mu, SolveStatus.OPTIMAL, None, None
-    return (mu, SolveStatus.NUMERICAL_FAILURE,
+                "an infeasibility ray: the primal problem is infeasible",
+                None)
+    return (SolveStatus.NUMERICAL_FAILURE,
             f"optimal multipliers failed the primal check: row violation "
-            f"{worst:.3g} over its bound {bound:.3g}", None)
+            f"{worst:.3g} over its bound {bound:.3g}", r)
 
 
 def solve_dual(qp, cfg=None):
@@ -451,6 +411,9 @@ def solve_dual(qp, cfg=None):
 
     g_mu = G mu starts at 0, with mu, and is formed after each step of
     nonzero length; the gradient and the reported objective read it.
+    After a failed primal check, the gradient is read off the primal
+    residual r until mu moves (module docstring); those iterations count
+    in outer_iters and against cfg.max_outer_iters.
     f is built when a step first needs it, at the home shift (module
     docstring); f.mask is the only copy of the working set, moved with
     the factor by add_index and remove_index.  A pin or a drop with no
@@ -462,9 +425,9 @@ def solve_dual(qp, cfg=None):
     SolveReport.  status OPTIMAL carries the certified multipliers,
     whose x passed the primal check on the rows, and its message names
     the count of salvaged steps, if any; PRIMAL_INFEASIBLE carries the
-    ray of a zero-curvature descent direction that meets no blocking
-    bound, or the multipliers of an OPTIMAL that failed the row check,
-    either one passing the ray check; ITERATION_LIMIT and
+    ray of a zero-curvature descent direction, certified or salvaged,
+    that meets no blocking bound, or the multipliers of an OPTIMAL that
+    failed the row check, either one passing the ray check; ITERATION_LIMIT and
     NUMERICAL_FAILURE report the best iterate with a diagnostic
     message.  mu_star is s mu, in row units; its KKT residuals are
     measured on the primal data, by recover_primal.
@@ -489,22 +452,35 @@ def solve_dual(qp, cfg=None):
     k = 0
     f = MaskedFactor(qp.G, W0, _SHIFT_START, factor=None)
     home = _SHIFT_START
-    status = SolveStatus.ITERATION_LIMIT
-    message = "outer iteration cap reached"
     ray = None
+    r = None     # residual of a failed primal check, until mu moves
+    rereads = 0  # failed checks whose residual the loop re-read
 
     for k in range(1, max_outer + 1):
-        c = g_mu + qp.h
+        c_tol = _KKT_TOL * h_scale
+        if r is None:
+            c = g_mu + qp.h
+            c_tol += _ROUNDING_TOL * g_scale * _inf_norm(mu)
+        else:
+            c = -qp.s * r  # G mu + h, free of G mu's rounding
         c_bar = mask_vector(c, f.mask)
-        if _inf_norm(c_bar) <= (_KKT_TOL * h_scale
-                                + _ROUNDING_TOL * g_scale * _inf_norm(mu)):
+        if _inf_norm(c_bar) <= c_tol:
             # at this subspace's minimizer: check the bound multipliers
             lam = lambda_from_direction(c, f.mask)
             if lam.min(initial=math.inf) >= -_KKT_TOL * h_scale:
-                status = SolveStatus.OPTIMAL
-                message = (f"optimal, but {salvaged_steps} step(s) "
-                           f"took salvaged, uncertified directions"
-                           if salvaged_steps else "")
+                # optimal to the loop: check it on the primal rows,
+                # unless mu is that of a failed check, whose status
+                # and message then stand
+                if r is None:
+                    status, message, r = _certify(qp, mu, bool(refine_iters))
+                    if r is not None and rereads < _CORRECTIONS:
+                        rereads += 1
+                        continue
+                    if status is SolveStatus.PRIMAL_INFEASIBLE:
+                        ray = qp.s * mu
+                    elif status is SolveStatus.OPTIMAL and salvaged_steps:
+                        message = (f"optimal, but {salvaged_steps} step(s) "
+                                   f"took salvaged, uncertified directions")
                 break
             j = int(f.mask.indices[int(np.argmin(lam))])
             if f.factor is not None:
@@ -528,10 +504,8 @@ def solve_dual(qp, cfg=None):
         (outcome, alpha, blocking, salvaged, retries,
          failure) = _directed_step(f, c_bar, mu, g_scale)
         shift_retries += retries
-        if alpha == math.inf and salvaged:
-            failure = "flat uncertified direction with no blocking bound"
-        elif alpha == math.inf:
-            # certified flat, and no bound blocks: a ray of the dual
+        if alpha == math.inf:
+            # flat, and no bound blocks: a ray of the dual
             y = qp.s * outcome.p  # in row units
             failure = _ray_check(qp, y)
             if failure is None:
@@ -551,8 +525,15 @@ def solve_dual(qp, cfg=None):
         if not outcome.is_solution:
             descent_count += 1
         if alpha != 0.0:
-            mu = _take_step(qp, f, mu, alpha, outcome.p, blocking)
+            # mu + alpha p, clamped at 0 on the inequality block, with
+            # the blocking bound, if any, set to 0 and pinned
+            mu = mu + alpha * outcome.p
+            np.maximum(mu[qp.m_eq:], 0.0, out=mu[qp.m_eq:])
+            if blocking is not None:
+                mu[blocking] = 0.0
+                add_index(f, blocking)
             g_mu = qp.G @ mu
+            r = None
         elif blocking is not None:
             # a step of 0 leaves mu, so g_mu, as it is: every bound at 0
             # that p leaves is pinned at once, and the next step rebuilds
@@ -562,13 +543,9 @@ def solve_dual(qp, cfg=None):
             leaves = (outcome.p[m_eq:] < 0.0) & (mu[m_eq:] == 0.0)
             for i in m_eq + np.flatnonzero(leaves & ~f.mask.member[m_eq:]):
                 add_index(f, i)
-
-    if status is SolveStatus.OPTIMAL:
-        mu_loop = mu
-        mu, status, checked, ray = _certify(qp, f, mu, refine_iters)
-        message = message if checked is None else checked
-        if mu is not mu_loop:
-            g_mu = qp.G @ mu
+    else:
+        status = SolveStatus.ITERATION_LIMIT
+        message = "outer iteration cap reached"
 
     iters = refine_iters or [0]
     return SolveReport(

@@ -542,19 +542,37 @@ class TestSalvageRejections:
     def test_flat_salvaged_direction_with_no_blocking_bound(self,
                                                             monkeypatch):
         # the salvaged iterate has zero curvature and no bound blocks
-        # it, but it is not certified: no infeasibility is claimed
+        # it: like a certified one, it is a ray of the dual, and the row
+        # 0 <= -1 (G = 0, h = -1) makes it a Farkas certificate
         def fail(f, c_bar):
             raise RefinementError("forced", np.array([1.0]), 20)
 
         monkeypatch.setattr(active_set, "refine_solve", fail)
-        # the row 0 <= -1: G = 0, h = -1
-        qp = build_dual(PrimalQP(P=None, identity_p=True, q=np.zeros(1),
-                                 C=np.zeros((1, 1)),
-                                 d=np.array([-1.0])))[0]
+        primal = PrimalQP(P=None, identity_p=True, q=np.zeros(1),
+                          C=np.zeros((1, 1)), d=np.array([-1.0]))
+        rep = solve_dual(build_dual(primal)[0])
+        assert rep.status is SolveStatus.PRIMAL_INFEASIBLE
+        assert rep.ray[0] > 0.0
+        assert primal.C.T @ rep.ray == 0.0 and primal.d @ rep.ray < 0.0
+        assert rep.shift_retries == 3
+
+    def test_flat_salvaged_direction_that_fails_the_ray_check(self,
+                                                              monkeypatch):
+        # the row x <= -1 under a record whose G = 0 calls its
+        # coordinate flat: the salvaged iterate meets no bound, and
+        # fails the ray check on the primal row
+        def fail(f, c_bar):
+            raise RefinementError("forced", np.array([1.0]), 20)
+
+        monkeypatch.setattr(active_set, "refine_solve", fail)
+        primal = PrimalQP(P=np.eye(1), q=np.zeros(1), C=np.eye(1),
+                          d=np.array([-1.0]))
+        qp = dataclasses.replace(unscaled_dual(primal), G=np.zeros((1, 1)))
         rep = solve_dual(qp)
         assert rep.status is SolveStatus.NUMERICAL_FAILURE
-        assert rep.message == ("refinement failed at iteration 1: flat "
-                               "uncertified direction with no blocking bound")
+        assert rep.message == ("refinement failed at iteration 1: "
+                               "infeasibility ray failed the primal check: "
+                               "||M'p||_inf 1, [b; d]'p -1")
         assert rep.shift_retries == 3
         assert rep.final_shift == 1e-12
 
@@ -873,27 +891,51 @@ def zero_row_dual(d):
 
 
 class TestPrimalCheck:
-    """Every OPTIMAL is checked on the primal rows.  The records here
-    lie to the loop, as rounding in G mu + h can at a large mu: their h
-    or G is not that of the primal they carry, so the loop ends OPTIMAL
-    at multipliers whose x violates a row."""
+    """Every OPTIMAL is checked on the primal rows, and the loop re-reads
+    a failed check.  The records here lie to the loop, as rounding in
+    G mu + h can at a large mu: their h or G is not that of the primal
+    they carry, so the loop ends OPTIMAL at multipliers whose x violates
+    a row.  Its next iteration reads the gradient off the primal rows,
+    with no allowance for G mu's rounding."""
 
-    # rows x1 <= -1 and x2 <= 2 (P = I, q = 0): mu* = [1, 0]; the
-    # record's h = [-0.999, -1e-4] puts the loop at mu = [0.999, 1e-4],
-    # where x violates row 0 by 1e-3
+    # rows x1 <= -1 and x2 <= 2 (P = I, q = 0): mu* = [1, 0].  The
+    # record's h = [-0.999, 2] puts the loop at mu = [0.999, 0], where x
+    # violates row 0 by 1e-3; with the allowance for G mu's rounding
+    # raised to 1e-3 times ||mu||_inf, the loop's tests also pass at
+    # mu*, so they cannot see the lie there
+    @staticmethod
+    def hidden_lie(monkeypatch):
+        monkeypatch.setattr(active_set, "_ROUNDING_TOL", 1e-3)
+        return dataclasses.replace(unit_rows_dual([-1.0, 2.0]),
+                                   h=np.array([-0.999, 2.0]))
+
+    # the same rows, with h = [-0.999, -1e-4]: the loop ends OPTIMAL at
+    # mu = [0.999, 1e-4], and its tests see the lie at any other mu
     @staticmethod
     def shifted_h():
         return dataclasses.replace(unit_rows_dual([-1.0, 2.0]),
                                    h=np.array([-0.999, -1e-4]))
 
-    def test_correction_mends_the_optimal(self):
-        # the first correction step is blocked by bound 1, which it
-        # pins; the second reaches mu* = [1, 0]
-        qp = self.shifted_h()
+    def test_correction_mends_the_optimal(self, monkeypatch):
+        # bound 1 starts pinned.  Iteration 1 steps to [0.999, 0], whose
+        # check fails at iteration 2; iteration 3 steps along the primal
+        # gradient to mu*, and iteration 4 finds it optimal and checked
+        qp = self.hidden_lie(monkeypatch)
         rep = solve_dual(qp)
         assert rep.status is SolveStatus.OPTIMAL and rep.message == ""
         assert_allclose(rep.mu_star, [1.0, 0.0], rtol=0, atol=1e-12)
-        assert rep.outer_iters == 2 and rep.refine_calls == 3
+        assert rep.outer_iters == 4 and rep.refine_calls == 2
+        TestDualObjective.assert_exact(qp, rep)
+
+    def test_iteration_limit_during_a_correction(self, monkeypatch):
+        # the cap falls on iteration 3, the correction step: it counts
+        # as an outer iteration, and the solve ends after it
+        qp = self.hidden_lie(monkeypatch)
+        rep = solve_dual(qp, cfg=SolverConfig(max_outer_iters=3))
+        assert rep.status is SolveStatus.ITERATION_LIMIT
+        assert rep.message == "outer iteration cap reached"
+        assert_allclose(rep.mu_star, [1.0, 0.0], rtol=0, atol=1e-12)
+        assert rep.outer_iters == 3 and rep.refine_calls == 2
         TestDualObjective.assert_exact(qp, rep)
 
     def test_optimal_multipliers_on_a_ray_are_infeasibility(self):
@@ -918,26 +960,70 @@ class TestPrimalCheck:
             f"{violation} over its bound")
 
     def test_refinement_error_ends_the_correction(self, monkeypatch):
-        # the loop's one refinement runs, the correction's raises
-        seen, _ = scripted_refinement(monkeypatch, fails={2},
-                                      iterate=[1.0, 0.0])
-        rep = solve_dual(self.shifted_h())
-        assert len(seen) == 2 and rep.refine_calls == 1
-        self.assert_refused(rep, "0.001")
-        assert_allclose(rep.mu_star, [0.999, 1e-4], rtol=0, atol=1e-12)
+        # the loop's one refinement runs; the correction step's fails at
+        # every shift down to the floor and leaves nothing to salvage
+        qp = self.hidden_lie(monkeypatch)
+        seen, _ = scripted_refinement(monkeypatch, fails={2, 3, 4, 5},
+                                      iterate=[0.0, 0.0])
+        rep = solve_dual(qp)
+        assert len(seen) == 5 and rep.refine_calls == 1
+        assert rep.status is SolveStatus.NUMERICAL_FAILURE
+        assert rep.message == "refinement failed at iteration 3: forced"
+        assert rep.shift_retries == 3
+        assert_allclose(rep.mu_star, [0.999, 0.0], rtol=0, atol=1e-12)
 
-    def test_steps_that_cannot_mend_run_out(self):
+    def test_a_check_that_keeps_failing_runs_out(self, monkeypatch):
+        # each correction step leaves mu*, the loop's tests walk back to
+        # mu = [0.999, 1e-4], and the check fails there again; the check
+        # after the last of _CORRECTIONS re-reads ends the solve
+        checks = []
+        primal_check = active_set._primal_check
+
+        def counting(qp, mu):
+            checks.append(mu.copy())
+            return primal_check(qp, mu)
+
+        monkeypatch.setattr(active_set, "_primal_check", counting)
+        rep = solve_dual(self.shifted_h(),
+                         cfg=SolverConfig(max_outer_iters=100))
+        self.assert_refused(rep, "0.001")
+        assert len(checks) == 1 + active_set._CORRECTIONS
+        assert_allclose(checks, [[0.999, 1e-4]] * len(checks), rtol=0,
+                        atol=1e-12)
+        assert_allclose(rep.mu_star, [0.999, 1e-4], rtol=0, atol=1e-12)
+        assert rep.outer_iters < 100
+
+    def test_steps_that_cannot_mend_run_out(self, monkeypatch):
         # rows x1 <= -1 and x2 <= -1: mu* = [1, 1].  The record's
         # G = diag(1, 0) and h = [-1, 1] end OPTIMAL at mu = [1, 0] with
-        # bound 1 pinned, and the violated row 1 is the pinned one: each
-        # correction step is zero
+        # bound 1 pinned, and the violated row 1 is the pinned one.  Read
+        # off the primal rows, its multiplier is -1, so the bound is
+        # released; the record then gives coordinate 1 no curvature, and
+        # the flat direction fails the ray check
+        released, calls = [], []
+        remove, refine = active_set.remove_index, active_set.refine_solve
+
+        def removing(f, j):
+            released.append(j)
+            return remove(f, j)
+
+        def refining(f, c_bar):
+            calls.append(c_bar)
+            return refine(f, c_bar)
+
+        monkeypatch.setattr(active_set, "remove_index", removing)
+        monkeypatch.setattr(active_set, "refine_solve", refining)
         qp = dataclasses.replace(unit_rows_dual([-1.0, -1.0]),
                                  G=np.diag([1.0, 0.0]),
                                  h=np.array([-1.0, 1.0]))
         rep = solve_dual(qp)
-        self.assert_refused(rep, "1")
-        assert rep.refine_calls == 1 + active_set._CORRECTIONS
-        assert_array_equal(rep.mu_star, [1.0, 0.0])
+        assert released == [1]
+        assert len(calls) == 2 < 1 + active_set._CORRECTIONS
+        assert rep.status is SolveStatus.NUMERICAL_FAILURE
+        assert rep.message.startswith(
+            "refinement failed at iteration 4: infeasibility ray failed "
+            "the primal check")
+        assert_allclose(rep.mu_star, [1.0, 0.0], rtol=0, atol=1e-12)
 
     def test_zero_row_with_a_negative_offset_is_not_optimal(self):
         # the zero row 0 <= -1 holds for no x: its dual coordinate is a
@@ -949,12 +1035,13 @@ class TestPrimalCheck:
     def test_check_refuses_a_forced_optimal_on_a_zero_row(self, monkeypatch):
         # with a stationarity test too loose to see the gradient -1,
         # the loop ends OPTIMAL at mu = 0; the check finds the zero row
-        # violated, mu = 0 is no ray, and refinement on the residual
-        # finds no solution: the zero row's coordinate is flat
+        # violated, and mu = 0 is no ray.  Iteration 2 reads the
+        # gradient off the primal rows, and its tests pass again at the
+        # same mu: the failed check stands
         monkeypatch.setattr(active_set, "_KKT_TOL", 10.0)
         rep = solve_dual(zero_row_dual(-1.0))
         self.assert_refused(rep, "inf")
-        assert rep.outer_iters == 1 and rep.refine_calls == 0
+        assert rep.outer_iters == 2 and rep.refine_calls == 0
         assert rep.final_shift == 1e-7
 
     @pytest.mark.parametrize("d, worst", [
