@@ -40,25 +40,22 @@ refactorizes in place at a shift _SHIFT_SHRINK times smaller and
 retries, down to _SHIFT_FLOOR.  At the floor the last refinement
 iterate is salvaged as an uncertified descent direction.
 
-The shift comes back after a hard subproblem.  The loop keeps a home
-shift: _SHIFT_START at the start, then the shift of the last
-subproblem that refinement classified without salvage.  Classification
-happens at or below home, so home never rises.
+The shift only falls.  It is the factor record's own f.epsilon: it
+starts at _SHIFT_START, escalation lowers it, and nothing raises it, so
+a solve that has met a hard subproblem stays at the sharper shift.
 
 One rule builds the factor: each outer iteration that needs
-refinement first factorizes in place at home when there is no factor
-or the factor's shift is below home.  So the first factor is built on
-the first step, at _SHIFT_START; a solve whose start set is already
-optimal never factorizes.  A collapsed downdate drops the factor, and
-the next step rebuilds it.  When a build at home fails, the loop keeps
-the sharper factor it has; with none, the solve ends as
-NUMERICAL_FAILURE.
+refinement first factorizes in place at f.epsilon when there is no
+factor.  So the first factor is built on the first step, at
+_SHIFT_START; a solve whose start set is already optimal never
+factorizes.  A collapsed downdate drops the factor, and the next step
+rebuilds it.  When a build fails, the solve ends as NUMERICAL_FAILURE.
 
 Steps of length 0 pin in batches.  From a cold start nearly every
 ratio test blocks at once, on a bound with mu_i = 0.  Such a step
 pins every free inequality coordinate with mu_i = 0 and p_i < 0, each
 through add_index, and drops the factor: mu does not move, no product
-with G is formed, and the next step rebuilds the factor at home, one
+with G is formed, and the next step rebuilds the factor, one
 factorization per batch instead of one rank-1 update per pin.  A pin
 that the batch got wrong leaves through the multiplier test, as any
 other does (compare gradient projection, More and Toraldo, SIAM J.
@@ -111,7 +108,7 @@ from .refine import RefineOutcome, RefinementError, _norm, refine_solve
 _KKT_TOL = 1e-10           # stationarity and multiplier tests, times 1+||h||
 _ROUNDING_TOL = 1e-13      # rounding in G mu, times (1+max|G|)||mu||_inf
 _FLAT_TOL = 1e-12          # certified-flat curvature, times 1+max|G|
-_SHIFT_START = 1e-7        # first shift and first home shift
+_SHIFT_START = 1e-7        # first shift; only escalation lowers it
 _SHIFT_SHRINK = 1e-2       # shift reduction per escalation
 _SHIFT_FLOOR = 1e-12       # smallest shift worth factorizing with
 _RAY_TOL = 1e-10           # primal check on a ray, times ||M||_inf ||p||_inf
@@ -182,10 +179,10 @@ class SolveReport:
     dual objective and the work of the loop, correction iterations
     included.  It carries no residuals: recover_primal measures them on
     the primal data, where solve_dual has checked the rows of an
-    OPTIMAL.  ray is
-    the checked Farkas certificate y = s p, in row units, when the
-    status is PRIMAL_INFEASIBLE: [A; C]'y ~ 0, y >= 0 on the inequality
-    rows and [b; d]'y < 0.  It is None for every other status."""
+    OPTIMAL.  ray is the checked Farkas certificate y = s p, in row
+    units, when the status is PRIMAL_INFEASIBLE: [A; C]'y ~ 0, y >= 0
+    on the inequality rows and [b; d]'y < 0.  It is None for every
+    other status."""
 
     mu_star: np.ndarray
     status: SolveStatus
@@ -282,8 +279,8 @@ def _directed_step(f, c_bar, mu, g_scale):
     refactorized in place at a sharper one and the subproblem retried;
     retries counts those escalations.  Once the floor is reached the
     last iterate is salvaged as an uncertified descent direction, and
-    salvaged is True: the caller's home shift then stays where it was
-    (module docstring).  Otherwise it was classified at f.epsilon.
+    salvaged is True.  Otherwise it was classified at f.epsilon.  Either
+    way f keeps the shift it ended at (module docstring).
 
     The step stops at the first blocking bound or at a cap: 1 for a
     solution, the subspace minimizer; for a descent direction its exact
@@ -414,11 +411,11 @@ def solve_dual(qp, cfg=None):
     After a failed primal check, the gradient is read off the primal
     residual r until mu moves (module docstring); those iterations count
     in outer_iters and against cfg.max_outer_iters.
-    f is built when a step first needs it, at the home shift (module
-    docstring); f.mask is the only copy of the working set, moved with
-    the factor by add_index and remove_index.  A pin or a drop with no
-    factor, not yet built or dropped by a batch of pins or a collapsed
-    downdate, edits the mask alone.
+    f is built when a step first needs it, at its own shift f.epsilon,
+    which only falls (module docstring).  f.mask is the only copy of
+    the working set, and only add_index and remove_index move it; with
+    no factor, not yet built or dropped by a batch of pins or a
+    collapsed downdate, they edit the mask alone.
 
     Returns
     -------
@@ -451,7 +448,6 @@ def solve_dual(qp, cfg=None):
     shift_retries = 0
     k = 0
     f = MaskedFactor(qp.G, W0, _SHIFT_START, factor=None)
-    home = _SHIFT_START
     ray = None
     r = None     # residual of a failed primal check, until mu moves
     rereads = 0  # failed checks whose residual the loop re-read
@@ -483,27 +479,32 @@ def solve_dual(qp, cfg=None):
                                    f"took salvaged, uncertified directions")
                 break
             j = int(f.mask.indices[int(np.argmin(lam))])
-            if f.factor is not None:
-                try:
-                    remove_index(f, j)
-                    continue
-                except CholeskyDowndateError:
-                    # the downdate spoiled the factor: the next step
-                    # rebuilds it at home
-                    f.factor, f.epsilon = None, home
-            f.mask = f.mask.remove(j)
+            try:
+                remove_index(f, j)
+            except CholeskyDowndateError:
+                # the downdate spoiled the factor: drop it and unpin j on
+                # the mask alone; the next step rebuilds the factor
+                f.factor = None
+                remove_index(f, j)
             continue
 
-        if f.factor is None or f.epsilon < home:
-            err = _reshift(f, home)  # on failure a sharper f is kept
-            if f.factor is None:
+        if f.factor is None:
+            err = _reshift(f, f.epsilon)
+            if err is not None:
                 status = SolveStatus.NUMERICAL_FAILURE
                 message = (f"factorization failed at iteration {k}, "
-                           f"shift {home:g}: {err}")
+                           f"shift {f.epsilon:g}: {err}")
                 break
         (outcome, alpha, blocking, salvaged, retries,
          failure) = _directed_step(f, c_bar, mu, g_scale)
         shift_retries += retries
+        if failure is None:
+            # counted before the ray check, which may end the solve here
+            refine_iters.append(outcome.iters)
+            if not outcome.is_solution:
+                descent_count += 1
+            if salvaged:
+                salvaged_steps += 1
         if alpha == math.inf:
             # flat, and no bound blocks: a ray of the dual
             y = qp.s * outcome.p  # in row units
@@ -517,13 +518,6 @@ def solve_dual(qp, cfg=None):
             status = SolveStatus.NUMERICAL_FAILURE
             message = f"refinement failed at iteration {k}: {failure}"
             break
-        if salvaged:
-            salvaged_steps += 1
-        else:
-            home = f.epsilon
-        refine_iters.append(outcome.iters)
-        if not outcome.is_solution:
-            descent_count += 1
         if alpha != 0.0:
             # mu + alpha p, clamped at 0 on the inequality block, with
             # the blocking bound, if any, set to 0 and pinned
@@ -537,8 +531,8 @@ def solve_dual(qp, cfg=None):
         elif blocking is not None:
             # a step of 0 leaves mu, so g_mu, as it is: every bound at 0
             # that p leaves is pinned at once, and the next step rebuilds
-            # the factor at home
-            f.factor, f.epsilon = None, home
+            # the factor
+            f.factor = None
             m_eq = qp.m_eq
             leaves = (outcome.p[m_eq:] < 0.0) & (mu[m_eq:] == 0.0)
             for i in m_eq + np.flatnonzero(leaves & ~f.mask.member[m_eq:]):

@@ -181,8 +181,10 @@ class MaskedFactor:
     mask and the factor move together through add_index/remove_index,
     and shift escalation in active_set replaces factor and epsilon
     together.  `factor` is None until it is built: active_set starts
-    from such a record, factorizes it when a step first needs it, and
-    drops it again to pin a batch of bounds.
+    from such a record, factorizes it at `epsilon` when a step first
+    needs it, and drops it again to pin a batch of bounds or after a
+    collapsed downdate.  With no factor, add_index and remove_index edit
+    the mask alone, and active_set never assigns `mask` itself.
     Single-writer semantics: updates mutate `factor` in place, which
     requires it to be Fortran-ordered (see the module docstring).
     """
@@ -312,32 +314,35 @@ def remove_index(f, i):
     Row i of the factor is recomputed from the unmasked base column
     (entries at still-masked indices stay zero), then the trailing block
     sheds the new column piece through a rank-1 downdate.  O(n^2).
+    A record with no factor (factor None) has its mask shrunk alone.
 
     Raises CholeskyDowndateError when a pivot collapses; the factor is
-    then invalid and must be rebuilt with factorize().
+    then invalid and must be rebuilt with factorize(), and the mask is
+    left as it was.
     """
     new_mask = f.mask.remove(i)  # raises ValueError unless i is pinned
     L = f.factor
-    pivot_floor = _PIVOT_FLOOR * (1.0 + f.epsilon * f.n)
+    if L is not None:
+        pivot_floor = _PIVOT_FLOOR * (1.0 + f.epsilon * f.n)
 
-    col = f.base[:, i].copy()
-    col[new_mask.member] = 0.0  # other masked rows keep zero coupling
-    diag = f.base[i, i] + f.epsilon
+        col = f.base[:, i].copy()
+        col[new_mask.member] = 0.0  # other masked rows keep zero coupling
+        diag = f.base[i, i] + f.epsilon
 
-    l21 = solve_triangular(L[:i, :i], col[:i], lower=True,
-                           check_finite=False)
-    piv2 = diag - l21 @ l21
-    if not piv2 > pivot_floor * pivot_floor:
-        raise CholeskyDowndateError(
-            f"diagonal pivot {piv2:.3e} at index {i} is not positive; "
-            "refactorize")
-    ell = np.sqrt(piv2)
-    l32 = (col[i + 1:] - L[i + 1:, :i] @ l21) / ell
+        l21 = solve_triangular(L[:i, :i], col[:i], lower=True,
+                               check_finite=False)
+        piv2 = diag - l21 @ l21
+        if not piv2 > pivot_floor * pivot_floor:
+            raise CholeskyDowndateError(
+                f"diagonal pivot {piv2:.3e} at index {i} is not positive; "
+                "refactorize")
+        ell = np.sqrt(piv2)
+        l32 = (col[i + 1:] - L[i + 1:, :i] @ l21) / ell
 
-    _rank1_downdate(L, l32.copy(), i + 1, pivot_floor)
-    L[i, :i] = l21
-    L[i, i] = ell
-    L[i + 1:, i] = l32
+        _rank1_downdate(L, l32.copy(), i + 1, pivot_floor)
+        L[i, :i] = l21
+        L[i, i] = ell
+        L[i + 1:, i] = l32
     f.mask = new_mask
 
 

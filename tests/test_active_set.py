@@ -332,6 +332,17 @@ class TestReporting:
         assert rep.shift_retries == 0
         assert rep.final_shift == pytest.approx(1e-7)
 
+    def test_the_refinement_that_ends_the_solve_is_counted(self):
+        # the row 0 <= -1: the first direction is a ray, and the solve
+        # ends PRIMAL_INFEASIBLE on the step that found it
+        primal = PrimalQP(P=None, identity_p=True, q=np.ones(1),
+                          C=np.zeros((1, 1)), d=np.array([-1.0]))
+        rep = solve_dual(build_dual(primal)[0])
+        assert rep.status is SolveStatus.PRIMAL_INFEASIBLE
+        assert rep.refine_calls == 1 and rep.descent_count == 1
+        assert rep.refine_iters_min == rep.refine_iters_max == 2
+        assert rep.salvaged_steps == 0
+
 
 def stepping_dual():
     # the unscaled dual of a P = I primal with one equality and eight
@@ -574,6 +585,7 @@ class TestSalvageRejections:
                                "infeasibility ray failed the primal check: "
                                "||M'p||_inf 1, [b; d]'p -1")
         assert rep.shift_retries == 3
+        assert rep.salvaged_steps == rep.refine_calls == 1
         assert rep.final_shift == 1e-12
 
 
@@ -625,11 +637,11 @@ class TestAbsoluteShift:
         ref = enumerate_solve(primal).x
         assert_allclose(x, ref, rtol=1e-6, atol=0)
 
-    # fallback: a downdate collapses, and the rebuild at the home shift
-    # 1e-7 on the next step meets the indefinite block of
+    # fallback: a downdate collapses, and the rebuild at the shift in
+    # effect, still 1e-7, on the next step meets the indefinite block of
     # indefinite_dual() (from the cold start, its first build does);
     # start: the first build, on the first step, meets the block that
-    # rows scaled by 1e5 round to (at 1e3 the home shift solves the
+    # rows scaled by 1e5 round to (at 1e3 the starting shift solves the
     # problem, see below)
     @pytest.mark.parametrize("case", ["fallback", "start"])
     def test_unfactorable_shift_is_a_numerical_failure(self, monkeypatch,
@@ -659,7 +671,7 @@ class TestAbsoluteShift:
             if case == "fallback" and warm:
                 # a step from {0} to mu = [0, 1], where bound 0 (its
                 # multiplier -2) drops and its downdate collapses; the
-                # rebuild at home on the next step fails
+                # rebuild at 1e-7 on the next step fails
                 assert collapsed == [0]
                 assert rep.outer_iters == 3 and rep.refine_calls == 1
                 assert rep.message.endswith("(leading minor 2)")
@@ -701,10 +713,9 @@ class TestAbsoluteShift:
 def scripted_refinement(monkeypatch, fails, iterate, unfactorable=()):
     # refine_solve patched: call number k (from 1) raises, leaving
     # `iterate`, when k is in `fails`; every other call refines for
-    # real.  factorize is counted, and raises LinAlgError for a shift
-    # in `unfactorable` after the first factorization.  Returns the
-    # shift each refinement call saw and the shift of each
-    # factorization attempt.
+    # real.  factorize is counted, and attempt number k (from 1) raises
+    # LinAlgError when k is in `unfactorable`.  Returns the shift each
+    # refinement call saw and the shift of each factorization attempt.
     seen, factorizations = [], []
     refine, factorize = active_set.refine_solve, active_set.factorize
 
@@ -717,7 +728,7 @@ def scripted_refinement(monkeypatch, fails, iterate, unfactorable=()):
 
     def counting(G, W, epsilon):
         factorizations.append(epsilon)
-        if len(factorizations) > 1 and epsilon in unfactorable:
+        if len(factorizations) in unfactorable:
             raise np.linalg.LinAlgError("forced")
         return factorize(G, W, epsilon)
 
@@ -737,104 +748,73 @@ def unit_rows_dual(h):
                                   d=np.asarray(h, dtype=float)))
 
 
-class TestHomeShift:
-    """Each iteration that needs refinement starts at the home shift:
-    the shift of the last subproblem classified without salvage."""
+# the shifts of the first build and of the three escalations to the floor
+TO_THE_FLOOR = [1e-7, 1e-9, 1e-11, 1e-12]
 
-    def test_salvage_at_the_floor_returns_home(self, monkeypatch):
+
+class TestShiftOnlyFalls:
+    """The factor's shift starts at _SHIFT_START, only escalation lowers
+    it, and nothing raises it: a factor dropped by a batch of pins or a
+    collapsed downdate is rebuilt at the shift in effect."""
+
+    def test_salvage_at_the_floor_keeps_the_floor(self, monkeypatch):
         # G = I, h = [-1, 2], cold.  The first subproblem fails down to
-        # the floor and its iterate -c_bar = [1, -2] is salvaged: a step
-        # of 0 that pins bound 1.  The next subproblem starts back at
-        # the configured shift, one factorization later.
+        # the floor and its iterate [1, 0] is salvaged: a step to
+        # mu = [1, 0].  The next subproblem runs on the factor at the
+        # floor, with no fifth factorization, and its step of 0 pins
+        # bound 1.
         seen, factorizations = scripted_refinement(
-            monkeypatch, fails={1, 2, 3, 4}, iterate=[1.0, -2.0])
+            monkeypatch, fails={1, 2, 3, 4}, iterate=[1.0, 0.0])
         rep = solve_dual(unit_rows_dual([-1.0, 2.0]), cfg=COLD)
-        assert seen == pytest.approx([1e-7, 1e-9, 1e-11, 1e-12, 1e-7],
-                                     rel=1e-12)
-        # the start, three escalations, and one return home
-        assert len(factorizations) == 5 and factorizations[-1] == 1e-7
+        assert seen == pytest.approx(TO_THE_FLOOR + [1e-12], rel=1e-12)
+        assert factorizations == pytest.approx(TO_THE_FLOOR, rel=1e-12)
         assert rep.status is SolveStatus.OPTIMAL
         assert_allclose(rep.mu_star, [1.0, 0.0], rtol=0, atol=1e-12)
         assert rep.salvaged_steps == 1 and rep.shift_retries == 3
-        assert rep.final_shift == 1e-7
+        assert rep.final_shift == 1e-12
         assert rep.message == ("optimal, but 1 step(s) took salvaged, "
                                "uncertified directions")
 
-    def test_home_follows_a_sharper_classification(self, monkeypatch):
-        # G = I, h = [-1, -1, 2], bounds 1 and 2 pinned.  The first
-        # subproblem classifies only at 1e-9, so home moves there, and
-        # its full step reaches mu = [1, 0, 0], where bound 1 drops; the
-        # second fails down to the floor and its iterate [1/2, 1, 0] is
-        # salvaged, a step short of the minimizer; the third starts at
-        # 1e-9, not at the configured 1e-7.
-        seen, factorizations = scripted_refinement(
-            monkeypatch, fails={1, 3, 4, 5}, iterate=[0.5, 1.0, 0.0])
-        start_from(monkeypatch, [1, 2])
-        rep = solve_dual(unit_rows_dual([-1.0, -1.0, 2.0]))
-        assert seen == pytest.approx([1e-7, 1e-9, 1e-9, 1e-11, 1e-12, 1e-9],
-                                     rel=1e-12)
-        assert factorizations[-1] == pytest.approx(1e-9, rel=1e-12)
-        assert len(factorizations) == 5
-        assert rep.status is SolveStatus.OPTIMAL
-        assert_allclose(rep.mu_star, [1.0, 1.0, 0.0], rtol=0, atol=1e-12)
-        assert rep.salvaged_steps == 1 and rep.shift_retries == 3
-
-    def test_unfactorable_home_keeps_the_sharper_factor(self, monkeypatch):
-        # as in the first test, but the salvaged iterate [1, 0] steps to
-        # mu = [1, 0], and the factorization at home fails: the solve
-        # carries on with the factor at the floor, where the next
-        # subproblem classifies and so becomes home
-        seen, factorizations = scripted_refinement(
-            monkeypatch, fails={1, 2, 3, 4}, iterate=[1.0, 0.0],
-            unfactorable={1e-7})
-        rep = solve_dual(unit_rows_dual([-1.0, 2.0]), cfg=COLD)
-        assert seen == pytest.approx([1e-7, 1e-9, 1e-11, 1e-12, 1e-12],
-                                     rel=1e-12)
-        assert len(factorizations) == 5  # the last one failed
-        assert rep.status is SolveStatus.OPTIMAL
-        assert_allclose(rep.mu_star, [1.0, 0.0], rtol=0, atol=1e-12)
-        assert rep.final_shift == 1e-12
-        assert rep.salvaged_steps == 1
-
     # G = I, h = [-1, -1], bound 1 pinned.  The first subproblem fails
     # down to the floor and its iterate [1, 0] is salvaged: a step to
-    # mu = [1, 0] that leaves the factor at 1e-12 and home at 1e-7.
-    # There the set is stationary and bound 1 drops, but the downdate
-    # collapses: the factor is dropped, and the next step rebuilds it
-    # at home, not at the floor.
+    # mu = [1, 0] that leaves the factor at 1e-12.  There the set is
+    # stationary and bound 1 drops, but the downdate collapses: the
+    # factor is dropped, bound 1 leaves the mask alone, and the next
+    # step rebuilds the factor at the floor.
     def collapsed_after_salvage(self, monkeypatch, unfactorable=()):
         seen, factorizations = scripted_refinement(
             monkeypatch, fails={1, 2, 3, 4}, iterate=[1.0, 0.0],
             unfactorable=unfactorable)
+        remove = active_set.remove_index
 
         def collapse(f, i):
-            raise CholeskyDowndateError("forced")
+            if f.factor is not None:
+                raise CholeskyDowndateError("forced")
+            remove(f, i)
 
         monkeypatch.setattr(active_set, "remove_index", collapse)
         start_from(monkeypatch, [1])
         rep = solve_dual(unit_rows_dual([-1.0, -1.0]))
-        assert factorizations == pytest.approx(
-            [1e-7, 1e-9, 1e-11, 1e-12, 1e-7], rel=1e-12)
+        assert factorizations == pytest.approx(TO_THE_FLOOR + [1e-12],
+                                               rel=1e-12)
         return seen, rep
 
-    def test_collapse_rebuilds_at_home(self, monkeypatch):
+    def test_collapse_rebuilds_at_the_current_shift(self, monkeypatch):
         seen, rep = self.collapsed_after_salvage(monkeypatch)
-        assert seen == pytest.approx([1e-7, 1e-9, 1e-11, 1e-12, 1e-7],
-                                     rel=1e-12)
+        assert seen == pytest.approx(TO_THE_FLOOR + [1e-12], rel=1e-12)
         assert rep.status is SolveStatus.OPTIMAL
         assert_allclose(rep.mu_star, [1.0, 1.0], rtol=0, atol=1e-12)
-        assert rep.final_shift == 1e-7 and rep.salvaged_steps == 1
+        assert rep.final_shift == 1e-12 and rep.salvaged_steps == 1
 
     def test_unfactorable_rebuild_is_a_numerical_failure(self, monkeypatch):
-        # as above, but the rebuild at home fails, and there is no
-        # sharper factor to keep
+        # as above, but the rebuild at the floor fails
         seen, rep = self.collapsed_after_salvage(monkeypatch,
-                                                 unfactorable={1e-7})
+                                                 unfactorable={5})
         assert len(seen) == 4
         assert rep.status is SolveStatus.NUMERICAL_FAILURE
         assert rep.message == ("factorization failed at iteration 3, "
-                               "shift 1e-07: forced")
-        assert rep.outer_iters == 3 and rep.final_shift == 1e-7
+                               "shift 1e-12: forced")
+        assert rep.outer_iters == 3 and rep.final_shift == 1e-12
         assert_allclose(rep.mu_star, [1.0, 0.0], rtol=0, atol=1e-12)
 
 

@@ -7,9 +7,10 @@ from scipy.linalg.blas import daxpy, drot, dscal
 
 import dualqp.kernel as kernel
 from dualqp import WorkingSet
-from dualqp.kernel import (CholeskyDowndateError, add_index, build_masked,
-                           factorize, lambda_from_direction, mask_vector,
-                           matvec_masked, remove_index, solve_with_factor)
+from dualqp.kernel import (CholeskyDowndateError, MaskedFactor, add_index,
+                           build_masked, factorize, lambda_from_direction,
+                           mask_vector, matvec_masked, remove_index,
+                           solve_with_factor)
 
 
 def random_psd(rng, n, rank=None):
@@ -319,6 +320,43 @@ class TestRankOneUpdates:
         f = factorize(G, WorkingSet(0, 2, [1]), 1e-10)
         with pytest.raises(CholeskyDowndateError):
             remove_index(f, 1)
+        assert_array_equal(f.mask.indices, [1])
+
+
+class TestRecordsWithoutAFactor:
+    """With factor None, add_index and remove_index edit the mask alone,
+    and check the index as they do with a factor."""
+
+    @staticmethod
+    def record(pins):
+        return MaskedFactor(np.eye(4), WorkingSet(1, 3, pins), 1e-7,
+                            factor=None)
+
+    def test_add_grows_the_mask_alone(self):
+        f = self.record([2])
+        add_index(f, 3)
+        assert_array_equal(f.mask.indices, [2, 3])
+        assert f.factor is None and f.epsilon == 1e-7
+
+    def test_remove_shrinks_the_mask_alone(self):
+        f = self.record([2, 3])
+        remove_index(f, 2)
+        assert_array_equal(f.mask.indices, [3])
+        assert f.factor is None and f.epsilon == 1e-7
+
+    @pytest.mark.parametrize("i", [0, 2, 4])  # equality, pinned, outside
+    def test_add_rejects_a_bad_index(self, i):
+        f = self.record([2])
+        with pytest.raises(ValueError):
+            add_index(f, i)
+        assert_array_equal(f.mask.indices, [2])
+
+    @pytest.mark.parametrize("i", [0, 1, 4])  # equality, free, outside
+    def test_remove_rejects_a_bad_index(self, i):
+        f = self.record([2])
+        with pytest.raises(ValueError):
+            remove_index(f, i)
+        assert_array_equal(f.mask.indices, [2])
 
 
 class TestBlasKernels:
