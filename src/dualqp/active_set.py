@@ -53,10 +53,12 @@ rebuilds it.  When a build fails, the solve ends as NUMERICAL_FAILURE.
 
 Steps of length 0 pin in batches.  From a cold start nearly every
 ratio test blocks at once, on a bound with mu_i = 0.  Such a step
-pins every free inequality coordinate with mu_i = 0 and p_i < 0, each
-through add_index, and drops the factor: mu does not move, no product
-with G is formed, and the next step rebuilds the factor, one
-factorization per batch instead of one rank-1 update per pin.  A pin
+drops the factor and pins every free inequality coordinate with
+mu_i = 0 and p_i < 0 in one call of add_indices, one mask copy: mu
+does not move, no product with G is formed, and the next step rebuilds
+the factor, one factorization per batch instead of one rank-1 update
+per pin.  That factorization runs on the free block alone, so after a
+batch that pins nearly every bound it is cheap.  A pin
 that the batch got wrong leaves through the multiplier test, as any
 other does (compare gradient projection, More and Toraldo, SIAM J.
 Optim. 1991).
@@ -100,7 +102,7 @@ from enum import Enum
 import numpy as np
 
 from .kernel import (CholeskyDowndateError, MaskedFactor, WorkingSet,
-                     add_index, as_integer, factorize,
+                     add_index, add_indices, as_integer, factorize,
                      lambda_from_direction, mask_vector, remove_index,
                      solve_cholesky)
 from .refine import RefineOutcome, RefinementError, _norm, refine_solve
@@ -177,12 +179,14 @@ class SolverConfig:
 class SolveReport:
     """What solve_dual returns: mu_star in row units, the status, the
     dual objective and the work of the loop, correction iterations
-    included.  It carries no residuals: recover_primal measures them on
-    the primal data, where solve_dual has checked the rows of an
-    OPTIMAL.  ray is the checked Farkas certificate y = s p, in row
-    units, when the status is PRIMAL_INFEASIBLE: [A; C]'y ~ 0, y >= 0
-    on the inequality rows and [b; d]'y < 0.  It is None for every
-    other status."""
+    included.  refine_calls and refine_iters_* count every refinement
+    call, one that failed before an escalation or at the end of the
+    solve too; shift_retries counts the escalations.  It carries no
+    residuals: recover_primal measures them on the primal data, where
+    solve_dual has checked the rows of an OPTIMAL.  ray is the checked
+    Farkas certificate y = s p, in row units, when the status is
+    PRIMAL_INFEASIBLE: [A; C]'y ~ 0, y >= 0 on the inequality rows and
+    [b; d]'y < 0.  It is None for every other status."""
 
     mu_star: np.ndarray
     status: SolveStatus
@@ -274,10 +278,12 @@ def _salvage(err, c_bar):
 def _directed_step(f, c_bar, mu, g_scale):
     """Classify the pinned subproblem and settle the step along the result.
 
-    Returns (outcome, alpha, blocking, salvaged, retries, failure).
+    Returns (outcome, alpha, blocking, salvaged, iters, failure).
     When refinement cannot classify at the current shift, f is
-    refactorized in place at a sharper one and the subproblem retried;
-    retries counts those escalations.  Once the floor is reached the
+    refactorized in place at a sharper one and the subproblem retried.
+    iters lists the iteration count of every refinement call, the
+    escalated ones included, so it holds one more entry than there
+    were escalations.  Once the floor is reached the
     last iterate is salvaged as an uncertified descent direction, and
     salvaged is True.  Otherwise it was classified at f.epsilon.  Either
     way f keeps the shift it ended at (module docstring).
@@ -293,19 +299,21 @@ def _directed_step(f, c_bar, mu, g_scale):
     failure is None, or the refinement error that salvage could not
     use, with (outcome, alpha, blocking) all None.
     """
-    retries = 0
+    iters = []
     salvaged = False
     while True:
         try:
             outcome = refine_solve(f, c_bar)
         except RefinementError as err:
+            iters.append(err.iters)
             if _sharpen(f):
-                retries += 1
                 continue
             outcome = _salvage(err, c_bar)
             if outcome is None:
-                return None, None, None, False, retries, str(err)
+                return None, None, None, False, iters, str(err)
             salvaged = True
+        else:
+            iters.append(outcome.iters)
         break
 
     p = outcome.p
@@ -318,7 +326,7 @@ def _directed_step(f, c_bar, mu, g_scale):
     alpha, blocking = step_length(mu, p, f.mask)
     if cap < alpha:
         alpha, blocking = cap, None
-    return outcome, alpha, blocking, salvaged, retries, None
+    return outcome, alpha, blocking, salvaged, iters, None
 
 
 def _ray_check(qp, p):
@@ -413,9 +421,11 @@ def solve_dual(qp, cfg=None):
     in outer_iters and against cfg.max_outer_iters.
     f is built when a step first needs it, at its own shift f.epsilon,
     which only falls (module docstring).  f.mask is the only copy of
-    the working set, and only add_index and remove_index move it; with
-    no factor, not yet built or dropped by a batch of pins or a
-    collapsed downdate, they edit the mask alone.
+    the working set, and only the kernel moves it: add_index and
+    remove_index, which edit the mask alone when there is no factor
+    (not yet built, or dropped by a batch of pins or a collapsed
+    downdate), and add_indices, which pins a whole batch at once on a
+    record with no factor.
 
     Returns
     -------
@@ -495,12 +505,13 @@ def solve_dual(qp, cfg=None):
                 message = (f"factorization failed at iteration {k}, "
                            f"shift {f.epsilon:g}: {err}")
                 break
-        (outcome, alpha, blocking, salvaged, retries,
+        (outcome, alpha, blocking, salvaged, iters,
          failure) = _directed_step(f, c_bar, mu, g_scale)
-        shift_retries += retries
+        # every refinement call counts, an escalated or failed one too
+        refine_iters += iters
+        shift_retries += len(iters) - 1
         if failure is None:
             # counted before the ray check, which may end the solve here
-            refine_iters.append(outcome.iters)
             if not outcome.is_solution:
                 descent_count += 1
             if salvaged:
@@ -530,13 +541,13 @@ def solve_dual(qp, cfg=None):
             r = None
         elif blocking is not None:
             # a step of 0 leaves mu, so g_mu, as it is: every bound at 0
-            # that p leaves is pinned at once, and the next step rebuilds
-            # the factor
+            # that p leaves is pinned in one call, and the next step
+            # rebuilds the factor
             f.factor = None
             m_eq = qp.m_eq
             leaves = (outcome.p[m_eq:] < 0.0) & (mu[m_eq:] == 0.0)
-            for i in m_eq + np.flatnonzero(leaves & ~f.mask.member[m_eq:]):
-                add_index(f, i)
+            add_indices(f, m_eq + np.flatnonzero(
+                leaves & ~f.mask.member[m_eq:]))
     else:
         status = SolveStatus.ITERATION_LIMIT
         message = "outer iteration cap reached"

@@ -20,7 +20,11 @@ creator of factors, and it returns Fortran order.
 Masking preserves positive definiteness: reordering so the masked block
 comes first gives blockdiag(I, G_ff) with G_ff a principal submatrix of
 G, so every pivot stays positive.  The eps shift is applied after
-masking, hence masked diagonal entries store 1 + eps.
+masking, hence masked diagonal entries store 1 + eps.  The same
+reordering makes the factor cheap: its row at a masked index i is
+sqrt(1 + eps) e_i, and its free block is chol(G_ff + eps*I), so
+factorize runs potrf on G_ff alone, in O(|free|^3), and scatters the
+result into the natural-order factor.
 """
 
 from __future__ import annotations
@@ -58,6 +62,8 @@ class WorkingSet:
     add and remove check their arguments; the private trusted
     constructor _trusted(m_eq, m_in, member) checks nothing, and wraps
     only masks valid by construction, as solve_dual's start sets are.
+    _grown adds a whole index array with add's checks, for the
+    constructor and for the kernel's batch pin, add_indices.
     """
 
     __slots__ = ("m_eq", "m_in", "_member")
@@ -71,16 +77,8 @@ class WorkingSet:
         if idx.size and idx.dtype.kind not in "iu":
             raise ValueError(f"indices must be integers, got {idx.dtype}")
         idx = idx.astype(np.intp, copy=False)
-        self._member = np.zeros(self.m, dtype=bool)
-        # On bad input, _pinnable raises the error naming the first
-        # offending index: one outside the block, else one listed twice.
-        outside = idx[(idx < self.m_eq) | (idx >= self.m)]
-        if outside.size:
-            self._pinnable(outside[0])
-        self._member[idx] = True
-        if np.count_nonzero(self._member) != idx.size:
-            s = np.sort(idx)
-            self._pinnable(s[1:][s[1:] == s[:-1]][0])
+        self._member = np.zeros(self.m, dtype=bool)  # _grown reads it
+        self._member = self._grown(idx)
         self._member.flags.writeable = False
 
     @property
@@ -112,6 +110,25 @@ class WorkingSet:
         if self._member[i]:
             raise ValueError(f"index {i} already in the working set")
         return i
+
+    def _grown(self, idx):
+        # Copy of the mask with every index of the intp array idx set,
+        # checked in one pass as add checks one index: the first entry
+        # that lies outside the inequality block, is already set or
+        # repeats an earlier entry raises the ValueError naming it.
+        inside = (idx >= self.m_eq) & (idx < self.m)
+        bad = ~inside
+        bad[inside] = self._member[idx[inside]]
+        repeat = np.ones(idx.size, dtype=bool)
+        repeat[np.unique(idx, return_index=True)[1]] = False
+        bad |= repeat
+        if bad.any():
+            i = int(idx[bad.argmax()])
+            self._pinnable(i)  # raises, unless i repeats a free index
+            raise ValueError(f"index {i} already in the working set")
+        mask = self._member.copy()
+        mask[idx] = True
+        return mask
 
     def add(self, i):
         return self._with(self._pinnable(i), True)
@@ -151,7 +168,10 @@ def as_integer(name, v):
 
 def build_masked(G, W):
     """Masked copy of G: unit diagonal at working-set indices, zeros on
-    their rows/columns, everything else untouched."""
+    their rows/columns, everything else untouched.
+
+    factorize never forms it; it is the dense reference that the tests
+    check the factor and the masked products against."""
     out = np.array(G, dtype=float)
     idx = W.indices
     out[idx, :] = 0.0
@@ -184,7 +204,10 @@ class MaskedFactor:
     from such a record, factorizes it at `epsilon` when a step first
     needs it, and drops it again to pin a batch of bounds or after a
     collapsed downdate.  With no factor, add_index and remove_index edit
-    the mask alone, and active_set never assigns `mask` itself.
+    the mask alone, and add_indices pins a whole batch in one mask
+    copy; active_set never assigns `mask` itself.  A factor's rows and
+    columns at masked indices are zero but for the diagonal
+    sqrt(1 + epsilon).
     Single-writer semantics: updates mutate `factor` in place, which
     requires it to be Fortran-ordered (see the module docstring).
     """
@@ -213,6 +236,13 @@ def factorize(G, W, epsilon):
     max|G| <= 1 and checks what can overflow, WorkingSet checks W where
     it is built, and the shift is one of active_set's fixed rules.
 
+    potrf runs on the free block G_ff + epsilon*I alone (module
+    docstring), gathered in ascending index order; its factor is
+    scattered into a zeroed m x m factor whose masked diagonal entries
+    are sqrt(1 + epsilon).  With nothing masked, potrf runs on a copy
+    of G itself: at full size a gather and a scatter cost as much as
+    the factorization.
+
     Returns
     -------
     MaskedFactor, its factor in Fortran order.
@@ -220,9 +250,12 @@ def factorize(G, W, epsilon):
     Raises
     ------
     np.linalg.LinAlgError when the shifted masked matrix is not
-    positive definite.
+    positive definite; the message names the leading minor in G's own
+    index order.
     """
-    M = build_masked(G, W)
+    m = G.shape[0]
+    free = np.flatnonzero(~W.member)
+    M = np.array(G, dtype=float) if free.size == m else G[np.ix_(free, free)]
     M[np.diag_indices_from(M)] += epsilon
     # M is symmetric, so M.T is the same matrix already in Fortran
     # order: potrf factors it in place, with no copy.
@@ -230,7 +263,13 @@ def factorize(G, W, epsilon):
     if info > 0:
         raise np.linalg.LinAlgError(
             f"masked matrix is not positive definite (leading minor "
-            f"{info})")
+            f"{free[info - 1] + 1})")
+    if free.size < m:
+        L = np.zeros((m, m), order="F")
+        L[np.ix_(free, free)] = M
+        pinned = W.indices
+        L[pinned, pinned] = math.sqrt(1.0 + epsilon)
+        M = L
     return MaskedFactor(base=G, mask=W, epsilon=float(epsilon), factor=M)
 
 
@@ -306,6 +345,22 @@ def add_index(f, i):
         L[i, i] = np.sqrt(1.0 + f.epsilon)
         L[i + 1:, i] = 0.0
     f.mask = new_mask
+
+
+def add_indices(f, idx):
+    """Grow f's mask by every index of the intp array idx, in one copy.
+
+    f must hold no factor: a batch of pins drops it for the next step
+    to rebuild.  The indices are checked as add_index checks one: the
+    first that lies outside the inequality block, is already pinned or
+    repeats an earlier one raises ValueError, which names it, and the
+    mask is left as it was.  A record that holds a factor raises
+    ValueError too.
+    """
+    if f.factor is not None:
+        raise ValueError("add_indices pins on a record with no factor")
+    W = f.mask
+    f.mask = WorkingSet._trusted(W.m_eq, W.m_in, W._grown(idx))
 
 
 def remove_index(f, i):

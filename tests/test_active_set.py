@@ -109,10 +109,10 @@ def directed_step(monkeypatch, mu, c_bar, outcome):
     qp = identity_dual(np.zeros(m))
     f = factorize(qp.G, WorkingSet(0, m), 1e-7)
     monkeypatch.setattr(active_set, "refine_solve", lambda f, c_bar: outcome)
-    _, alpha, blocking, salvaged, retries, failure = (
+    _, alpha, blocking, salvaged, iters, failure = (
         active_set._directed_step(f, np.asarray(c_bar, dtype=float),
                                   np.asarray(mu, dtype=float), 2.0))
-    assert not salvaged and retries == 0 and failure is None
+    assert not salvaged and iters == [outcome.iters] and failure is None
     return alpha, blocking
 
 
@@ -550,6 +550,21 @@ class TestSalvageRejections:
         assert rep.shift_retries == 3
         assert rep.final_shift == 1e-12
 
+    def test_failure_report_counts_every_refinement(self, monkeypatch):
+        # the four calls, one per shift down to the floor, each ran its
+        # 20 iterations before it failed: the report counts them all,
+        # though no step was taken
+        def fail(f, c_bar):
+            raise RefinementError("forced", np.zeros_like(c_bar), 20)
+
+        monkeypatch.setattr(active_set, "refine_solve", fail)
+        rep = solve_dual(projection_dual())
+        assert rep.status is SolveStatus.NUMERICAL_FAILURE
+        assert rep.refine_calls == 4 and rep.shift_retries == 3
+        assert rep.refine_iters_min == rep.refine_iters_max == 20
+        assert rep.refine_iters_mean == 20.0
+        assert rep.descent_count == rep.salvaged_steps == 0
+
     def test_flat_salvaged_direction_with_no_blocking_bound(self,
                                                             monkeypatch):
         # the salvaged iterate has zero curvature and no bound blocks
@@ -585,7 +600,8 @@ class TestSalvageRejections:
                                "infeasibility ray failed the primal check: "
                                "||M'p||_inf 1, [b; d]'p -1")
         assert rep.shift_retries == 3
-        assert rep.salvaged_steps == rep.refine_calls == 1
+        # the three escalated refinements count with the salvaged one
+        assert rep.salvaged_steps == 1 and rep.refine_calls == 4
         assert rep.final_shift == 1e-12
 
 
@@ -820,28 +836,36 @@ class TestShiftOnlyFalls:
 
 class TestBatchPins:
     """A step of length 0 pins every bound at 0 that its direction
-    leaves, and drops the factor for the next step to rebuild."""
+    leaves, in one kernel call, and drops the factor for the next step
+    to rebuild."""
 
     @staticmethod
     def counted(monkeypatch):
-        calls = {"add_index": 0, "factorize": 0}
-        add_index, factorize = active_set.add_index, active_set.factorize
+        # pins lists the bounds that each pinning kernel call pinned
+        calls = {"pins": [], "factorize": 0}
+        add_index, add_indices = active_set.add_index, active_set.add_indices
+        factorize = active_set.factorize
 
         def counting_add(f, i):
-            calls["add_index"] += 1
+            calls["pins"].append([i])
             return add_index(f, i)
+
+        def counting_add_indices(f, idx):
+            calls["pins"].append(idx.tolist())
+            return add_indices(f, idx)
 
         def counting_factorize(*args):
             calls["factorize"] += 1
             return factorize(*args)
 
         monkeypatch.setattr(active_set, "add_index", counting_add)
+        monkeypatch.setattr(active_set, "add_indices", counting_add_indices)
         monkeypatch.setattr(active_set, "factorize", counting_factorize)
         return calls
 
     def test_one_step_pins_the_batch(self, monkeypatch):
         # G = I, h = [-1, 2, 2, 2, 2], cold: the first direction -h
-        # leaves bounds 1-4 at once, so one step pins all four, and the
+        # leaves bounds 1-4 at once, so one call pins all four, and the
         # factor is built twice: for the first step and after the batch
         calls = self.counted(monkeypatch)
         rep = solve_dual(unit_rows_dual([-1.0, 2.0, 2.0, 2.0, 2.0]),
@@ -849,16 +873,20 @@ class TestBatchPins:
         assert rep.status is SolveStatus.OPTIMAL
         assert_allclose(rep.mu_star, [1.0, 0.0, 0.0, 0.0, 0.0], rtol=0,
                         atol=1e-12)
-        assert calls == {"add_index": 4, "factorize": 2}
+        assert calls == {"pins": [[1, 2, 3, 4]], "factorize": 2}
         assert rep.outer_iters == 3 and rep.refine_calls == 2
 
     def test_cold_mpc_start_makes_far_fewer_factorizations_than_pins(
             self, monkeypatch):
+        # the 80 bounds of horizon 10 are pinned in batches: at least
+        # 10 per kernel call, and 10 per factorization
         calls = self.counted(monkeypatch)
         primal = build_mpc(afti16_spec(horizon=10))
         sol, rep = solve(primal, COLD)
         assert rep.status is SolveStatus.OPTIMAL
-        assert calls["add_index"] >= 10 * calls["factorize"] > 0
+        pinned = sum(map(len, calls["pins"]))
+        assert pinned >= 10 * len(calls["pins"]) > 0
+        assert pinned >= 10 * calls["factorize"] > 0
         assert rep.outer_iters <= 10
 
 
@@ -946,7 +974,7 @@ class TestPrimalCheck:
         seen, _ = scripted_refinement(monkeypatch, fails={2, 3, 4, 5},
                                       iterate=[0.0, 0.0])
         rep = solve_dual(qp)
-        assert len(seen) == 5 and rep.refine_calls == 1
+        assert len(seen) == rep.refine_calls == 5
         assert rep.status is SolveStatus.NUMERICAL_FAILURE
         assert rep.message == "refinement failed at iteration 3: forced"
         assert rep.shift_retries == 3

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg.blas import daxpy, drot, dscal
+from scipy.linalg.lapack import dpotrf
 
 import dualqp.kernel as kernel
 from dualqp import WorkingSet
 from dualqp.kernel import (CholeskyDowndateError, MaskedFactor, add_index,
-                           build_masked, factorize, lambda_from_direction,
-                           mask_vector, matvec_masked, remove_index,
-                           solve_with_factor)
+                           add_indices, build_masked, factorize,
+                           lambda_from_direction, mask_vector,
+                           matvec_masked, remove_index, solve_with_factor)
 
 
 def random_psd(rng, n, rank=None):
@@ -268,9 +269,58 @@ class TestFactorize:
         assert solve_with_factor(f, np.zeros(0)).shape == (0,)
 
     def test_indefinite_matrix_raises(self):
+        # the message names the leading minor in G's own order
         G = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"leading minor 2\)"):
             factorize(G, WorkingSet(0, 2), 1e-10)
+        # index 0 pinned: potrf fails at the free block's second pivot,
+        # G's third
+        G = np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 2.0], [0.5, 2.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"leading minor 3\)"):
+            factorize(G, WorkingSet(0, 3, [0]), 1e-10)
+
+
+def random_masks(rng, m):
+    # nothing pinned, everything pinned, and random sets between
+    yield WorkingSet(0, m)
+    yield WorkingSet(0, m, np.arange(m))
+    for _ in range(4):
+        yield WorkingSet(0, m, rng.choice(m, size=rng.integers(0, m + 1),
+                                          replace=False))
+
+
+class TestFreeBlockFactor:
+    """factorize runs potrf on the free block alone and scatters it:
+    the factor is that of the whole masked matrix, in natural order."""
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 7, 40])
+    def test_matches_potrf_of_the_masked_matrix(self, m):
+        rng = np.random.default_rng(m)
+        G = random_psd(rng, m) / max(m, 1) + np.eye(m)
+        eps = 1e-7
+        for W in random_masks(rng, m):
+            L = factorize(G, W, eps).factor
+            ref, info = dpotrf(build_masked(G, W) + eps * np.eye(m),
+                               lower=1, clean=1)
+            assert info == 0 and L.shape == (m, m)
+            if m:
+                assert rel_diff(L, ref) <= 1e-13
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 40])
+    def test_pinned_rows_and_columns_are_unit(self, m):
+        rng = np.random.default_rng(10 + m)
+        G = random_psd(rng, m)
+        eps = 1e-7
+        for W in random_masks(rng, m):
+            L = factorize(G, W, eps).factor
+            assert L.flags.f_contiguous
+            pinned = W.indices
+            assert_array_equal(L[pinned, pinned], math.sqrt(1.0 + eps))
+            off = L.copy()
+            off[pinned, pinned] = 0.0
+            assert not off[pinned, :].any() and not off[:, pinned].any()
 
 
 class TestRankOneUpdates:
@@ -286,25 +336,27 @@ class TestRankOneUpdates:
         assert_array_equal(f.mask.indices, [1])
 
     def test_update_tracks_fresh_factorization(self):
-        # a long random add/remove walk stays glued to from-scratch factors
+        # long random add/remove walks stay glued to from-scratch
+        # factors, from a factor of the whole matrix and from factors
+        # built on the free block of a pinned set
         rng = np.random.default_rng(5)
         n = 12
         G = random_psd(rng, n) + np.eye(n)
-        W = WorkingSet(0, n)
-        f = factorize(G, W, 1e-8)
-        for step in range(60):
-            inside = f.mask.indices
-            if len(inside) and rng.random() < 0.5:
-                i = int(rng.choice(inside))
-                remove_index(f, i)
-            elif len(inside) < n:
-                outside = np.setdiff1d(np.arange(n), inside)
-                i = int(rng.choice(outside))
-                add_index(f, i)
-            fresh = factorize(G, f.mask, 1e-8)
-            err = np.linalg.norm(f.factor - fresh.factor, "fro")
-            ref = np.linalg.norm(fresh.factor, "fro")
-            assert err <= 1e-9 * ref
+        for W in random_masks(rng, n):
+            f = factorize(G, W, 1e-8)
+            for step in range(60):
+                inside = f.mask.indices
+                if len(inside) and rng.random() < 0.5:
+                    i = int(rng.choice(inside))
+                    remove_index(f, i)
+                elif len(inside) < n:
+                    outside = np.setdiff1d(np.arange(n), inside)
+                    i = int(rng.choice(outside))
+                    add_index(f, i)
+                fresh = factorize(G, f.mask, 1e-8)
+                err = np.linalg.norm(f.factor - fresh.factor, "fro")
+                ref = np.linalg.norm(fresh.factor, "fro")
+                assert err <= 1e-9 * ref
 
     def test_add_rejects_masked_remove_rejects_unmasked(self):
         G = np.eye(4)
@@ -357,6 +409,36 @@ class TestRecordsWithoutAFactor:
         with pytest.raises(ValueError):
             remove_index(f, i)
         assert_array_equal(f.mask.indices, [2])
+
+    def test_add_indices_grows_the_mask_alone(self):
+        f = self.record([2])
+        add_indices(f, np.array([3, 1]))
+        assert_array_equal(f.mask.indices, [1, 2, 3])
+        assert f.factor is None and f.epsilon == 1e-7
+        add_indices(f, np.array([], dtype=np.intp))
+        assert_array_equal(f.mask.indices, [1, 2, 3])
+
+    def test_add_indices_refuses_a_record_with_a_factor(self):
+        f = factorize(np.eye(4), WorkingSet(1, 3, [2]), 1e-7)
+        L = f.factor.copy()
+        with pytest.raises(ValueError, match="no factor"):
+            add_indices(f, np.array([3]))
+        assert_array_equal(f.mask.indices, [2])
+        assert_array_equal(f.factor, L)
+
+    @pytest.mark.parametrize("idx, message", [
+        ([3, 0], "index 0 outside"),         # equality
+        ([1, 4, 0], "index 4 outside"),      # past the end
+        ([-1], "index -1 outside"),
+        ([3, 2], "index 2 already"),         # pinned
+        ([3, 1, 3, 1], "index 3 already"),   # listed twice
+    ])
+    def test_add_indices_rejects_a_bad_index(self, idx, message):
+        f = self.record([2])
+        with pytest.raises(ValueError, match=message):
+            add_indices(f, np.array(idx, dtype=np.intp))
+        assert_array_equal(f.mask.indices, [2])
+        assert f.factor is None
 
 
 class TestBlasKernels:
