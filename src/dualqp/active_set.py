@@ -54,7 +54,7 @@ rebuilds it.  When a build fails, the solve ends as NUMERICAL_FAILURE.
 Steps of length 0 pin in batches.  From a cold start nearly every
 ratio test blocks at once, on a bound with mu_i = 0.  Such a step
 drops the factor and pins every free inequality coordinate with
-mu_i = 0 and p_i < 0 in one call of add_indices, one mask copy: mu
+mu_i = 0 and p_i < 0 in one call of add_index, one mask copy: mu
 does not move, no product with G is formed, and the next step rebuilds
 the factor, one factorization per batch instead of one rank-1 update
 per pin.  That factorization runs on the free block alone, so after a
@@ -102,7 +102,7 @@ from enum import Enum
 import numpy as np
 
 from .kernel import (CholeskyDowndateError, MaskedFactor, WorkingSet,
-                     add_index, add_indices, as_integer, factorize,
+                     add_index, as_integer, factorize,
                      lambda_from_direction, mask_vector, remove_index,
                      solve_cholesky)
 from .refine import RefineOutcome, RefinementError, _norm, refine_solve
@@ -424,8 +424,7 @@ def solve_dual(qp, cfg=None):
     the working set, and only the kernel moves it: add_index and
     remove_index, which edit the mask alone when there is no factor
     (not yet built, or dropped by a batch of pins or a collapsed
-    downdate), and add_indices, which pins a whole batch at once on a
-    record with no factor.
+    downdate); with no factor, add_index pins a whole batch at once.
 
     Returns
     -------
@@ -546,7 +545,7 @@ def solve_dual(qp, cfg=None):
             f.factor = None
             m_eq = qp.m_eq
             leaves = (outcome.p[m_eq:] < 0.0) & (mu[m_eq:] == 0.0)
-            add_indices(f, m_eq + np.flatnonzero(
+            add_index(f, m_eq + np.flatnonzero(
                 leaves & ~f.mask.member[m_eq:]))
     else:
         status = SolveStatus.ITERATION_LIMIT

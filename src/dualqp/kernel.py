@@ -23,8 +23,9 @@ G, so every pivot stays positive.  The eps shift is applied after
 masking, hence masked diagonal entries store 1 + eps.  The same
 reordering makes the factor cheap: its row at a masked index i is
 sqrt(1 + eps) e_i, and its free block is chol(G_ff + eps*I), so
-factorize runs potrf on G_ff alone, in O(|free|^3), and scatters the
-result into the natural-order factor.
+once a quarter or more of the indices are masked, factorize runs potrf
+on G_ff alone, in O(|free|^3), and scatters the result into the
+natural-order factor.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class WorkingSet:
     constructor _trusted(m_eq, m_in, member) checks nothing, and wraps
     only masks valid by construction, as solve_dual's start sets are.
     _grown adds a whole index array with add's checks, for the
-    constructor and for the kernel's batch pin, add_indices.
+    constructor and for add_index's batch pin.
     """
 
     __slots__ = ("m_eq", "m_in", "_member")
@@ -170,8 +171,9 @@ def build_masked(G, W):
     """Masked copy of G: unit diagonal at working-set indices, zeros on
     their rows/columns, everything else untouched.
 
-    factorize never forms it; it is the dense reference that the tests
-    check the factor and the masked products against."""
+    factorize factors it when few indices are masked; it is also the
+    dense reference that the tests check the factor and the masked
+    products against."""
     out = np.array(G, dtype=float)
     idx = W.indices
     out[idx, :] = 0.0
@@ -204,9 +206,9 @@ class MaskedFactor:
     from such a record, factorizes it at `epsilon` when a step first
     needs it, and drops it again to pin a batch of bounds or after a
     collapsed downdate.  With no factor, add_index and remove_index edit
-    the mask alone, and add_indices pins a whole batch in one mask
-    copy; active_set never assigns `mask` itself.  A factor's rows and
-    columns at masked indices are zero but for the diagonal
+    the mask alone, and add_index pins a whole batch of indices in one
+    mask copy; active_set never assigns `mask` itself.  A factor's rows
+    and columns at masked indices are zero but for the diagonal
     sqrt(1 + epsilon).
     Single-writer semantics: updates mutate `factor` in place, which
     requires it to be Fortran-ordered (see the module docstring).
@@ -236,12 +238,14 @@ def factorize(G, W, epsilon):
     max|G| <= 1 and checks what can overflow, WorkingSet checks W where
     it is built, and the shift is one of active_set's fixed rules.
 
-    potrf runs on the free block G_ff + epsilon*I alone (module
-    docstring), gathered in ascending index order; its factor is
-    scattered into a zeroed m x m factor whose masked diagonal entries
-    are sqrt(1 + epsilon).  With nothing masked, potrf runs on a copy
-    of G itself: at full size a gather and a scatter cost as much as
-    the factorization.
+    When a quarter or more of the indices are masked, potrf runs on
+    the free block G_ff + epsilon*I alone (module docstring), gathered
+    in ascending index order, and its factor is scattered into a zeroed
+    m x m factor whose masked diagonal entries are sqrt(1 + epsilon).
+    With fewer masked, potrf runs on a masked copy of G whole: there a
+    gather and a scatter cost more than the smaller potrf saves (one
+    BLAS thread, m = 240, one index masked: 0.52 ms against 0.28 ms;
+    the two paths cost about the same near a quarter masked).
 
     Returns
     -------
@@ -254,22 +258,25 @@ def factorize(G, W, epsilon):
     index order.
     """
     m = G.shape[0]
-    free = np.flatnonzero(~W.member)
-    M = np.array(G, dtype=float) if free.size == m else G[np.ix_(free, free)]
+    pinned = W.indices
+    free = None if 4 * pinned.size < m else np.flatnonzero(~W.member)
+    M = build_masked(G, W) if free is None else G.take(free, 0).take(free, 1)
     M[np.diag_indices_from(M)] += epsilon
     # M is symmetric, so M.T is the same matrix already in Fortran
     # order: potrf factors it in place, with no copy.
     M, info = dpotrf(M.T, lower=1, clean=1, overwrite_a=1)
     if info > 0:
+        minor = info if free is None else free[info - 1] + 1
         raise np.linalg.LinAlgError(
             f"masked matrix is not positive definite (leading minor "
-            f"{free[info - 1] + 1})")
-    if free.size < m:
-        L = np.zeros((m, m), order="F")
-        L[np.ix_(free, free)] = M
-        pinned = W.indices
-        L[pinned, pinned] = math.sqrt(1.0 + epsilon)
-        M = L
+            f"{minor})")
+    if free is not None:
+        # rows, then columns: two plain scatters beat one np.ix_ scatter
+        rows = np.zeros((m, free.size), order="F")
+        rows[free] = M
+        M = np.zeros((m, m), order="F")
+        M[:, free] = rows
+        M[pinned, pinned] = math.sqrt(1.0 + epsilon)
     return MaskedFactor(base=G, mask=W, epsilon=float(epsilon), factor=M)
 
 
@@ -335,32 +342,24 @@ def add_index(f, i):
     Row/column i of the masked matrix become the unit vector (diagonal
     1 + eps).  Blocks above/left of i are untouched; the trailing block
     absorbs the removed column piece through a rank-1 update.  O(n^2).
-    A record with no factor (factor None) has its mask grown alone.
+    A record with no factor (factor None) has its mask grown alone, and
+    there i may also be an intp array, whose indices are all pinned in
+    one mask copy: the first that lies outside the inequality block, is
+    already pinned or repeats an earlier one raises ValueError naming
+    it, and the mask is left as it was.
     """
-    new_mask = f.mask.add(i)  # raises ValueError unless i may be pinned
     L = f.factor
+    if L is None and np.ndim(i):
+        W = f.mask
+        f.mask = WorkingSet._trusted(W.m_eq, W.m_in, W._grown(i))
+        return
+    new_mask = f.mask.add(i)  # raises ValueError unless i may be pinned
     if L is not None:
         _rank1_update(L, L[i + 1:, i].copy(), i + 1)
         L[i, :i] = 0.0
         L[i, i] = np.sqrt(1.0 + f.epsilon)
         L[i + 1:, i] = 0.0
     f.mask = new_mask
-
-
-def add_indices(f, idx):
-    """Grow f's mask by every index of the intp array idx, in one copy.
-
-    f must hold no factor: a batch of pins drops it for the next step
-    to rebuild.  The indices are checked as add_index checks one: the
-    first that lies outside the inequality block, is already pinned or
-    repeats an earlier one raises ValueError, which names it, and the
-    mask is left as it was.  A record that holds a factor raises
-    ValueError too.
-    """
-    if f.factor is not None:
-        raise ValueError("add_indices pins on a record with no factor")
-    W = f.mask
-    f.mask = WorkingSet._trusted(W.m_eq, W.m_in, W._grown(idx))
 
 
 def remove_index(f, i):

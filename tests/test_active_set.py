@@ -843,23 +843,17 @@ class TestBatchPins:
     def counted(monkeypatch):
         # pins lists the bounds that each pinning kernel call pinned
         calls = {"pins": [], "factorize": 0}
-        add_index, add_indices = active_set.add_index, active_set.add_indices
-        factorize = active_set.factorize
+        add_index, factorize = active_set.add_index, active_set.factorize
 
         def counting_add(f, i):
-            calls["pins"].append([i])
+            calls["pins"].append(np.atleast_1d(i).tolist())
             return add_index(f, i)
-
-        def counting_add_indices(f, idx):
-            calls["pins"].append(idx.tolist())
-            return add_indices(f, idx)
 
         def counting_factorize(*args):
             calls["factorize"] += 1
             return factorize(*args)
 
         monkeypatch.setattr(active_set, "add_index", counting_add)
-        monkeypatch.setattr(active_set, "add_indices", counting_add_indices)
         monkeypatch.setattr(active_set, "factorize", counting_factorize)
         return calls
 

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.linalg.lapack import dpotrf
 import dualqp.kernel as kernel
 from dualqp import WorkingSet
 from dualqp.kernel import (CholeskyDowndateError, MaskedFactor, add_index,
-                           add_indices, build_masked, factorize,
+                           build_masked, factorize,
                            lambda_from_direction, mask_vector,
                            matvec_masked, remove_index, solve_with_factor)
 
@@ -275,11 +276,15 @@ class TestFactorize:
                            match=r"leading minor 2\)"):
             factorize(G, WorkingSet(0, 2), 1e-10)
         # index 0 pinned: potrf fails at the free block's second pivot,
-        # G's third
-        G = np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 2.0], [0.5, 2.0, 1.0]])
-        with pytest.raises(np.linalg.LinAlgError,
-                           match=r"leading minor 3\)"):
-            factorize(G, WorkingSet(0, 3, [0]), 1e-10)
+        # G's third, whether it factors the free block (a third pinned)
+        # or the whole masked copy (a fifth pinned)
+        for m in (3, 5):
+            G = np.eye(m)
+            G[0, 1:3] = G[1:3, 0] = 0.5
+            G[1, 2] = G[2, 1] = 2.0
+            with pytest.raises(np.linalg.LinAlgError,
+                               match=r"leading minor 3\)"):
+                factorize(G, WorkingSet(0, m, [0]), 1e-10)
 
 
 def random_masks(rng, m):
@@ -321,6 +326,24 @@ class TestFreeBlockFactor:
             off = L.copy()
             off[pinned, pinned] = 0.0
             assert not off[pinned, :].any() and not off[:, pinned].any()
+
+    def test_few_pins_cost_no_more_than_none(self):
+        # with fewer than a quarter masked, factorize masks a copy of G
+        # whole: the free block's gather and scatter would cost more
+        # than its smaller potrf saves (about 1.8 times the time with
+        # one pin here).  Paired median over alternated calls.
+        rng = np.random.default_rng(3)
+        m = 400
+        G = random_psd(rng, m) / m + np.eye(m)
+        none, one = WorkingSet(0, m), WorkingSet(0, m, [m // 2])
+        ratios = []
+        for _ in range(15):
+            t0 = time.perf_counter()
+            factorize(G, none, 1e-7)
+            t1 = time.perf_counter()
+            factorize(G, one, 1e-7)
+            ratios.append((time.perf_counter() - t1) / (t1 - t0))
+        assert np.median(ratios) < 1.3
 
 
 class TestRankOneUpdates:
@@ -410,19 +433,19 @@ class TestRecordsWithoutAFactor:
             remove_index(f, i)
         assert_array_equal(f.mask.indices, [2])
 
-    def test_add_indices_grows_the_mask_alone(self):
+    def test_add_pins_an_index_array_alone(self):
         f = self.record([2])
-        add_indices(f, np.array([3, 1]))
+        add_index(f, np.array([3, 1]))
         assert_array_equal(f.mask.indices, [1, 2, 3])
         assert f.factor is None and f.epsilon == 1e-7
-        add_indices(f, np.array([], dtype=np.intp))
+        add_index(f, np.array([], dtype=np.intp))
         assert_array_equal(f.mask.indices, [1, 2, 3])
 
-    def test_add_indices_refuses_a_record_with_a_factor(self):
+    def test_an_index_array_needs_a_record_with_no_factor(self):
         f = factorize(np.eye(4), WorkingSet(1, 3, [2]), 1e-7)
         L = f.factor.copy()
-        with pytest.raises(ValueError, match="no factor"):
-            add_indices(f, np.array([3]))
+        with pytest.raises(ValueError, match="must be an integer"):
+            add_index(f, np.array([3]))
         assert_array_equal(f.mask.indices, [2])
         assert_array_equal(f.factor, L)
 
@@ -433,10 +456,10 @@ class TestRecordsWithoutAFactor:
         ([3, 2], "index 2 already"),         # pinned
         ([3, 1, 3, 1], "index 3 already"),   # listed twice
     ])
-    def test_add_indices_rejects_a_bad_index(self, idx, message):
+    def test_an_index_array_rejects_a_bad_index(self, idx, message):
         f = self.record([2])
         with pytest.raises(ValueError, match=message):
-            add_indices(f, np.array(idx, dtype=np.intp))
+            add_index(f, np.array(idx, dtype=np.intp))
         assert_array_equal(f.mask.indices, [2])
         assert f.factor is None
 
